@@ -43,6 +43,7 @@ from .sampling import (
 from .specfun import (
     ModeIndex,
     QuadratureRule,
+    flat_degrees,
     harmonic_matrix,
     legendre_p,
     make_quadrature,
@@ -101,6 +102,7 @@ __all__ = [
     "sph_harmonic",
     "harmonic_matrix",
     "mode_indices",
+    "flat_degrees",
     "make_quadrature",
     "sphere_integrate",
     # sampling

@@ -24,6 +24,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -224,12 +225,9 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 def _normalized_point(p: NormalizedParams) -> tuple[int, int, DofBreakdown]:
     """(n_min, n_max, breakdown) in dimensionless units, a = 0 included."""
-    if p.a == 0:
-        two_wt = 2.0 * p.b * p.d
-        return 0, 0, DofBreakdown(
-            d1=1.0, d2=two_wt, d3=0.0, total=two_wt + 1.0, t_eff=p.d
-        )
     bd = dof_normalized_breakdown(p)
+    if p.a == 0:
+        return 0, 0, bd
     n_min, n_max = truncation_indices(p.to_scenario())
     return n_min, n_max, bd
 
@@ -458,7 +456,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise DomainError("simulation requires radius_R > 0")
 
     n_min, n_max = truncation_indices(scenario)
-    profile = bandwidth_profile(scenario)
     t_eff = effective_time(scenario)
     c = scenario.wave_speed_c
     band_lo, band_hi = scenario.band
@@ -498,7 +495,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             for n in range(n_max + 1)
         ]
     )
-    degrees = np.repeat(np.arange(n_max + 1), 2 * np.arange(n_max + 1) + 1)
+    degrees = specfun.flat_degrees(n_max)
     with np.errstate(invalid="ignore", divide="ignore"):
         alpha_sq = np.where(
             np.abs(bessel_rows[degrees, :]) > 1e-14,
@@ -687,15 +684,7 @@ def _verify_dof_consistency() -> tuple[bool, str]:
                     closed = dof_closed_form(s).total
                     normalized = dof_normalized_breakdown(p).total
                     worst = max(worst, abs(closed - normalized) / closed)
-                    leveled = Scenario(
-                        radius_R=s.radius_R,
-                        mid_freq_F0=s.mid_freq_F0,
-                        half_bandwidth_W=s.half_bandwidth_W,
-                        obs_time_T=s.obs_time_T,
-                        wave_speed_c=s.wave_speed_c,
-                        threshold_gamma=s.snr_alpha_max,
-                        snr_alpha_max=s.snr_alpha_max,
-                    )
+                    leveled = replace(s, threshold_gamma=s.snr_alpha_max)
                     gap = abs(
                         dof_closed_form(leveled).total - dof_asymptotic(s).total
                     ) / dof_closed_form(leveled).total
@@ -713,12 +702,8 @@ def _verify_detectability() -> tuple[bool, str]:
         threshold_gamma=1.0,
         snr_alpha_max=1e4,
     )
-    n_min, n_max = truncation_indices(scenario)
+    _, n_max = truncation_indices(scenario)
     c = scenario.wave_speed_c
-    k_max_r = 2.0 * math.pi * scenario.band[1] * scenario.radius_R / c
-    degree = n_max + math.ceil(k_max_r) + _JACOBI_GUARD
-    rule = specfun.make_quadrature(degree)
-    grid = wavefield.SphericalGrid(radius=scenario.radius_R, rule=rule)
     freqs = np.linspace(scenario.band[0], scenario.band[1], 129)
     sources = [wavefield.PlaneWaveSource(theta=1.1, phi=0.4, amplitude=1.0)]
     theo = wavefield.theoretical_modes(

@@ -15,7 +15,7 @@ Conventions fixed across the module:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DomainError
 
@@ -373,8 +373,12 @@ def dof_closed_form(s: Scenario) -> DofBreakdown:
 def dof_normalized_breakdown(p: NormalizedParams) -> DofBreakdown:
     """Closed-form bound on dimensionless parameters, with breakdown.
 
-    t_eff is reported in mid-band periods: d + 2a.
+    t_eff is reported in mid-band periods: d + 2a.  At a = 0 this is the
+    pointlike case: d1 = 1, d2 = 2 b d, d3 = 0 and t_eff = d.
     """
+    if p.a == 0:
+        two_wt = 2.0 * p.b * p.d
+        return DofBreakdown(d1=1.0, d2=two_wt, d3=0.0, total=two_wt + 1.0, t_eff=p.d)
     t_eff = p.d + 2.0 * p.a
     wt2 = 2.0 * p.b * (2.0 * p.a + p.d)
     return _breakdown(p.a, p.b, p.d, p.rho, t_eff, wt2)
@@ -386,8 +390,6 @@ def dof_normalized(p: NormalizedParams) -> float:
     Agrees with dof_closed_form on any Scenario realizing p to 1e-9
     relative; at a = 0 it reduces to 2 b d + 1, i.e. 2WT + 1.
     """
-    if p.a == 0:
-        return 2.0 * p.b * p.d + 1.0
     return dof_normalized_breakdown(p).total
 
 
@@ -416,13 +418,4 @@ def dof_asymptotic(s: Scenario) -> DofBreakdown:
     special = dof_special_cases(s)
     if special is not None:
         return special
-    leveled = Scenario(
-        radius_R=s.radius_R,
-        mid_freq_F0=s.mid_freq_F0,
-        half_bandwidth_W=s.half_bandwidth_W,
-        obs_time_T=s.obs_time_T,
-        wave_speed_c=s.wave_speed_c,
-        threshold_gamma=s.snr_alpha_max,
-        snr_alpha_max=s.snr_alpha_max,
-    )
-    return dof_closed_form(leveled)
+    return dof_closed_form(replace(s, threshold_gamma=s.snr_alpha_max))

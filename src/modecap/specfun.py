@@ -1,10 +1,11 @@
 """Special functions and spherical quadrature underpinning the other modules.
 
-Provides spherical Bessel functions of the first kind (own recurrence
-implementation: upward for z > n, Miller-style downward for z <= n), their
-log-space envelope bound, Legendre polynomials, orthonormal complex spherical
-harmonics, and Gauss-Legendre x uniform-azimuth product quadrature on the
-unit sphere.
+Validated wrappers over SciPy: spherical Bessel functions of the first kind
+(scipy.special.spherical_jn, with an ascending series near zero where SciPy
+underflows), their log-space envelope bound, orthonormal complex spherical
+harmonics (scipy.special.sph_harm_y, one broadcast call per basis matrix),
+plus Legendre polynomials by recurrence, the flat (n, m) mode layout, and
+Gauss-Legendre x uniform-azimuth product quadrature on the unit sphere.
 
 All functions are pure; QuadratureRule instances are immutable after
 construction.
@@ -12,10 +13,10 @@ construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, sph_harm_y
+from scipy.special import gammaln, sph_harm_y, spherical_jn
 
 from .errors import DomainError, ResolutionError
 
@@ -28,19 +29,16 @@ __all__ = [
     "sph_harmonic",
     "harmonic_matrix",
     "mode_indices",
+    "flat_degrees",
     "make_quadrature",
     "sphere_integrate",
 ]
 
 _MAX_BESSEL_ORDER = 200
 _MAX_QUAD_DEGREE = 512
-# Extra orders above the target for the downward recurrence.  For z <= n each
-# step down shrinks the unwanted (irregular) component by at least a factor
-# z/(2k+1) < 1/2, so 60 guard orders leave it below 2^-60 ~ 1e-18 relative.
-_MILLER_GUARD = 60
-_RESCALE_LIMIT = 1e250
 # Below this argument the two-term ascending series is already exact to
-# double precision and the downward recurrence could overflow per-step.
+# double precision, while spherical_jn underflows to 0 for tiny z (it gives
+# 0.0 at n=1, z=1.3e-220, where the true value is 4.5e-221).
 _SERIES_CUTOFF = 1e-3
 
 
@@ -68,6 +66,12 @@ def mode_indices(max_degree: int) -> list[ModeIndex]:
     return [
         ModeIndex(n, m) for n in range(max_degree + 1) for m in range(-n, n + 1)
     ]
+
+
+def flat_degrees(max_degree: int) -> np.ndarray:
+    """Degree n of each flat row n*n + n + m, for n <= max_degree."""
+    degrees = np.arange(max_degree + 1)
+    return np.repeat(degrees, 2 * degrees + 1)
 
 
 @dataclass(frozen=True)
@@ -102,47 +106,13 @@ class QuadratureRule:
         return self.weights.size
 
 
-def _bessel_j0(z: np.ndarray) -> np.ndarray:
-    """j_0(z) = sin(z)/z with the removable singularity at 0."""
-    return np.sinc(z / np.pi)
-
-
-def _bessel_j1(z: np.ndarray) -> np.ndarray:
-    """j_1(z), using the Taylor series where the closed form cancels."""
-    out = np.empty_like(z)
-    small = z < 0.5
-    zs = z[small]
-    z2 = zs * zs
-    # j_1(z) = z/3 (1 - z^2/10 (1 - z^2/28 (1 - z^2/54))) -- exact to ~1e-19
-    # for z < 0.5.
-    out[small] = (zs / 3.0) * (
-        1.0 - (z2 / 10.0) * (1.0 - (z2 / 28.0) * (1.0 - z2 / 54.0))
-    )
-    zb = z[~small]
-    out[~small] = (np.sin(zb) - zb * np.cos(zb)) / (zb * zb)
-    return out
-
-
-def _bessel_upward(n: int, z: np.ndarray) -> np.ndarray:
-    """Upward recurrence j_{k+1} = (2k+1) j_k / z - j_{k-1}; stable for z > n."""
-    jkm1 = _bessel_j0(z)
-    if n == 0:
-        return jkm1
-    jk = _bessel_j1(z)
-    for k in range(1, n):
-        jkm1, jk = jk, (2 * k + 1) * jk / z - jkm1
-    return jk
-
-
 def _bessel_series_small(n: int, z: np.ndarray) -> np.ndarray:
     """Two-term ascending series in log space, for 0 < z < _SERIES_CUTOFF.
 
     j_n(z) = (z/2)^n sqrt(pi)/(2 Gamma(n+3/2)) (1 - z^2/(2(2n+3)) + O(z^4));
     the omitted term is below 1e-14 relative at the cutoff, and the log-space
     leading factor underflows cleanly to zero exactly when the true value
-    does.  The downward recurrence cannot serve here: its per-step growth
-    (2k+1)/z outruns any finite rescaling headroom as z approaches the
-    subnormal range.
+    does.
     """
     log_lead = 0.5 * math.log(math.pi) - math.log(2.0) - gammaln(n + 1.5)
     # z/2 may round to zero in the subnormal range; log -> -inf -> exp -> 0,
@@ -152,41 +122,11 @@ def _bessel_series_small(n: int, z: np.ndarray) -> np.ndarray:
     return lead * (1.0 - z * z / (2.0 * (2 * n + 3)))
 
 
-def _bessel_downward(n: int, z: np.ndarray) -> np.ndarray:
-    """Miller's algorithm: recur down from a high order, normalize via j_0/j_1.
-
-    Stable for z <= n where the upward recurrence would be dominated by the
-    irregular solution.  Values are rescaled whenever they approach overflow;
-    orders whose true value underflows double precision come out as 0.
-    """
-    start = n + _MILLER_GUARD
-    ykp1 = np.zeros_like(z)
-    yk = np.full_like(z, 1e-30)
-    target = np.zeros_like(z)
-    for k in range(start, 0, -1):
-        ykm1 = (2 * k + 1) * yk / z - ykp1
-        ykp1, yk = yk, ykm1
-        if k - 1 == n:
-            target = yk.copy()
-        big = np.abs(yk) > _RESCALE_LIMIT
-        if np.any(big):
-            yk[big] *= 1e-250
-            ykp1[big] *= 1e-250
-            target[big] *= 1e-250
-    # Normalize against whichever of j_0, j_1 is larger in magnitude to stay
-    # accurate near zeros of j_0.
-    j0 = _bessel_j0(z)
-    j1 = _bessel_j1(z)
-    use1 = np.abs(j1) > np.abs(j0)
-    ref_true = np.where(use1, j1, j0)
-    ref_raw = np.where(use1, ykp1, yk)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = target * (ref_true / ref_raw)
-    return np.where(ref_raw == 0.0, 0.0, out)
-
-
 def sph_bessel_j(n: int, z):
     """Spherical Bessel function of the first kind j_n(z).
+
+    scipy.special.spherical_jn, except that orders n >= 1 at
+    0 < z < 1e-3 use the ascending series (SciPy underflows there).
 
     Parameters
     ----------
@@ -198,7 +138,12 @@ def sph_bessel_j(n: int, z):
     Returns
     -------
     float or np.ndarray
-        j_n(z) with relative error <= 1e-12 wherever |j_n(z)| > 1e-300.
+        j_n(z).  Measured against 60-digit mpmath: relative error at most
+        2e-13 over 1,244 random points with n <= 200 away from the zeros
+        of j_n.  Near a zero the relative error grows as the value
+        vanishes (7e-13 at distance 1e-3 from a zero, 8e-11 at 1e-5, for
+        n in {0, 1, 2, 5, 8, 20, 46}) while the absolute error stays
+        below 1e-15 / z.
     """
     if not isinstance(n, (int, np.integer)):
         raise DomainError(f"order must be an integer, got {n!r}")
@@ -210,19 +155,11 @@ def sph_bessel_j(n: int, z):
     scalar = z_arr.ndim == 0
     z_arr = np.atleast_1d(z_arr)
 
-    out = np.zeros_like(z_arr)
-    zero = z_arr == 0.0
-    if n == 0:
-        out[zero] = 1.0
-    up = (~zero) & (z_arr > n)
-    tiny = (~zero) & ~up & (z_arr < _SERIES_CUTOFF)
-    down = (~zero) & ~up & ~tiny
-    if np.any(up):
-        out[up] = _bessel_upward(n, z_arr[up])
-    if np.any(tiny):
+    out = spherical_jn(n, z_arr)
+    # j_0 = sin(z)/z needs no series: it tends to 1, not to 0.
+    tiny = (z_arr > 0.0) & (z_arr < _SERIES_CUTOFF)
+    if n > 0 and np.any(tiny):
         out[tiny] = _bessel_series_small(n, z_arr[tiny])
-    if np.any(down):
-        out[down] = _bessel_downward(n, z_arr[down])
     return float(out[0]) if scalar else out
 
 
@@ -289,12 +226,11 @@ def harmonic_matrix(max_degree: int, theta: np.ndarray, phi: np.ndarray) -> np.n
 
     Rows follow the flat ordering n*n + n + m.
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    out = np.empty(((max_degree + 1) ** 2, theta.size), dtype=complex)
-    for idx in mode_indices(max_degree):
-        out[idx.flat] = sph_harm_y(idx.n, idx.m, theta, phi)
-    return out
+    theta = np.asarray(theta, dtype=float).reshape(1, -1)
+    phi = np.asarray(phi, dtype=float).reshape(1, -1)
+    n = flat_degrees(max_degree)
+    m = np.arange(n.size) - n * (n + 1)
+    return sph_harm_y(n[:, None], m[:, None], theta, phi)
 
 
 def make_quadrature(max_degree: int) -> QuadratureRule:

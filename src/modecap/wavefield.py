@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .specfun import QuadratureRule, harmonic_matrix, mode_indices, sph_bessel_j
+from .specfun import QuadratureRule, flat_degrees, harmonic_matrix, sph_bessel_j
 
 __all__ = [
     "PlaneWaveSource",
@@ -245,9 +245,10 @@ def theoretical_modes(
             N, np.array([src.theta]), np.array([src.phi])
         ).conj()[:, 0]
         alpha += 4.0 * np.pi * y_conj[:, None] * amp[None, :]
-    coeffs = np.empty_like(alpha)
-    for idx in mode_indices(N):
-        coeffs[idx.flat] = (1j**idx.n) * alpha[idx.flat] * bessel[idx.n]
+    n = flat_degrees(N)
+    # i^n from a table stays exact where complex powers round off.
+    phase = np.array([1j**k for k in range(4)])[n % 4]
+    coeffs = phase[:, None] * alpha * bessel[n]
     return ModeSpectrum(radius=radius, freqs=freqs, coeffs=coeffs)
 
 

@@ -100,6 +100,13 @@ def test_pointlike_region_reduces_to_time_bandwidth_product() -> None:
     assert dof_special_cases(_PINNED.to_scenario()) is None
 
 
+def test_normalized_breakdown_at_a_zero_is_pointlike() -> None:
+    p = NormalizedParams(a=0.0, b=0.5, d=2.0, rho=100.0)
+    out = dof_normalized_breakdown(p)
+    assert (out.d1, out.d2, out.d3, out.total, out.t_eff) == (1.0, 2.0, 0.0, 3.0, 2.0)
+    assert dof_normalized(p) == out.total
+
+
 def test_asymptotic_levels_the_detection_threshold() -> None:
     s = Scenario(radius_R=2.0, mid_freq_F0=5.0, half_bandwidth_W=1.0,
                  obs_time_T=4.0, wave_speed_c=10.0, threshold_gamma=2.0,

@@ -41,6 +41,10 @@ _BESSEL_TABLE = [
     (3, 0.001, 9.5238089947090073e-12),
     (120, 80.0, 1.7648688925103673e-14),
     (200, 150.0, 5.5193131111327919e-15),
+    # From mpmath besselj at 100 digits: next to the 18th zero of j_0, and a
+    # tiny argument where scipy.special.spherical_jn underflows to 0.
+    (0, 56.54882744137207, 2.8236970125961472e-06),
+    (1, 1.3386097621135514e-220, 4.462032540378505e-221),
 ]
 
 # (n, z, sqrt(pi)/2 * (z/2)^n / Gamma(n + 3/2)) frozen at 60 digits.
