@@ -187,6 +187,11 @@ def _build_simulation(cfg: dict, seed_override: int | None) -> dict[str, int]:
         out[key] = value
     if seed_override is not None:
         out["seed"] = seed_override
+    if out["quad_degree"] < 0:
+        raise ConfigError(
+            "simulation.quad_degree must be >= 0 (0 or \"auto\" picks the degree), "
+            f"got {out['quad_degree']}"
+        )
     if out["sources"] < 1:
         raise ConfigError("simulation.sources must be >= 1")
     if out["freq_points"] < 2:
@@ -223,9 +228,16 @@ def _write_output(text: str, out_path: str | None) -> None:
 # Point evaluation shared by compute and sweep
 
 
+def _check_finite(bd: DofBreakdown) -> DofBreakdown:
+    # The components are nonnegative, so a finite total means finite parts.
+    if not math.isfinite(bd.total):
+        raise DomainError(f"degrees of freedom overflow: total is {bd.total!r}")
+    return bd
+
+
 def _normalized_point(p: NormalizedParams) -> tuple[int, int, DofBreakdown]:
     """(n_min, n_max, breakdown) in dimensionless units, a = 0 included."""
-    bd = dof_normalized_breakdown(p)
+    bd = _check_finite(dof_normalized_breakdown(p))
     if p.a == 0:
         return 0, 0, bd
     n_min, n_max = truncation_indices(p.to_scenario())
@@ -235,9 +247,9 @@ def _normalized_point(p: NormalizedParams) -> tuple[int, int, DofBreakdown]:
 def _scenario_point(s: Scenario) -> tuple[int, int, DofBreakdown]:
     special = dof_special_cases(s)
     if special is not None:
-        return 0, 0, special
+        return 0, 0, _check_finite(special)
     n_min, n_max = truncation_indices(s)
-    return n_min, n_max, dof_closed_form(s)
+    return n_min, n_max, _check_finite(dof_closed_form(s))
 
 
 def _mode_table(s: Scenario) -> list[dict[str, Any]]:
@@ -291,7 +303,11 @@ def _csv_row(
 
 
 def _serialize_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"report holds a non-finite number: {exc}") from exc
+    return text + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +470,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sim = _build_simulation(cfg, args.seed)
     if scenario.radius_R == 0:
         raise DomainError("simulation requires radius_R > 0")
+    if scenario.half_bandwidth_W == 0:
+        raise DomainError(
+            "simulation requires a nonzero bandwidth (half_bandwidth_W > 0, b > 0)"
+        )
 
     n_min, n_max = truncation_indices(scenario)
     t_eff = effective_time(scenario)

@@ -3,9 +3,11 @@
 Validated wrappers over SciPy: spherical Bessel functions of the first kind
 (scipy.special.spherical_jn, with an ascending series near zero where SciPy
 underflows), their log-space envelope bound, orthonormal complex spherical
-harmonics (scipy.special.sph_harm_y, one broadcast call per basis matrix),
-plus Legendre polynomials by recurrence, the flat (n, m) mode layout, and
-Gauss-Legendre x uniform-azimuth product quadrature on the unit sphere.
+harmonics (scipy.special.sph_harm_y; a basis matrix is built separably, one
+broadcast call over the distinct polar angles times a table of e^{i m phi}
+over the distinct azimuths), plus Legendre polynomials by recurrence, the
+flat (n, m) mode layout, and Gauss-Legendre x uniform-azimuth product
+quadrature on the unit sphere.
 
 All functions are pure; QuadratureRule instances are immutable after
 construction.
@@ -224,13 +226,28 @@ def sph_harmonic(idx: ModeIndex, theta, phi):
 def harmonic_matrix(max_degree: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Matrix of Y_nm over points: shape ((max_degree+1)^2, len(theta)).
 
-    Rows follow the flat ordering n*n + n + m.
+    Rows follow the flat ordering n*n + n + m.  Evaluated separably as
+    Y_nm(theta, phi) = Y_nm(theta, 0) e^{i m phi}: sph_harm_y runs once per
+    distinct polar angle and the azimuthal factor once per distinct phi and
+    order m = -N..N, so a product rule with T polar rings costs (N+1)^2 T
+    Legendre evaluations instead of one per (mode, point).  The result equals
+    the direct broadcast sph_harm_y(n, m, theta, phi) bit for bit.
     """
-    theta = np.asarray(theta, dtype=float).reshape(1, -1)
-    phi = np.asarray(phi, dtype=float).reshape(1, -1)
+    theta, phi = np.broadcast_arrays(
+        np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    )
+    theta_u, theta_at = np.unique(theta, return_inverse=True)
+    phi_u, phi_at = np.unique(phi, return_inverse=True)
     n = flat_degrees(max_degree)
     m = np.arange(n.size) - n * (n + 1)
-    return sph_harm_y(n[:, None], m[:, None], theta, phi)
+    polar = sph_harm_y(n[:, None], m[:, None], theta_u[None, :], 0.0)
+    out = polar[:, theta_at.ravel()]
+    orders = np.arange(-max_degree, max_degree + 1)
+    azimuth = np.exp(1j * orders[:, None] * phi_u[None, :])[:, phi_at.ravel()]
+    # Rows n*n .. n*n + 2n hold m = -n..n, one contiguous slice of azimuth.
+    for k in range(max_degree + 1):
+        out[k * k : (k + 1) ** 2] *= azimuth[max_degree - k : max_degree + k + 1]
+    return out
 
 
 def make_quadrature(max_degree: int) -> QuadratureRule:

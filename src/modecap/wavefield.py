@@ -275,8 +275,11 @@ def analyze_modes(
             f"analysis degree {N} exceeds the rule's max_degree "
             f"{grid.rule.max_degree}; the projection would alias"
         )
+    # harmonic_matrix returns a fresh array, so weight it in place.
     y = harmonic_matrix(N, grid.rule.theta, grid.rule.phi)
-    coeffs = (y.conj() * grid.rule.weights[None, :]) @ field
+    np.conjugate(y, out=y)
+    y *= grid.rule.weights
+    coeffs = y @ field
     return ModeSpectrum(radius=grid.radius, freqs=freqs, coeffs=coeffs)
 
 

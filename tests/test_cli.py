@@ -170,6 +170,42 @@ def test_domain_problems_exit_3(tmp_path: Path) -> None:
     assert main(["simulate", "--config", point_sim]) == EXIT_DOMAIN
 
 
+def test_simulate_with_zero_bandwidth_exits_3(tmp_path: Path) -> None:
+    cfg = _write(tmp_path, "cfg.json", {
+        "normalized": {"a": 0.5, "b": 0.0, "d": 10.0, "rho": 100.0},
+        "simulation": {"sources": 1, "freq_points": 5, "trials": 2}})
+    out = tmp_path / "sim.json"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_DOMAIN
+    assert not out.exists()
+
+
+def test_negative_quad_degree_exits_2(tmp_path: Path, capsys) -> None:
+    negative = dict(_SIM_CONFIG)
+    negative["simulation"] = dict(_SIM_CONFIG["simulation"], quad_degree=-1)
+    cfg = _write(tmp_path, "cfg.json", negative)
+    out = tmp_path / "sim.json"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "quad_degree" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compute_with_overflowing_dof_exits_3(tmp_path: Path) -> None:
+    cfg = _write(tmp_path, "cfg.json", {"normalized": {
+        "a": 1.0, "b": 0.5, "d": 1e308, "rho": 100.0}})
+    out = tmp_path / "report.json"
+    assert main(["compute", "--config", cfg, "--out", str(out)]) == EXIT_DOMAIN
+    assert not out.exists()  # no report holding Infinity or inf
+
+
+def test_sweep_with_overflowing_dof_exits_3(tmp_path: Path) -> None:
+    cfg = _write(tmp_path, "cfg.json", {"sweep": {
+        "a": [1.0], "b": [0.5], "d": [1.0, 1e308], "rho": [100.0]}})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--format", "csv",
+                 "--out", str(out)]) == EXIT_DOMAIN
+    assert not out.exists()  # no report holding Infinity or inf
+
+
 def test_unwritable_output_exits_4(tmp_path: Path) -> None:
     cfg = _write(tmp_path, "cfg.json", _PINNED_CONFIG)
     target = str(tmp_path / "no" / "such" / "dir" / "out.json")

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import sph_harm_y
 
 from modecap.errors import DomainError, ResolutionError
 from modecap.specfun import (
@@ -192,6 +193,42 @@ def test_harmonic_matrix_rows_match_single_evaluations() -> None:
     for idx in mode_indices(2):
         assert np.allclose(matrix[idx.flat], sph_harmonic(idx, theta, phi),
                            rtol=0, atol=1e-15)
+
+
+def _direct_harmonic_matrix(max_degree: int, theta, phi) -> np.ndarray:
+    """One sph_harm_y call per (mode, point): the unseparated reference."""
+    n = np.repeat(np.arange(max_degree + 1), 2 * np.arange(max_degree + 1) + 1)
+    m = np.arange(n.size) - n * (n + 1)
+    return sph_harm_y(n[:, None], m[:, None], np.asarray(theta)[None, :],
+                      np.asarray(phi)[None, :])
+
+
+def _seeded_points(count: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(20240611)
+    theta = np.arccos(rng.uniform(-1.0, 1.0, count))
+    return theta, rng.uniform(0.0, 2 * np.pi, count)
+
+
+_RULE_46 = make_quadrature(46)
+
+
+@pytest.mark.parametrize(
+    ("max_degree", "theta", "phi"),
+    [
+        pytest.param(30, _RULE_46.theta, _RULE_46.phi, id="rule46-degree30"),
+        pytest.param(12, *_seeded_points(300), id="scattered"),
+        pytest.param(7, np.full(6, 0.7), np.linspace(0.0, 6.0, 6),
+                     id="shared-theta"),
+        pytest.param(7, np.linspace(0.1, 3.0, 6), np.full(6, 2.2),
+                     id="shared-phi"),
+        pytest.param(9, np.array([1.1]), np.array([0.4]), id="single-point"),
+    ],
+)
+def test_harmonic_matrix_equals_direct_evaluation_exactly(
+    max_degree: int, theta: np.ndarray, phi: np.ndarray
+) -> None:
+    matrix = harmonic_matrix(max_degree, theta, phi)
+    assert np.array_equal(matrix, _direct_harmonic_matrix(max_degree, theta, phi))
 
 
 def test_quadrature_weights_and_exactness() -> None:
