@@ -80,6 +80,16 @@ def _round12(x: float) -> float:
 # Config handling
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """json object hook: a repeated key is an error, not last-wins."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate config key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -87,7 +97,7 @@ def _load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -363,12 +373,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for rho in grids["rho"]
     ]
 
-    def evaluate(p: NormalizedParams) -> tuple[NormalizedParams, int, int, DofBreakdown]:
-        n_min, n_max, bd = _normalized_point(p)
-        return p, n_min, n_max, bd
+    def evaluate(
+        chunk: list[NormalizedParams],
+    ) -> list[tuple[NormalizedParams, int, int, DofBreakdown]]:
+        return [(p, *_normalized_point(p)) for p in chunk]
 
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        results = list(pool.map(evaluate, points))
+    # One contiguous, in-order chunk per thread: a future per point costs
+    # more in the pool's locks than the closed form itself.  The first
+    # failing chunk holds the first failing point, so errors stay in grid order.
+    threads = _thread_count()
+    size = math.ceil(len(points) / threads)
+    chunks = [points[i:i + size] for i in range(0, len(points), size)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = [row for rows in pool.map(evaluate, chunks) for row in rows]
 
     if args.format == "json":
         rows = [

@@ -41,6 +41,10 @@ __all__ = [
 # e * pi, the constant relating mode index to critical frequency.
 EPI = math.e * math.pi
 
+# Mode indices stay below this, so their squares stay below the float
+# maximum, 1.8e308.
+_INDEX_LIMIT = 1e154
+
 
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
@@ -252,16 +256,26 @@ def critical_frequency(s: Scenario, n: int) -> float:
 
 
 def _indices(a: float, b: float, rho: float) -> tuple[int, int]:
-    """Truncation indices on dimensionless parameters."""
+    """Truncation indices on dimensionless parameters.
+
+    Raises DomainError when n_max would reach _INDEX_LIMIT: the closed form
+    squares it, and (e pi a)^2, as floats.
+    """
     half_log = 0.5 * math.log(rho)
+    top = EPI * a * (1.0 + b) + half_log
+    if top >= _INDEX_LIMIT:
+        raise DomainError(
+            f"degrees of freedom overflow: n_max would be {top:.6g}, not below "
+            f"{_INDEX_LIMIT:g} (a = {a!r})"
+        )
     n_min = max(0, math.ceil(EPI * a * (1.0 - b) + half_log))
-    n_max = max(n_min, math.ceil(EPI * a * (1.0 + b) + half_log))
+    n_max = max(n_min, math.ceil(top))
     return n_min, n_max
 
 
 def truncation_indices(s: Scenario) -> tuple[int, int]:
     """(n_min, n_max): the last full-band mode index and the last mode with
-    any usable bandwidth.  Requires R > 0."""
+    any usable bandwidth.  Requires R > 0 and n_max below 1e154."""
     if s.radius_R == 0:
         raise DomainError(
             "truncation indices are undefined for radius_R = 0; use the "

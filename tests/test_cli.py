@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import modecap
 from modecap.cli import (
     EXIT_CONFIG,
     EXIT_DOMAIN,
@@ -114,16 +116,54 @@ def test_sweep_json_format(tmp_path: Path) -> None:
 
 def test_sweep_thread_count_does_not_change_output(
         tmp_path: Path, monkeypatch) -> None:
+    # Seven points: no thread count from 2 to 6 divides them and 8 exceeds
+    # them, so the per-thread chunks are uneven or hold one point each.
     cfg = _write(tmp_path, "cfg.json", {"sweep": {
-        "a": [0.5, 1.0, 1.5], "b": [0.1, 0.9], "d": [1.0], "rho": [1.0]}})
-    out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
-    monkeypatch.setenv("MODECAP_THREADS", "1")
-    assert main(["sweep", "--config", cfg, "--out", str(out1)]) == EXIT_OK
-    monkeypatch.setenv("MODECAP_THREADS", "4")
-    assert main(["sweep", "--config", cfg, "--out", str(out2)]) == EXIT_OK
-    assert out1.read_bytes() == out2.read_bytes()
+        "a": [0.5, 1.0, 1.5, 4.0, 20.0, 0.05, 9.0], "b": [0.1], "d": [1.0],
+        "rho": [50.0]}})
+    for fmt in ("csv", "json"):
+        outputs = []
+        for threads in ("1", "2", "3", "8"):
+            monkeypatch.setenv("MODECAP_THREADS", threads)
+            out = tmp_path / f"t{threads}.{fmt}"
+            assert main(["sweep", "--config", cfg, "--format", fmt,
+                         "--out", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert all(data == outputs[0] for data in outputs)
+    assert len(json.loads(outputs[0])["rows"]) == 7
     monkeypatch.setenv("MODECAP_THREADS", "zero")
     assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+
+
+def test_sweep_error_is_independent_of_thread_count(
+        tmp_path: Path, monkeypatch, capsys) -> None:
+    cfg = _write(tmp_path, "cfg.json", {"sweep": {
+        "a": [1.0], "b": [0.5], "d": [1.0, 2.0, 3.0, 1e308, 5.0, 6.0, 7.0],
+        "rho": [100.0]}})
+    errors = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("MODECAP_THREADS", threads)
+        out = tmp_path / f"t{threads}.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_DOMAIN
+        assert not out.exists()
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("domain error: ") and errors[0].count("\n") == 1
+
+
+def test_duplicate_config_keys_exit_2(tmp_path: Path, capsys) -> None:
+    normalized = _write(tmp_path, "n.json", (
+        '{"normalized": {"a": 1, "a": 2, "b": 0.5, "d": 1, "rho": 1}}'))
+    out = tmp_path / "report.json"
+    assert main(["compute", "--config", normalized,
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "'a'" in capsys.readouterr().err
+    assert not out.exists()
+    sweep = _write(tmp_path, "s.json", (
+        '{"sweep": {"a": [1], "b": [0.5], "d": [1], "rho": [1], "rho": [2]}}'))
+    assert main(["sweep", "--config", sweep, "--out", str(out)]) == EXIT_CONFIG
+    assert "'rho'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_problems_exit_2(tmp_path: Path) -> None:
@@ -206,6 +246,20 @@ def test_sweep_with_overflowing_dof_exits_3(tmp_path: Path) -> None:
     assert not out.exists()  # no report holding Infinity or inf
 
 
+def test_huge_a_exits_3(tmp_path: Path, capsys) -> None:
+    huge = {"a": 1e300, "b": 0.5, "d": 1.0, "rho": 100.0}
+    cfg = _write(tmp_path, "cfg.json", {"normalized": huge})
+    out = tmp_path / "report.json"
+    assert main(["compute", "--config", cfg, "--out", str(out)]) == EXIT_DOMAIN
+    assert not out.exists()
+    sweep = _write(tmp_path, "sweep.json", {
+        "sweep": {k: [v] for k, v in huge.items()}})
+    assert main(["sweep", "--config", sweep, "--format", "csv",
+                 "--out", str(out)]) == EXIT_DOMAIN
+    assert not out.exists()
+    assert capsys.readouterr().err.count("overflow") == 2
+
+
 def test_unwritable_output_exits_4(tmp_path: Path) -> None:
     cfg = _write(tmp_path, "cfg.json", _PINNED_CONFIG)
     target = str(tmp_path / "no" / "such" / "dir" / "out.json")
@@ -273,9 +327,13 @@ def test_help_and_unknown_subcommand() -> None:
 def test_console_script_entry_point(tmp_path: Path) -> None:
     cfg = _write(tmp_path, "cfg.json", _PINNED_CONFIG)
     out = tmp_path / "report.json"
+    # The child imports the same package as this test, installed or not.
+    src = str(Path(modecap.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "modecap.cli", "compute", "--config", cfg,
          "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["n_max"] == 13
