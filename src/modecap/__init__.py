@@ -14,10 +14,12 @@ from __future__ import annotations
 from .dofcore import (
     EPI,
     DofBreakdown,
+    ModeBandArrays,
     ModeBandwidthProfile,
     ModeEntry,
     NormalizedParams,
     Scenario,
+    bandwidth_arrays,
     bandwidth_profile,
     critical_frequency,
     dof_asymptotic,
@@ -82,10 +84,12 @@ __all__ = [
     "NormalizedParams",
     "ModeEntry",
     "ModeBandwidthProfile",
+    "ModeBandArrays",
     "DofBreakdown",
     "effective_time",
     "critical_frequency",
     "truncation_indices",
+    "bandwidth_arrays",
     "bandwidth_profile",
     "dof_mode_sum",
     "dof_closed_form",

@@ -24,8 +24,8 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .dofcore import (
     DofBreakdown,
     NormalizedParams,
     Scenario,
-    bandwidth_profile,
+    bandwidth_arrays,
     critical_frequency,
     dof_asymptotic,
     dof_closed_form,
@@ -64,6 +64,9 @@ _SIMULATION_KEYS = {"sources", "freq_points", "quad_degree", "seed", "trials"}
 _TOP_KEYS = {"scenario", "normalized", "sweep", "simulation"}
 
 _JACOBI_GUARD = 20
+
+# Most rows a JSON mode table may hold (n_max + 1); about 110 bytes each.
+MODE_TABLE_LIMIT = 1_000_000
 
 
 def _fmt(x: float) -> str:
@@ -235,6 +238,79 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Report writing
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """A report's list of fixed-schema rows, held as equal-length columns.
+
+    _serialize_report writes it as the list of row objects it stands for,
+    with each float column rounded by _round12.
+    """
+
+    floats: Mapping[str, Sequence[float]]
+    ints: Mapping[str, Sequence[int]]
+
+
+# What json.dumps writes for a _Rows value; _serialize_report replaces it.
+_ROWS_MARK = "\0rows"
+_ROWS_TOKEN = json.dumps(_ROWS_MARK)
+
+
+def _rows_json(rows: _Rows, indent: str) -> str:
+    """`rows` as json.dumps(indent=2, sort_keys=True) writes the row list
+    when its opening line is indented by `indent`."""
+    texts = {}
+    for key, column in rows.floats.items():
+        values = np.asarray(column, dtype=float)
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = float(values[~finite][0])
+            raise DomainError(f"report holds a non-finite number: {key} is {bad!r}")
+        texts[key] = [repr(float(format(x, ".12g"))) for x in values.tolist()]
+    for key, column in rows.ints.items():
+        texts[key] = [str(int(v)) for v in column]
+    keys = sorted(texts)
+    columns = [texts[k] for k in keys]
+    if not columns[0]:
+        return "[]"
+    field = indent + "    %s: %%s"
+    template = (
+        indent + "  {\n"
+        + ",\n".join(field % json.dumps(k) for k in keys)
+        + "\n" + indent + "  }"
+    )
+    body = ",\n".join(template % row for row in zip(*columns, strict=True))
+    return "[\n" + body + "\n" + indent + "]"
+
+
+def _serialize_report(report: dict) -> str:
+    """Strict JSON text of `report`, as json.dumps(indent=2, sort_keys=True)
+    writes it; each _Rows value is written by _rows_json."""
+    tables: list[_Rows] = []
+
+    def mark(value: Any) -> str:
+        if not isinstance(value, _Rows):
+            name = type(value).__name__
+            raise TypeError(f"Object of type {name} is not JSON serializable")
+        tables.append(value)
+        return _ROWS_MARK
+
+    try:
+        text = json.dumps(
+            report, indent=2, sort_keys=True, allow_nan=False, default=mark
+        )
+    except ValueError as exc:
+        raise DomainError(f"report holds a non-finite number: {exc}") from exc
+    parts = text.split(_ROWS_TOKEN)
+    for i, table in enumerate(tables):
+        line = parts[i][parts[i].rfind("\n") + 1:]
+        parts[i] += _rows_json(table, line[: len(line) - len(line.lstrip(" "))])
+    return "".join(parts) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # Point evaluation shared by compute and sweep
 
 
@@ -262,25 +338,33 @@ def _scenario_point(s: Scenario) -> tuple[int, int, DofBreakdown]:
     return n_min, n_max, _check_finite(dof_closed_form(s))
 
 
-def _mode_table(s: Scenario) -> list[dict[str, Any]]:
-    """Per-mode rows (n, F_n, W_n), one per mode up to n_max."""
+def _mode_table(s: Scenario, n_max: int) -> _Rows:
+    """Per-mode rows (n, F_n, W_n), one per mode up to n_max.
+
+    Raises ResolutionError above MODE_TABLE_LIMIT rows, before building any.
+    """
+    if n_max + 1 > MODE_TABLE_LIMIT:
+        raise ResolutionError(
+            f"mode table at n_max = {n_max} would have {n_max + 1} rows, above the "
+            f"limit of {MODE_TABLE_LIMIT}; compute --format csv reports the bound "
+            "without it"
+        )
     if s.radius_R == 0:
-        return [
-            {
-                "n": 0,
-                "critical_freq_Fn": 0.0,
-                "eff_bandwidth_Wn": _round12(2.0 * s.half_bandwidth_W),
-            }
-        ]
-    profile = bandwidth_profile(s)
-    return [
-        {
-            "n": entry.n,
-            "critical_freq_Fn": _round12(entry.critical_freq_Fn),
-            "eff_bandwidth_Wn": _round12(entry.eff_bandwidth_Wn),
-        }
-        for entry in profile.per_mode
-    ]
+        return _Rows(
+            floats={
+                "critical_freq_Fn": [0.0],
+                "eff_bandwidth_Wn": [2.0 * s.half_bandwidth_W],
+            },
+            ints={"n": [0]},
+        )
+    bands = bandwidth_arrays(s)
+    return _Rows(
+        floats={
+            "critical_freq_Fn": bands.critical_freq_Fn,
+            "eff_bandwidth_Wn": bands.eff_bandwidth_Wn,
+        },
+        ints={"n": bands.n},
+    )
 
 
 def _breakdown_dict(bd: DofBreakdown) -> dict[str, float]:
@@ -310,14 +394,6 @@ def _csv_row(
         _fmt(bd.total),
     ]
     return ",".join(fields)
-
-
-def _serialize_report(report: dict) -> str:
-    try:
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise DomainError(f"report holds a non-finite number: {exc}") from exc
-    return text + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +426,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         "n_max": n_max,
         "t_eff": _round12(bd.t_eff),
         "dof": _breakdown_dict(bd),
-        "mode_table": _mode_table(table_scenario),
+        "mode_table": _mode_table(table_scenario, n_max),
     }
     _write_output(_serialize_report(report), args.out)
     return EXIT_OK
@@ -388,22 +464,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         results = [row for rows in pool.map(evaluate, chunks) for row in rows]
 
     if args.format == "json":
-        rows = [
-            {
-                "a": _round12(p.a),
-                "b": _round12(p.b),
-                "d": _round12(p.d),
-                "rho": _round12(p.rho),
-                "n_min": n_min,
-                "n_max": n_max,
-                "t_eff": _round12(bd.t_eff),
-                "d1": _round12(bd.d1),
-                "d2": _round12(bd.d2),
-                "d3": _round12(bd.d3),
-                "dof_total": _round12(bd.total),
-            }
-            for p, n_min, n_max, bd in results
-        ]
+        params, n_mins, n_maxs, bds = zip(*results)
+        rows = _Rows(
+            floats={
+                "a": [p.a for p in params],
+                "b": [p.b for p in params],
+                "d": [p.d for p in params],
+                "rho": [p.rho for p in params],
+                "t_eff": [bd.t_eff for bd in bds],
+                "d1": [bd.d1 for bd in bds],
+                "d2": [bd.d2 for bd in bds],
+                "d3": [bd.d3 for bd in bds],
+                "dof_total": [bd.total for bd in bds],
+            },
+            ints={"n_min": n_mins, "n_max": n_maxs},
+        )
         _write_output(_serialize_report({"rows": rows}), args.out)
         return EXIT_OK
 
@@ -628,7 +703,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "n_max": n_max,
         "t_eff": _round12(t_eff),
         "dof": _breakdown_dict(bd),
-        "mode_table": _mode_table(scenario),
+        "mode_table": _mode_table(scenario, n_max),
         "simulation": {
             "sources": sim["sources"],
             "freq_points": sim["freq_points"],

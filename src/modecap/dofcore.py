@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import DomainError
 
 __all__ = [
@@ -25,10 +27,12 @@ __all__ = [
     "NormalizedParams",
     "ModeEntry",
     "ModeBandwidthProfile",
+    "ModeBandArrays",
     "DofBreakdown",
     "effective_time",
     "critical_frequency",
     "truncation_indices",
+    "bandwidth_arrays",
     "bandwidth_profile",
     "dof_mode_sum",
     "dof_closed_form",
@@ -203,6 +207,21 @@ class ModeBandwidthProfile:
 
 
 @dataclass(frozen=True)
+class ModeBandArrays:
+    """A ModeBandwidthProfile held as NumPy columns, one element per mode:
+    each column is the ModeEntry field of the same name."""
+
+    n_min: int
+    n_max: int
+    n: np.ndarray
+    critical_freq_Fn: np.ndarray
+    band_lo: np.ndarray
+    band_hi: np.ndarray
+    eff_bandwidth_Wn: np.ndarray
+    mid_band_W0n: np.ndarray
+
+
+@dataclass(frozen=True)
 class DofBreakdown:
     """DoF total split into spatial (d1), full-band (d2) and partial-band
     (d3) contributions, with the effective time used."""
@@ -231,6 +250,19 @@ def effective_time(s: Scenario) -> float:
     return s.obs_time_T + 2.0 * s.radius_R / s.wave_speed_c
 
 
+def _critical_frequencies(s: Scenario, n):
+    """max(0, (n - ln(rho)/2) c / (e pi R)) for an integer or an integer array
+    n, without the n = 0 case.
+
+    np.where(x > 0, x, 0) is Python's max(0.0, x), so a NaN (inf / inf at a
+    huge R) gives 0 either way; overflow to inf at a tiny R is silent.
+    """
+    half_log = 0.5 * math.log(s.snr_ratio)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (n - half_log) * s.wave_speed_c / (EPI * s.radius_R)
+    return np.where(x > 0.0, x, 0.0)
+
+
 def critical_frequency(s: Scenario, n: int) -> float:
     """Critical frequency F_n below which mode n falls under the threshold.
 
@@ -251,8 +283,7 @@ def critical_frequency(s: Scenario, n: int) -> float:
         )
     if n == 0:
         return 0.0
-    half_log = 0.5 * math.log(s.snr_ratio)
-    return max(0.0, (n - half_log) * s.wave_speed_c / (EPI * s.radius_R))
+    return float(_critical_frequencies(s, n))
 
 
 def _indices(a: float, b: float, rho: float) -> tuple[int, int]:
@@ -285,14 +316,17 @@ def truncation_indices(s: Scenario) -> tuple[int, int]:
     return _indices(p.a, p.b, p.rho)
 
 
-def bandwidth_profile(s: Scenario, n_cap: int | None = None) -> ModeBandwidthProfile:
-    """Per-mode effective bandwidths W_n and usable bands.
+def bandwidth_arrays(s: Scenario, n_cap: int | None = None) -> ModeBandArrays:
+    """Per-mode effective bandwidths W_n and usable bands, as NumPy columns.
 
     Branches over the mode index n:
       * n <= n_min: full band, W_n = 2W over [F0-W, F0+W];
       * n_min < n <= n_max: W_n = max(0, F0+W-F_n) over [max(F0-W, F_n), F0+W]
         (degenerating to the empty band at F0+W when the clamp bites);
       * n > n_max: W_n = 0 (rows included only when n_cap asks for them).
+
+    Every element equals, bit for bit, the Python scalar arithmetic of
+    critical_frequency and of the per-mode max/min clamps.
 
     Parameters
     ----------
@@ -306,27 +340,40 @@ def bandwidth_profile(s: Scenario, n_cap: int | None = None) -> ModeBandwidthPro
     elif not isinstance(n_cap, int) or isinstance(n_cap, bool) or n_cap < 0:
         raise DomainError(f"n_cap must be an integer >= 0, got {n_cap!r}")
     lo, hi = s.band
-    entries = []
-    for n in range(n_cap + 1):
-        fn = critical_frequency(s, n)
-        if n <= n_min:
-            band_lo, band_hi = lo, hi
-        elif n <= n_max:
-            band_lo, band_hi = min(max(lo, fn), hi), hi
-        else:
-            band_lo, band_hi = hi, hi
-        width = band_hi - band_lo
-        entries.append(
-            ModeEntry(
-                n=n,
-                critical_freq_Fn=fn,
-                band_lo=band_lo,
-                band_hi=band_hi,
-                eff_bandwidth_Wn=width,
-                mid_band_W0n=0.5 * (band_lo + band_hi),
-            )
+    n = np.arange(n_cap + 1)
+    fn = _critical_frequencies(s, n)
+    fn[0] = 0.0
+    # fn holds no NaN and no -0.0, so clip is Python's min(max(lo, fn), hi).
+    clamped = np.clip(fn, lo, hi)
+    band_lo = np.where(n <= n_min, lo, np.where(n <= n_max, clamped, hi))
+    band_hi = np.full(n.shape, hi)
+    return ModeBandArrays(
+        n_min=n_min,
+        n_max=n_max,
+        n=n,
+        critical_freq_Fn=fn,
+        band_lo=band_lo,
+        band_hi=band_hi,
+        eff_bandwidth_Wn=band_hi - band_lo,
+        mid_band_W0n=0.5 * (band_lo + band_hi),
+    )
+
+
+def bandwidth_profile(s: Scenario, n_cap: int | None = None) -> ModeBandwidthProfile:
+    """bandwidth_arrays as a tuple of ModeEntry rows (see there)."""
+    cols = bandwidth_arrays(s, n_cap)
+    per_mode = tuple(
+        map(
+            ModeEntry,
+            cols.n.tolist(),
+            cols.critical_freq_Fn.tolist(),
+            cols.band_lo.tolist(),
+            cols.band_hi.tolist(),
+            cols.eff_bandwidth_Wn.tolist(),
+            cols.mid_band_W0n.tolist(),
         )
-    return ModeBandwidthProfile(n_min=n_min, n_max=n_max, per_mode=tuple(entries))
+    )
+    return ModeBandwidthProfile(n_min=cols.n_min, n_max=cols.n_max, per_mode=per_mode)
 
 
 def dof_mode_sum(s: Scenario) -> float:

@@ -6,14 +6,19 @@ contents, and byte-level determinism.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modecap
 from modecap.cli import (
@@ -22,9 +27,14 @@ from modecap.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_RESOLUTION,
+    MODE_TABLE_LIMIT,
+    _round12,
+    _Rows,
+    _serialize_report,
     main,
 )
 from modecap.dofcore import NormalizedParams, dof_normalized
+from modecap.errors import DomainError
 
 _PINNED_CONFIG = {"normalized": {"a": 1.0, "b": 0.5, "d": 1.0, "rho": 1.0}}
 _SIM_CONFIG = {
@@ -337,3 +347,111 @@ def test_console_script_entry_point(tmp_path: Path) -> None:
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["n_max"] == 13
+
+
+def test_tiny_radius_with_infinite_cutoff_exits_3_without_warning(
+        tmp_path: Path, capsys) -> None:
+    # R = 1e-320 puts F_1 at inf: the bound is finite, the mode table is not.
+    cfg = _write(tmp_path, "cfg.json", {"normalized": {
+        "a": 1e-320, "b": 0.5, "d": 1.0, "rho": 2.0}})
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compute", "--config", cfg, "--out", str(out)]) == EXIT_DOMAIN
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ") and err.count("\n") == 1
+    assert "RuntimeWarning" not in err
+
+
+def test_mode_table_above_the_row_limit_exits_5(tmp_path: Path, capsys) -> None:
+    # a = 1e5 has n_max = 1,280,963: a 142 MB table if it were written.
+    cfg = _write(tmp_path, "cfg.json", {"normalized": {
+        "a": 1e5, "b": 0.5, "d": 1.0, "rho": 100.0}})
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    code = main(["compute", "--config", cfg, "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_RESOLUTION
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "1280963" in err and str(MODE_TABLE_LIMIT) in err
+    assert main(["compute", "--config", cfg, "--format", "csv",
+                 "--out", str(out)]) == EXIT_OK
+    assert out.read_text().splitlines()[1].split(",")[5] == "1280963"
+
+
+# Values whose 12-digit rounding and float repr are easy to get wrong.
+_EDGE_FLOATS = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308, 1e16,
+                123456789012.5]
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_INTS = st.integers(-2**63, 2**63)
+
+
+@st.composite
+def _tables(draw):
+    """(float keys, int keys, rows) for a random fixed-schema row list."""
+    keys = draw(st.lists(st.text("abcdn_", min_size=1, max_size=6),
+                         min_size=1, max_size=5, unique=True))
+    is_int = draw(st.lists(st.booleans(), min_size=len(keys),
+                           max_size=len(keys)))
+    rows = draw(st.lists(
+        st.tuples(*(_INTS if i else _FLOATS for i in is_int)), max_size=12))
+    floats = [k for k, i in zip(keys, is_int) if not i]
+    ints = [k for k, i in zip(keys, is_int) if i]
+    return floats, ints, [dict(zip(keys, row)) for row in rows]
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(table=_tables(), nested=st.booleans())
+def test_row_writer_equals_the_generic_json_path(table, nested) -> None:
+    floats, ints, rows = table
+    columns = _Rows(floats={k: [r[k] for r in rows] for k in floats},
+                    ints={k: [r[k] for r in rows] for k in ints})
+    rounded = [{k: _round12(v) if k in floats else v for k, v in r.items()}
+               for r in rows]
+
+    def report(table_value):
+        inner = {"rows": table_value, "n_max": 3, "z": [1.5, {"y": 2}]}
+        return {"a": 0.25, "outer": inner} if nested else inner
+
+    expected = json.dumps(report(rounded), indent=2, sort_keys=True) + "\n"
+    assert _serialize_report(report(columns)) == expected
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_row_writer_rejects_non_finite_values(bad) -> None:
+    rows = _Rows(floats={"x": [1.0, bad]}, ints={"n": [0, 1]})
+    with pytest.raises(DomainError, match="non-finite"):
+        _serialize_report({"rows": rows})
+
+
+# sha256 of reports measured before the mode table and sweep rows got their
+# own writer; any change to a printed byte changes these.
+_GOLDEN = [
+    ("compute", {"normalized": {"a": 300, "b": 0.5, "d": 7, "rho": 50}},
+     418224, "4a59071fd7253a3219e876e31078d690168c043b031bd956dee124115cf8c470"),
+    ("compute", {"scenario": {"radius_R": 0.5, "mid_freq_F0": 3e9,
+                              "half_bandwidth_W": 1e9, "obs_time_T": 2e-8,
+                              "snr_alpha_max": 1000}},
+     7080, "a1060177fd29c52237880d06bca1484947371f5a25590b3e25375de03444d07d"),
+    ("sweep", {"sweep": {"a": [0, 0.05, 1.0, 3.7], "b": [0, 0.5, 1],
+                         "d": [0, 2.5], "rho": [0.01, 1, 100]}},
+     15998, "e5a7e10dc694ccb01bd4626d3ac95059ce30f58060768fdddc735e0e74896a0f"),
+]
+
+
+@pytest.mark.parametrize("command, config, size, sha256", _GOLDEN,
+                         ids=["compute-normalized", "compute-scenario",
+                              "sweep-json"])
+def test_report_bytes_match_the_golden_hash(
+        tmp_path: Path, command, config, size, sha256) -> None:
+    cfg = _write(tmp_path, "cfg.json", config)
+    out = tmp_path / "report.json"
+    assert main([command, "--config", cfg, "--format", "json",
+                 "--out", str(out)]) == EXIT_OK
+    data = out.read_bytes()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == sha256

@@ -7,9 +7,10 @@ term-by-term mode sum; both are noted inline.
 from __future__ import annotations
 
 import math
+import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modecap.dofcore import (
@@ -17,6 +18,7 @@ from modecap.dofcore import (
     DofBreakdown,
     NormalizedParams,
     Scenario,
+    bandwidth_arrays,
     bandwidth_profile,
     critical_frequency,
     dof_asymptotic,
@@ -176,6 +178,92 @@ def test_zero_bandwidth_profile_is_all_point_bands() -> None:
     profile = bandwidth_profile(s)
     assert profile.n_min == profile.n_max == 9
     assert all(e.eff_bandwidth_Wn == 0.0 for e in profile.per_mode)
+
+
+def _scalar_profile(s: Scenario, n_cap: int) -> list[tuple]:
+    """The per-mode Python loop bandwidth_profile ran before its array path,
+    with critical_frequency's scalar arithmetic written out."""
+    n_min, n_max = truncation_indices(s)
+    half_log = 0.5 * math.log(s.snr_ratio)
+    lo, hi = s.band
+    rows = []
+    for n in range(n_cap + 1):
+        if n == 0:
+            fn = 0.0
+        else:
+            fn = max(0.0, (n - half_log) * s.wave_speed_c / (EPI * s.radius_R))
+        if n <= n_min:
+            band_lo, band_hi = lo, hi
+        elif n <= n_max:
+            band_lo, band_hi = min(max(lo, fn), hi), hi
+        else:
+            band_lo, band_hi = hi, hi
+        rows.append((n, fn, band_lo, band_hi, band_hi - band_lo,
+                     0.5 * (band_lo + band_hi)))
+    return rows
+
+
+def _bits(rows) -> list[tuple]:
+    """Rows with every float as its exact hex form, so -0.0 != 0.0."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in row)
+            for row in rows]
+
+
+def _assert_columns_match_scalar_path(s: Scenario, n_cap: int | None) -> None:
+    cols = bandwidth_arrays(s, n_cap)
+    assert (cols.n_min, cols.n_max) == truncation_indices(s)
+    top = cols.n_max if n_cap is None else n_cap
+    columns = zip(*(getattr(cols, f).tolist() for f in (
+        "n", "critical_freq_Fn", "band_lo", "band_hi", "eff_bandwidth_Wn",
+        "mid_band_W0n")))
+    expected = _bits(_scalar_profile(s, top))
+    assert _bits(columns) == expected
+    assert [critical_frequency(s, n).hex() for n in range(top + 1)] == [
+        row[1] for row in expected]
+    profile = bandwidth_profile(s, n_cap)
+    assert _bits(
+        (e.n, e.critical_freq_Fn, e.band_lo, e.band_hi, e.eff_bandwidth_Wn,
+         e.mid_band_W0n) for e in profile.per_mode) == expected
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(
+    a=st.one_of(st.floats(1e-4, 40.0),
+                st.sampled_from([5e-324, 1e-320, 1e-300, 1e-12])),
+    b=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    log_rho=st.floats(-14.0, 18.0),
+    log_f0=st.floats(-3.0, 25.0),
+    log_c=st.floats(-3.0, 20.0),
+    extra=st.one_of(st.none(), st.integers(-3, 6)),
+)
+def test_bandwidth_arrays_equal_the_scalar_path_bit_for_bit(
+        a, b, log_rho, log_f0, log_c, extra) -> None:
+    # log_rho spans rho < 1 and half_log above every low n (up to 9).
+    f0, c = math.exp(log_f0), math.exp(log_c)
+    radius = a * c / f0
+    assume(radius > 0.0)
+    s = Scenario(radius_R=radius, mid_freq_F0=f0, half_bandwidth_W=b * f0,
+                 obs_time_T=1.0, wave_speed_c=c,
+                 snr_alpha_max=math.exp(log_rho))
+    n_max = truncation_indices(s)[1]
+    assume(n_max <= 2000)
+    n_cap = None if extra is None else max(0, n_max + extra)
+    _assert_columns_match_scalar_path(s, n_cap)
+
+
+def test_bandwidth_arrays_at_the_float_range_edges() -> None:
+    # A subnormal radius sends F_n to inf; a huge radius and wave speed give
+    # inf / inf = NaN, which max(0.0, .) turns into 0.  Neither may warn.
+    tiny = NormalizedParams(a=1e-320, b=0.5, d=1.0, rho=2.0).to_scenario()
+    huge = Scenario(radius_R=1e308, mid_freq_F0=1.0, half_bandwidth_W=0.5,
+                    obs_time_T=1.0, wave_speed_c=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (tiny, huge):
+            for n_cap in (None, 0, 20):
+                _assert_columns_match_scalar_path(s, n_cap)
+        assert math.isinf(bandwidth_arrays(tiny).critical_freq_Fn[1])
+        assert not bandwidth_arrays(huge).critical_freq_Fn.any()
 
 
 def test_normalization_roundtrip() -> None:
