@@ -11,6 +11,8 @@ it as ``compute``, ``sweep``, ``simulate`` and ``verify`` subcommands.
 """
 from __future__ import annotations
 
+from importlib import import_module
+
 from .dofcore import (
     EPI,
     DofBreakdown,
@@ -32,42 +34,27 @@ from .dofcore import (
     truncation_indices,
 )
 from .errors import ConfigError, DomainError, ModecapError, ResolutionError
-from .sampling import (
-    ModeBand,
-    SampleTrain,
-    fourier_coefficients,
-    legendre_support_check,
-    mode_time_signal,
-    phi_basis,
-    phi_inner,
-    reconstruct,
-)
-from .specfun import (
-    ModeIndex,
-    QuadratureRule,
-    flat_degrees,
-    harmonic_matrix,
-    legendre_p,
-    make_quadrature,
-    mode_indices,
-    sph_bessel_j,
-    sph_bessel_j_bound,
-    sph_harmonic,
-    sphere_integrate,
-)
-from .wavefield import (
-    ModeSpectrum,
-    NoiseModel,
-    PlaneWaveSource,
-    SphericalGrid,
-    add_noise,
-    analyze_modes,
-    empirical_critical_frequency,
-    mode_snr,
-    parseval_check,
-    synthesize_field,
-    theoretical_modes,
-)
+
+# The simulate/verify layers import SciPy, which costs more to load than the
+# closed form costs to run, so their names load with their module on first
+# access (PEP 562).  specfun comes first: the other two import it anyway.
+_LAZY_LAYERS = ("specfun", "sampling", "wavefield")
+
+
+def __getattr__(name: str):
+    # Nothing is cached in this namespace, so `modecap.<name>` always reads
+    # the defining module's current binding.
+    if name in __all__:
+        for layer in _LAZY_LAYERS:
+            module = import_module(f".{layer}", __name__)
+            if name in module.__all__:
+                return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

@@ -25,11 +25,10 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import sampling, specfun, wavefield
 from .dofcore import (
     DofBreakdown,
     NormalizedParams,
@@ -45,6 +44,12 @@ from .dofcore import (
     truncation_indices,
 )
 from .errors import ConfigError, DomainError, ModecapError, ResolutionError
+
+# sampling, specfun and wavefield import SciPy; simulate and verify, the only
+# commands that use them, import them when they run, so compute and sweep
+# start at NumPy's import cost.
+if TYPE_CHECKING:
+    from . import sampling, wavefield
 
 __all__ = ["main", "cmd_compute", "cmd_sweep", "cmd_simulate", "cmd_verify"]
 
@@ -67,6 +72,10 @@ _JACOBI_GUARD = 20
 
 # Most rows a JSON mode table may hold (n_max + 1); about 110 bytes each.
 MODE_TABLE_LIMIT = 1_000_000
+
+# Most sweep threads MODECAP_THREADS may ask for.  The sweep starts one OS
+# thread per chunk, so an unbounded value could start one per grid point.
+MAX_THREADS = 64
 
 
 def _fmt(x: float) -> str:
@@ -224,8 +233,10 @@ def _thread_count() -> int:
         value = int(raw)
     except ValueError as exc:
         raise ConfigError(f"MODECAP_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ConfigError(f"MODECAP_THREADS must be >= 1, got {value}")
+    if not 1 <= value <= MAX_THREADS:
+        raise ConfigError(
+            f"MODECAP_THREADS must be between 1 and {MAX_THREADS}, got {value}"
+        )
     return value
 
 
@@ -505,6 +516,8 @@ def _raised_cosine_kernel(x: np.ndarray) -> np.ndarray:
 def _reconstruction_error(band: sampling.ModeBand, t_eff: float, seed: int) -> float:
     """Interior relative L2 reconstruction error for a seeded in-band signal,
     using exactly floor(w_n t_eff) + 1 samples on [0, t_eff]."""
+    from . import sampling
+
     w, w0 = band.w_n, band.w_0n
     wt = w * t_eff
     rng = np.random.Generator(np.random.Philox(seed))
@@ -536,6 +549,8 @@ def _reconstruction_error(band: sampling.ModeBand, t_eff: float, seed: int) -> f
 def _make_sources(
     count: int, freqs: np.ndarray, seed: int
 ) -> list[wavefield.PlaneWaveSource]:
+    from . import wavefield
+
     rng = np.random.Generator(np.random.Philox(seed))
     sources = []
     for _ in range(count):
@@ -551,6 +566,8 @@ def _make_sources(
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import sampling, specfun, wavefield
+
     cfg = _load_config(args.config)
     scenario, params = _require_point(cfg)
     if scenario is None:
@@ -601,20 +618,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     # Excitation peak power: fixes sigma0 so the peak mode SNR equals the
     # scenario's snr_alpha_max.
-    bessel_rows = np.stack(
-        [
-            specfun.sph_bessel_j(n, 2.0 * np.pi * freqs * scenario.radius_R / c)
-            for n in range(n_max + 1)
-        ]
-    )
-    degrees = specfun.flat_degrees(n_max)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        alpha_sq = np.where(
-            np.abs(bessel_rows[degrees, :]) > 1e-14,
-            np.abs(theo.coeffs / bessel_rows[degrees, :]) ** 2,
-            0.0,
-        )
-    alpha_max_sq = float(np.max(alpha_sq))
+    alpha_max_sq = float(np.max(theo.excitation_power()))
     sigma0_sq = alpha_max_sq / scenario.snr_alpha_max
     noise = wavefield.NoiseModel(
         sigma0_sq=sigma0_sq, alpha_max_sq=alpha_max_sq, seed=sim["seed"]
@@ -726,6 +730,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _verify_bessel_bound() -> tuple[bool, str]:
+    from . import specfun
+
     z = np.linspace(0.0, 40.0, 321)
     worst = 0.0
     for n in list(range(9)) + [20, 50]:
@@ -742,6 +748,8 @@ def _verify_bessel_bound() -> tuple[bool, str]:
 
 
 def _verify_harmonic_gram() -> tuple[bool, str]:
+    from . import specfun
+
     rule = specfun.make_quadrature(10)
     y = specfun.harmonic_matrix(10, rule.theta, rule.phi)
     gram = (y * rule.weights) @ y.conj().T
@@ -750,6 +758,8 @@ def _verify_harmonic_gram() -> tuple[bool, str]:
 
 
 def _verify_phi_orthogonality() -> tuple[bool, str]:
+    from . import sampling
+
     band = sampling.ModeBand.from_edges(10.0, 13.0)
     w = band.w_n
     worst = 0.0
@@ -761,6 +771,8 @@ def _verify_phi_orthogonality() -> tuple[bool, str]:
 
 
 def _verify_legendre_support() -> tuple[bool, str]:
+    from . import sampling
+
     obs_t, r, c = 1e-3, 0.3, 3e8
     dt = (r / c) / 256.0
     expected = obs_t + 2.0 * r / c
@@ -805,6 +817,8 @@ def _verify_dof_consistency() -> tuple[bool, str]:
 
 
 def _verify_detectability() -> tuple[bool, str]:
+    from . import specfun, wavefield
+
     scenario = Scenario(
         radius_R=0.5,
         mid_freq_F0=1.0,

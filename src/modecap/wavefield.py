@@ -111,12 +111,15 @@ class ModeSpectrum:
     """Mode-domain field Psi_nm(r, omega): coeffs[(n*n + n + m), freq_index].
 
     The plane-wave excitation alpha_nm is recoverable by dividing out
-    j_n(omega r / c) wherever it is nonzero.
+    j_n(omega r / c) wherever it is nonzero.  `bessel` holds those values,
+    bessel[n, freq_index], when the spectrum was built from them
+    (theoretical_modes), and is None for a measured spectrum.
     """
 
     radius: float
     freqs: np.ndarray
     coeffs: np.ndarray
+    bessel: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         freqs = np.asarray(self.freqs, dtype=float)
@@ -137,10 +140,34 @@ class ModeSpectrum:
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "radius", float(self.radius))
+        if self.bessel is not None:
+            bessel = np.asarray(self.bessel, dtype=float)
+            if bessel.shape != (side, freqs.size):
+                raise DomainError(
+                    f"bessel must have shape ({side}, {freqs.size}), got {bessel.shape}"
+                )
+            bessel.setflags(write=False)
+            object.__setattr__(self, "bessel", bessel)
 
     @property
     def max_degree(self) -> int:
         return math.isqrt(self.coeffs.shape[0]) - 1
+
+    def excitation_power(self) -> np.ndarray:
+        """|alpha_nm(omega)|^2 = |Psi_nm / j_n(omega r / c)|^2 per mode and
+        frequency, and 0 where |j_n| <= 1e-14, where Psi_nm carries no
+        recoverable excitation.
+
+        Needs the Bessel table, so only a spectrum from theoretical_modes
+        has it.
+        """
+        if self.bessel is None:
+            raise DomainError(
+                "excitation power needs the Bessel table of theoretical_modes"
+            )
+        rows = self.bessel[flat_degrees(self.max_degree), :]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(np.abs(rows) > 1e-14, np.abs(self.coeffs / rows) ** 2, 0.0)
 
 
 @dataclass(frozen=True)
@@ -226,7 +253,8 @@ def theoretical_modes(
     """Jacobi-Anger mode coefficients of a plane-wave superposition.
 
     alpha_nm(omega) = sum over sources of 4 pi i^n A(omega) conj(Y_nm(y));
-    Psi_nm = alpha_nm j_n(omega R / c).
+    Psi_nm = alpha_nm j_n(omega R / c).  The returned spectrum keeps the
+    j_n(omega R / c) table, so excitation_power needs no second evaluation.
     """
     if not isinstance(N, int) or isinstance(N, bool) or N < 0:
         raise DomainError(f"analysis degree must be an integer >= 0, got {N!r}")
@@ -249,7 +277,7 @@ def theoretical_modes(
     # i^n from a table stays exact where complex powers round off.
     phase = np.array([1j**k for k in range(4)])[n % 4]
     coeffs = phase[:, None] * alpha * bessel[n]
-    return ModeSpectrum(radius=radius, freqs=freqs, coeffs=coeffs)
+    return ModeSpectrum(radius=radius, freqs=freqs, coeffs=coeffs, bessel=bessel)
 
 
 def analyze_modes(

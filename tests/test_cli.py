@@ -21,12 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modecap
+from modecap import cli, specfun, wavefield
 from modecap.cli import (
     EXIT_CONFIG,
     EXIT_DOMAIN,
     EXIT_IO,
     EXIT_OK,
     EXIT_RESOLUTION,
+    MAX_THREADS,
     MODE_TABLE_LIMIT,
     _round12,
     _Rows,
@@ -126,14 +128,14 @@ def test_sweep_json_format(tmp_path: Path) -> None:
 
 def test_sweep_thread_count_does_not_change_output(
         tmp_path: Path, monkeypatch) -> None:
-    # Seven points: no thread count from 2 to 6 divides them and 8 exceeds
-    # them, so the per-thread chunks are uneven or hold one point each.
+    # Seven points: no thread count from 2 to 6 divides them and 8 and
+    # MAX_THREADS exceed them, so the chunks are uneven or hold one point each.
     cfg = _write(tmp_path, "cfg.json", {"sweep": {
         "a": [0.5, 1.0, 1.5, 4.0, 20.0, 0.05, 9.0], "b": [0.1], "d": [1.0],
         "rho": [50.0]}})
     for fmt in ("csv", "json"):
         outputs = []
-        for threads in ("1", "2", "3", "8"):
+        for threads in ("1", "2", "3", "8", str(MAX_THREADS)):
             monkeypatch.setenv("MODECAP_THREADS", threads)
             out = tmp_path / f"t{threads}.{fmt}"
             assert main(["sweep", "--config", cfg, "--format", fmt,
@@ -143,6 +145,25 @@ def test_sweep_thread_count_does_not_change_output(
     assert len(json.loads(outputs[0])["rows"]) == 7
     monkeypatch.setenv("MODECAP_THREADS", "zero")
     assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+
+
+def test_thread_count_above_the_ceiling_exits_2(
+        tmp_path: Path, monkeypatch, capsys) -> None:
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was created")
+
+    # The check comes before any pool, so a pool here fails the test
+    # instead of starting threads.
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setenv("MODECAP_THREADS", str(MAX_THREADS + 1))
+    cfg = _write(tmp_path, "cfg.json", {"sweep": {
+        "a": [1.0], "b": [0.5], "d": [1.0], "rho": [100.0]}})
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == (f"config error: MODECAP_THREADS must be between 1 and "
+                   f"{MAX_THREADS}, got {MAX_THREADS + 1}\n")
 
 
 def test_sweep_error_is_independent_of_thread_count(
@@ -304,6 +325,24 @@ def test_simulate_small_run_passes_all_properties(tmp_path: Path) -> None:
     assert detected  # rho = 100 pushes several modes past the threshold
     for c in detected:
         assert c["empirical_Fn"] >= c["analytic_Fn"] - sim["freq_step"]
+
+
+def test_simulate_evaluates_each_bessel_row_once(
+        tmp_path: Path, monkeypatch) -> None:
+    orders = []
+    original = specfun.sph_bessel_j
+
+    def counted(n, z):
+        orders.append(n)
+        return original(n, z)
+
+    # wavefield binds the function by name, so patch both bindings.
+    monkeypatch.setattr(specfun, "sph_bessel_j", counted)
+    monkeypatch.setattr(wavefield, "sph_bessel_j", counted)
+    cfg = _write(tmp_path, "cfg.json", _SIM_CONFIG)
+    out = tmp_path / "sim.json"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert sorted(orders) == list(range(json.loads(out.read_text())["n_max"] + 1))
 
 
 def test_simulate_is_deterministic_and_seed_sensitive(tmp_path: Path) -> None:

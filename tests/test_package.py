@@ -1,0 +1,139 @@
+"""The package surface and what each entry point imports.
+
+`compute` and `sweep` need only NumPy and `dofcore`; the SciPy-backed layers
+(`sampling`, `specfun`, `wavefield`) load when `simulate`, `verify` or a
+lazily exported name first needs them.  The import checks run in fresh
+interpreters, because this process has long since imported everything.
+"""
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import modecap
+from modecap import errors, specfun
+
+_HEAVY_LAYERS = ("modecap.sampling", "modecap.specfun", "modecap.wavefield")
+_LAYERS = ("dofcore", "sampling", "specfun", "wavefield")
+
+_COMPUTE = {"normalized": {"a": 1.0, "b": 0.5, "d": 1.0, "rho": 1.0}}
+_SWEEP = {"sweep": {"a": [0.5, 2.0], "b": [0.25, 1.0], "d": [1.0], "rho": [3.0, 50.0]}}
+_SIMULATE = {
+    "normalized": {"a": 0.5, "b": 0.25, "d": 120.0, "rho": 100.0},
+    "simulation": {"sources": 2, "freq_points": 17, "trials": 4, "seed": 3},
+}
+
+
+def _fresh(tmp_path: Path, statement: str, config: dict | None = None) -> dict:
+    """Run `statement` in a new interpreter; return the exit code it leaves
+    in `code` (if any) and the SciPy-backed modules it loaded."""
+    cfg = tmp_path / "cfg.json"
+    if config is not None:
+        cfg.write_text(json.dumps(config))
+    script = "\n".join([
+        "import json, sys",
+        "code = None",
+        statement.format(cfg=str(cfg), out=str(tmp_path / "report")),
+        "heavy = sorted(m for m in sys.modules",
+        f"               if m.split('.')[0] == 'scipy' or m in {_HEAVY_LAYERS!r})",
+        "print(json.dumps({'code': code, 'heavy': heavy}))",
+    ])
+    src = str(Path(modecap.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _main(*argv: str) -> str:
+    """A statement running cli.main on `argv` plus --out; `{cfg}` in argv
+    stands for the config path."""
+    return f"from modecap import cli\ncode = cli.main({[*argv, '--out', '{out}']!r})"
+
+
+@pytest.mark.parametrize(("statement", "config"), [
+    ("import modecap", None),
+    ("import modecap.cli", None),
+    (_main("compute", "--config", "{cfg}"), _COMPUTE),
+    (_main("compute", "--config", "{cfg}", "--format", "csv"), _COMPUTE),
+    (_main("sweep", "--config", "{cfg}", "--format", "csv"), _SWEEP),
+    (_main("sweep", "--config", "{cfg}", "--format", "json"), _SWEEP),
+], ids=["import-modecap", "import-cli", "compute-json", "compute-csv",
+        "sweep-csv", "sweep-json"])
+def test_closed_form_paths_load_no_scipy(tmp_path: Path, statement: str,
+                                         config: dict | None) -> None:
+    result = _fresh(tmp_path, statement, config)
+    assert result["heavy"] == []
+    if config is not None:
+        assert result["code"] == 0
+        assert (tmp_path / "report").stat().st_size > 0
+
+
+@pytest.mark.parametrize("statement", [
+    _main("simulate", "--config", "{cfg}"),
+    _main("verify"),
+], ids=["simulate", "verify"])
+def test_simulate_and_verify_load_their_layers_on_first_use(
+        tmp_path: Path, statement: str) -> None:
+    result = _fresh(tmp_path, statement, _SIMULATE)
+    assert result["code"] == 0
+    assert set(_HEAVY_LAYERS) <= set(result["heavy"])
+    assert "scipy" in result["heavy"]
+
+
+def _defining_modules() -> dict[str, object]:
+    owners: dict[str, object] = {"__version__": modecap}
+    for name, value in vars(errors).items():
+        if isinstance(value, type) and value.__module__ == errors.__name__:
+            owners[name] = errors
+    for layer in _LAYERS:
+        module = importlib.import_module(f"modecap.{layer}")
+        for name in module.__all__:
+            assert name not in owners, f"{name} is exported by two modules"
+            owners[name] = module
+    return owners
+
+
+def test_every_exported_name_is_the_defining_module_object() -> None:
+    owners = _defining_modules()
+    assert set(modecap.__all__) == set(owners)
+    assert len(modecap.__all__) == len(set(modecap.__all__))
+    for name in modecap.__all__:
+        assert getattr(modecap, name) is getattr(owners[name], name), name
+    assert set(modecap.__all__) <= set(dir(modecap))
+
+
+def test_star_import_binds_every_exported_name() -> None:
+    namespace: dict[str, object] = {}
+    exec("from modecap import *", namespace)
+    assert set(modecap.__all__) <= set(namespace)
+    assert namespace["harmonic_matrix"] is specfun.harmonic_matrix
+
+
+def test_unknown_name_raises_attribute_error() -> None:
+    with pytest.raises(AttributeError, match="no_such_name"):
+        modecap.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from modecap import no_such_name", {})
+
+
+def test_lazy_names_follow_the_module_binding(monkeypatch) -> None:
+    original = specfun.harmonic_matrix
+
+    def replacement(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "harmonic_matrix", replacement)
+    assert modecap.harmonic_matrix is replacement
+    monkeypatch.undo()
+    assert modecap.harmonic_matrix is original
+    # Nothing was cached in the package namespace.
+    assert "harmonic_matrix" not in vars(modecap)

@@ -114,6 +114,30 @@ def test_mode_spectrum_validation() -> None:
     with pytest.raises(DomainError):
         ModeSpectrum(radius=1.0, freqs=freqs,
                      coeffs=np.zeros((9, 3), dtype=complex))
+    with pytest.raises(DomainError):
+        ModeSpectrum(radius=1.0, freqs=freqs,
+                     coeffs=np.zeros((9, 2), dtype=complex),
+                     bessel=np.ones((2, 2)))
+    with pytest.raises(DomainError):
+        good.excitation_power()  # a spectrum without its Bessel table
+
+
+def test_excitation_power_divides_out_the_bessel_table() -> None:
+    src = PlaneWaveSource(theta=0.7, phi=1.9, amplitude=0.5 - 2.0j)
+    # At f = 0 every j_n with n >= 1 vanishes, so those entries read 0.
+    freqs = np.array([0.0, 0.4, 1.3])
+    n_cap = 6
+    spectrum = theoretical_modes([src], 1.0, freqs, n_cap, wave_speed_c=1.0)
+    z = 2.0 * math.pi * freqs
+    assert np.array_equal(
+        spectrum.bessel, np.stack([sph_bessel_j(n, z) for n in range(n_cap + 1)]))
+    y = harmonic_matrix(n_cap, np.array([0.7]), np.array([1.9]))[:, 0]
+    alpha_sq = np.abs(4.0 * math.pi * y * (0.5 - 2.0j)) ** 2
+    power = spectrum.excitation_power()
+    assert power.shape == ((n_cap + 1) ** 2, 3)
+    assert np.allclose(power[:, 1:], alpha_sq[:, None], rtol=1e-12, atol=0.0)
+    assert power[0, 0] == pytest.approx(alpha_sq[0], rel=1e-12)
+    assert np.all(power[1:, 0] == 0.0)
 
 
 def test_noise_is_deterministic_per_seed() -> None:
