@@ -73,6 +73,15 @@ _JACOBI_GUARD = 20
 # Most rows a JSON mode table may hold (n_max + 1); about 110 bytes each.
 MODE_TABLE_LIMIT = 1_000_000
 
+# Most complex entries (quadrature nodes x freq_points) a simulated field may
+# hold: 160 MB per field-sized array, and simulate keeps a few of them.
+FIELD_ELEMENT_LIMIT = 10_000_000
+
+# Most plane-wave sources and noise trials simulate runs; each source is one
+# synthesis pass over the whole field and each trial one noisy analysis.
+MAX_SOURCES = 256
+MAX_TRIALS = 4096
+
 # Most sweep threads MODECAP_THREADS may ask for.  The sweep starts one OS
 # thread per chunk, so an unbounded value could start one per grid point.
 MAX_THREADS = 64
@@ -214,12 +223,18 @@ def _build_simulation(cfg: dict, seed_override: int | None) -> dict[str, int]:
             "simulation.quad_degree must be >= 0 (0 or \"auto\" picks the degree), "
             f"got {out['quad_degree']}"
         )
-    if out["sources"] < 1:
-        raise ConfigError("simulation.sources must be >= 1")
+    if not 1 <= out["sources"] <= MAX_SOURCES:
+        raise ConfigError(
+            f"simulation.sources must be between 1 and {MAX_SOURCES}, "
+            f"got {out['sources']}"
+        )
     if out["freq_points"] < 2:
         raise ConfigError("simulation.freq_points must be >= 2")
-    if out["trials"] < 2:
-        raise ConfigError("simulation.trials must be >= 2")
+    if not 2 <= out["trials"] <= MAX_TRIALS:
+        raise ConfigError(
+            f"simulation.trials must be between 2 and {MAX_TRIALS}, "
+            f"got {out['trials']}"
+        )
     if not 0 <= out["seed"] < 2**63:
         raise ConfigError("simulation.seed must be a nonnegative 63-bit integer")
     return out
@@ -597,6 +612,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"quadrature degree {quad_degree} is insufficient for kR = "
             f"{k_max_r:.3f} with analysis degree {n_max}; required degree is "
             f"{required_degree}"
+        )
+    nodes = (quad_degree + 1) * (2 * quad_degree + 2)
+    if nodes * sim["freq_points"] > FIELD_ELEMENT_LIMIT:
+        raise ResolutionError(
+            f"simulated field of {nodes} quadrature nodes x {sim['freq_points']} "
+            f"frequencies exceeds the limit of {FIELD_ELEMENT_LIMIT} entries"
         )
 
     rule = specfun.make_quadrature(quad_degree)

@@ -83,6 +83,11 @@ class QuadratureRule:
     Gauss-Legendre in cos(theta) with max_degree+1 polar nodes times
     2*max_degree+2 uniform azimuths; integrates every spherical-harmonic
     product Y_nm * conj(Y_n'm') exactly for n, n' <= max_degree.
+
+    The layout is ring-major and checked on construction: node j*P + k
+    (P = 2*max_degree+2) lies on ring j at azimuth 2*pi*k/P (to 1e-12 rad),
+    and theta and the weights are constant along each ring.  The fast
+    analysis in wavefield relies on this layout.
     """
 
     theta: np.ndarray
@@ -91,13 +96,47 @@ class QuadratureRule:
     max_degree: int
 
     def __post_init__(self) -> None:
-        for arr in (self.theta, self.phi, self.weights):
+        degree = self.max_degree
+        if (
+            not isinstance(degree, (int, np.integer))
+            or isinstance(degree, bool)
+            or degree < 0
+        ):
+            raise DomainError(f"max_degree must be an integer >= 0, got {degree!r}")
+        object.__setattr__(self, "max_degree", int(degree))
+        rings, azimuths = self.ring_shape
+        for name in ("theta", "phi", "weights"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape != (rings * azimuths,):
+                raise DomainError(
+                    f"quadrature {name} must hold (max_degree+1)(2*max_degree+2) = "
+                    f"{rings * azimuths} nodes, got shape {arr.shape}"
+                )
             arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        theta = self.theta.reshape(rings, azimuths)
+        weights = self.weights.reshape(rings, azimuths)
+        if np.any(theta != theta[:, :1]) or np.any(weights != weights[:, :1]):
+            raise DomainError(
+                f"quadrature theta and weights must be constant along each ring "
+                f"of {azimuths} consecutive nodes"
+            )
+        uniform = 2.0 * np.pi * np.arange(azimuths) / azimuths
+        if not np.all(np.abs(self.phi.reshape(rings, azimuths) - uniform) <= 1e-12):
+            raise DomainError(
+                f"quadrature phi must repeat the uniform azimuths 2*pi*k/{azimuths} "
+                f"on every ring"
+            )
         total = float(np.sum(self.weights))
         if abs(total - 4.0 * math.pi) > 1e-12 * 4.0 * math.pi:
             raise DomainError(
                 f"quadrature weights sum to {total!r}, expected 4*pi"
             )
+
+    @property
+    def ring_shape(self) -> tuple[int, int]:
+        """(rings, azimuths per ring) = (max_degree+1, 2*max_degree+2)."""
+        return self.max_degree + 1, 2 * self.max_degree + 2
 
     @property
     def nodes(self) -> np.ndarray:

@@ -285,6 +285,13 @@ def analyze_modes(
 ) -> ModeSpectrum:
     """Project a sampled field onto Y_nm by quadrature, up to degree N.
 
+    The rule is a product of rings and uniform azimuths, so the projection
+    splits (the fast spherical-harmonic transform of Driscoll & Healy 1994):
+    an FFT over each ring's azimuths gives bin m mod P = sum_k f e^{-i m phi_k},
+    and each order m then sums those bins over the rings against the
+    weighted conj(Y_nm(theta_j, 0)), n = |m|..N.  No (N+1)^2 x nodes basis
+    is formed.
+
     Raises ResolutionError when N exceeds the rule's max_degree (the
     projection would alias); callers must additionally budget max_degree >=
     N + field content degree for exactness.
@@ -303,11 +310,18 @@ def analyze_modes(
             f"analysis degree {N} exceeds the rule's max_degree "
             f"{grid.rule.max_degree}; the projection would alias"
         )
+    rings, azimuths = grid.rule.ring_shape
+    bins = np.fft.fft(field.reshape(rings, azimuths, freqs.size), axis=1)
     # harmonic_matrix returns a fresh array, so weight it in place.
-    y = harmonic_matrix(N, grid.rule.theta, grid.rule.phi)
-    np.conjugate(y, out=y)
-    y *= grid.rule.weights
-    coeffs = y @ field
+    polar = harmonic_matrix(N, grid.rule.theta[::azimuths], np.zeros(rings))
+    np.conjugate(polar, out=polar)
+    polar *= grid.rule.weights[::azimuths]
+    coeffs = np.empty(((N + 1) ** 2, freqs.size), dtype=complex)
+    degrees = np.arange(N + 1)
+    for m in range(-N, N + 1):
+        n = degrees[abs(m) :]
+        rows = n * n + n + m
+        coeffs[rows] = polar[rows] @ bins[:, m % azimuths]
     return ModeSpectrum(radius=grid.radius, freqs=freqs, coeffs=coeffs)
 
 

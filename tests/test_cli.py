@@ -28,8 +28,12 @@ from modecap.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_RESOLUTION,
+    FIELD_ELEMENT_LIMIT,
+    MAX_SOURCES,
     MAX_THREADS,
+    MAX_TRIALS,
     MODE_TABLE_LIMIT,
+    _build_simulation,
     _round12,
     _Rows,
     _serialize_report,
@@ -355,6 +359,91 @@ def test_simulate_is_deterministic_and_seed_sensitive(tmp_path: Path) -> None:
     assert out1.read_bytes() == out2.read_bytes()
     assert out1.read_bytes() != out3.read_bytes()
     assert json.loads(out3.read_text())["simulation"]["seed"] == 9
+
+
+def test_simulate_report_matches_the_dense_projection(
+        tmp_path: Path, monkeypatch) -> None:
+    cfg = _write(tmp_path, "cfg.json", _SIM_CONFIG)
+    fast_out, dense_out = tmp_path / "fast.json", tmp_path / "dense.json"
+    assert main(["simulate", "--config", cfg, "--out", str(fast_out)]) == EXIT_OK
+
+    def dense(field, grid, N, freqs):
+        rule = grid.rule
+        basis = specfun.harmonic_matrix(N, rule.theta, rule.phi).conj() * rule.weights
+        return wavefield.ModeSpectrum(radius=grid.radius, freqs=freqs,
+                                      coeffs=basis @ field)
+
+    monkeypatch.setattr(wavefield, "analyze_modes", dense)
+    assert main(["simulate", "--config", cfg, "--out", str(dense_out)]) == EXIT_OK
+    fast, ref = (json.loads(p.read_text()) for p in (fast_out, dense_out))
+    # Only the round-off residuals may move, and only by round-off.
+    for report in (fast, ref):
+        props = {p["name"]: p for p in report["simulation"]["properties"]}
+        report["residuals"] = [props[name].pop("value") for name in
+                               ("jacobi_anger_consistency", "parseval")]
+    for got, want in zip(fast.pop("residuals"), ref.pop("residuals")):
+        assert abs(got - want) <= 1e-13
+    assert fast == ref
+
+
+def _reached_quadrature(monkeypatch) -> type:
+    """Make any quadrature build raise the returned exception type."""
+    class Reached(Exception):
+        pass
+
+    def build(degree):
+        raise Reached(degree)
+
+    monkeypatch.setattr(specfun, "make_quadrature", build)
+    return Reached
+
+
+def test_simulate_field_above_the_element_limit_exits_5(
+        tmp_path: Path, monkeypatch, capsys) -> None:
+    # A quadrature build would raise out of main, so this also shows the
+    # run is rejected before the quadrature or the frequency grid exists.
+    _reached_quadrature(monkeypatch)
+    cfg = _write(tmp_path, "cfg.json", {
+        "normalized": {"a": 0.5, "b": 0.25, "d": 120.0, "rho": 100.0},
+        "simulation": {"freq_points": 10_000_000_000_000}})
+    out = tmp_path / "sim.json"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_RESOLUTION
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("resolution error: ") and err.count("\n") == 1
+    # quad degree 32: 33 x 66 nodes.
+    assert "2178" in err and "10000000000000" in err
+    assert str(FIELD_ELEMENT_LIMIT) in err
+
+
+@pytest.mark.parametrize("point, sim", [
+    # The two simulate benchmark workloads and the a=3 config.
+    ({"a": 0.5, "b": 0.25, "d": 120.0, "rho": 100.0},
+     {"sources": 3, "freq_points": 257, "trials": 64}),
+    ({"a": 1.0, "b": 0.5, "d": 10.0, "rho": 100.0},
+     {"sources": 3, "freq_points": 257, "trials": 8}),
+    ({"a": 3.0, "b": 0.5, "d": 10.0, "rho": 100.0}, {"trials": 64}),
+])
+def test_simulate_limits_admit_the_reference_configs(
+        tmp_path: Path, monkeypatch, point, sim) -> None:
+    reached = _reached_quadrature(monkeypatch)
+    cfg = _write(tmp_path, "cfg.json", {"normalized": point, "simulation": sim})
+    with pytest.raises(reached):
+        main(["simulate", "--config", cfg])
+
+
+def test_simulate_source_and_trial_caps_exit_2(
+        tmp_path: Path, monkeypatch, capsys) -> None:
+    _reached_quadrature(monkeypatch)
+    for key, cap in (("sources", MAX_SOURCES), ("trials", MAX_TRIALS)):
+        assert _build_simulation({"simulation": {key: cap}}, None)[key] == cap
+        for value in (cap + 1, 10**15):
+            cfg = _write(tmp_path, "cfg.json", dict(
+                _SIM_CONFIG, simulation=dict(_SIM_CONFIG["simulation"], **{key: value})))
+            assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert f"simulation.{key}" in err and str(cap) in err
 
 
 def test_verify_reports_every_property(capsys) -> None:

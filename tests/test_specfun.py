@@ -18,6 +18,7 @@ from scipy.special import sph_harm_y
 from modecap.errors import DomainError, ResolutionError
 from modecap.specfun import (
     ModeIndex,
+    QuadratureRule,
     harmonic_matrix,
     legendre_p,
     make_quadrature,
@@ -261,6 +262,62 @@ def test_quadrature_rejects_bad_degrees() -> None:
         make_quadrature(-1)
     with pytest.raises(ResolutionError):
         make_quadrature(513)
+
+
+def _rule_arrays(degree: int) -> dict:
+    rule = make_quadrature(degree)
+    return {"theta": rule.theta.copy(), "phi": rule.phi.copy(),
+            "weights": rule.weights.copy(), "max_degree": degree}
+
+
+@pytest.mark.parametrize("degree", [0, 1, 7])
+def test_quadrature_rule_accepts_the_product_layout(degree: int) -> None:
+    rule = QuadratureRule(**_rule_arrays(degree))
+    assert rule.ring_shape == (degree + 1, 2 * degree + 2)
+    assert len(rule) == (degree + 1) * (2 * degree + 2)
+    # Azimuths built another way agree to rounding and are accepted.
+    arrays = _rule_arrays(degree)
+    arrays["phi"] = np.tile(np.linspace(0.0, 2 * math.pi, 2 * degree + 2,
+                                        endpoint=False), degree + 1)
+    assert QuadratureRule(**arrays).max_degree == degree
+
+
+def test_quadrature_rule_rejects_nodes_off_the_product_layout() -> None:
+    rng = np.random.default_rng(5)
+    base = _rule_arrays(4)
+    size = len(base["theta"])
+    order = rng.permutation(size)
+    shuffled = dict(base, theta=base["theta"][order], phi=base["phi"][order],
+                    weights=base["weights"][order])
+    # Swapping two whole rings keeps every ring intact, so that is allowed.
+    rings = np.arange(size).reshape(5, 10)[[1, 0, 2, 3, 4]].ravel()
+    swapped = dict(base, theta=base["theta"][rings], weights=base["weights"][rings])
+    QuadratureRule(**swapped)
+    # Move one ring's nodes by a quarter step in azimuth, keeping the weights.
+    skewed_phi = base["phi"].copy()
+    skewed_phi[10:20] += 0.25 * (2 * math.pi / 10)
+    # Same total weight, but not constant along ring 0.
+    ragged_w = base["weights"].copy()
+    ragged_w[0] *= 1.5
+    ragged_w[1] -= 0.5 * base["weights"][0]
+    ragged_theta = base["theta"].copy()
+    ragged_theta[3] += 1e-9
+    bad = [
+        shuffled,
+        dict(base, theta=base["theta"][:-1], phi=base["phi"][:-1],
+             weights=base["weights"][:-1]),
+        dict(base, max_degree=3),
+        dict(base, phi=skewed_phi),
+        dict(base, phi=base["phi"] + 1e-9),
+        dict(base, weights=ragged_w),
+        dict(base, theta=ragged_theta),
+        dict(base, theta=base["theta"].reshape(5, 10)),
+        dict(base, max_degree=-1),
+        dict(base, max_degree=4.0),
+    ]
+    for arrays in bad:
+        with pytest.raises(DomainError):
+            QuadratureRule(**arrays)
 
 
 def test_sphere_integrate_vector_valued() -> None:

@@ -103,6 +103,28 @@ def test_analyze_rejects_insufficient_quadrature() -> None:
         analyze_modes(field[:-1], grid, 3, np.array([1.0]))
 
 
+def _dense_projection(field, rule, N):
+    return (harmonic_matrix(N, rule.theta, rule.phi).conj() * rule.weights) @ field
+
+
+@pytest.mark.parametrize("degree", [3, 12])
+def test_analysis_equals_the_dense_quadrature_projection(degree: int) -> None:
+    rng = np.random.default_rng(degree)
+    rule = make_quadrature(degree)
+    grid = SphericalGrid(radius=2.0, rule=rule)
+    for columns in (1, 7):
+        shape = (len(rule), columns)
+        field = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        freqs = np.arange(columns, dtype=float)
+        # N = max_degree puts bins m and -m mod P closest together.
+        for N in (0, 2, degree):
+            fast = analyze_modes(field, grid, N, freqs).coeffs
+            dense = _dense_projection(field, rule, N)
+            assert fast.shape == dense.shape == ((N + 1) ** 2, columns)
+            scale = np.max(np.abs(dense))
+            assert np.max(np.abs(fast - dense)) <= 1e-12 * scale
+
+
 def test_mode_spectrum_validation() -> None:
     freqs = np.array([1.0, 2.0])
     good = ModeSpectrum(radius=1.0, freqs=freqs,
