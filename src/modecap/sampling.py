@@ -339,8 +339,8 @@ def legendre_support_check(
         raise DomainError(f"radius must be finite and >= 0, got {r!r}")
     if obs_time_T < 0 or not math.isfinite(obs_time_T):
         raise DomainError(f"signal duration must be >= 0, got {obs_time_T!r}")
-    if wave_speed_c <= 0:
-        raise DomainError(f"wave speed must be > 0, got {wave_speed_c!r}")
+    if not (math.isfinite(wave_speed_c) and wave_speed_c > 0):
+        raise DomainError(f"wave speed must be finite and > 0, got {wave_speed_c!r}")
     if r == 0:
         return obs_time_T
     rc = r / wave_speed_c

@@ -211,6 +211,11 @@ def _check_freqs(freqs) -> np.ndarray:
     return freqs
 
 
+def _check_wave_speed(wave_speed_c: float) -> None:
+    if not (math.isfinite(wave_speed_c) and wave_speed_c > 0):
+        raise DomainError(f"wave speed must be finite and > 0, got {wave_speed_c!r}")
+
+
 def synthesize_field(
     sources: Sequence[PlaneWaveSource],
     grid: SphericalGrid,
@@ -221,25 +226,47 @@ def synthesize_field(
     """Superpose plane waves on the grid: sum of A(omega) e^{i k R x.y}.
 
     Returns a complex array of shape (nodes, frequencies).
+
+    The field is built one ring at a time in the rule's ring-major layout
+    (rings x P azimuths, P = 2*max_degree+2 even).  On ring j, azimuth k and
+    source direction u the phase factors as
+
+        e^{i k R cos(theta_j) u_z}
+        * e^{i k R sin(theta_j) (u_x cos(phi_k) + u_y sin(phi_k))},
+
+    so each source needs one (rings x F) polar table, which also carries
+    A(omega), and one (P/2 x F) exponential per ring.  Node k + P/2 sits at
+    phi_k + pi, where the second factor is the complex conjugate of its
+    value at phi_k, so the other half of the ring costs a conjugate.  The
+    ring angles and the first P/2 azimuths come from the rule; the
+    half-turn pairing holds to the 1e-12 rad to which QuadratureRule checks
+    its azimuths, the layout the FFT analysis relies on as well.
+    Temporaries are bounded by one ring, not the whole field.
     """
     if len(sources) == 0:
         raise DomainError("synthesize_field requires at least one source")
     freqs = _check_freqs(freqs)
-    if wave_speed_c <= 0:
-        raise DomainError(f"wave speed must be > 0, got {wave_speed_c!r}")
-    k = 2.0 * np.pi * freqs / wave_speed_c
-    st = np.sin(grid.rule.theta)
-    nodes = np.column_stack(
-        (st * np.cos(grid.rule.phi), st * np.sin(grid.rule.phi), np.cos(grid.rule.theta))
-    )
-    field = np.zeros((len(grid.rule), freqs.size), dtype=complex)
+    _check_wave_speed(wave_speed_c)
+    kr = 2.0 * np.pi * grid.radius * freqs / wave_speed_c
+    rings, azimuths = grid.rule.ring_shape
+    half = azimuths // 2
+    theta = grid.rule.theta[::azimuths]
+    phi = grid.rule.phi[:half]
+    sin_theta = np.sin(theta)
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    field = np.zeros((rings, azimuths, freqs.size), dtype=complex)
     for src in sources:
-        amp = src.spectrum_on(freqs)
-        projection = nodes @ src.unit_vector()
-        field += amp[None, :] * np.exp(
-            1j * grid.radius * projection[:, None] * k[None, :]
-        )
-    return field
+        ux, uy, uz = src.unit_vector()
+        polar = np.exp(1j * np.multiply.outer(np.cos(theta) * uz, kr))
+        polar *= src.spectrum_on(freqs)
+        lateral = ux * cos_phi + uy * sin_phi
+        for j in range(rings):
+            ring = np.exp(1j * np.multiply.outer(sin_theta[j] * lateral, kr))
+            field[j, :half] += polar[j] * ring
+            np.conjugate(ring, out=ring)
+            ring *= polar[j]
+            field[j, half:] += ring
+    return field.reshape(rings * azimuths, freqs.size)
 
 
 def theoretical_modes(
@@ -261,8 +288,7 @@ def theoretical_modes(
     if not (math.isfinite(radius) and radius > 0):
         raise DomainError(f"radius must be finite and > 0, got {radius!r}")
     freqs = _check_freqs(freqs)
-    if wave_speed_c <= 0:
-        raise DomainError(f"wave speed must be > 0, got {wave_speed_c!r}")
+    _check_wave_speed(wave_speed_c)
     z = 2.0 * np.pi * freqs * radius / wave_speed_c
     bessel = np.stack([sph_bessel_j(n, z) for n in range(N + 1)])
 

@@ -16,6 +16,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -384,6 +385,37 @@ def test_simulate_report_matches_the_dense_projection(
     for got, want in zip(fast.pop("residuals"), ref.pop("residuals")):
         assert abs(got - want) <= 1e-13
     assert fast == ref
+
+
+def test_simulate_report_matches_the_direct_synthesis(
+        tmp_path: Path, monkeypatch) -> None:
+    cfg = _write(tmp_path, "cfg.json", _SIM_CONFIG)
+    ring_out, direct_out = tmp_path / "ring.json", tmp_path / "direct.json"
+    assert main(["simulate", "--config", cfg, "--out", str(ring_out)]) == EXIT_OK
+
+    def direct(sources, grid, freqs, *, wave_speed_c):
+        k = 2.0 * np.pi * freqs / wave_speed_c
+        rule = grid.rule
+        st = np.sin(rule.theta)
+        nodes = np.column_stack(
+            (st * np.cos(rule.phi), st * np.sin(rule.phi), np.cos(rule.theta)))
+        field = np.zeros((len(rule), freqs.size), dtype=complex)
+        for src in sources:
+            projection = nodes @ src.unit_vector()
+            field += src.spectrum_on(freqs)[None, :] * np.exp(
+                1j * grid.radius * projection[:, None] * k[None, :])
+        return field
+
+    monkeypatch.setattr(wavefield, "synthesize_field", direct)
+    assert main(["simulate", "--config", cfg, "--out", str(direct_out)]) == EXIT_OK
+    ring, ref = (json.loads(p.read_text()) for p in (ring_out, direct_out))
+    for report in (ring, ref):
+        props = {p["name"]: p for p in report["simulation"]["properties"]}
+        report["residuals"] = [props[name].pop("value") for name in
+                               ("jacobi_anger_consistency", "parseval")]
+    for got, want in zip(ring.pop("residuals"), ref.pop("residuals")):
+        assert abs(got - want) <= 1e-13
+    assert ring == ref
 
 
 def _reached_quadrature(monkeypatch) -> type:

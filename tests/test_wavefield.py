@@ -7,6 +7,8 @@ closed form for the monopole row, and seeded Monte Carlo statistics.
 from __future__ import annotations
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ import pytest
 from modecap.dofcore import NormalizedParams, critical_frequency, \
     truncation_indices
 from modecap.errors import DomainError, ResolutionError
-from modecap.specfun import harmonic_matrix, make_quadrature, sph_bessel_j
+from modecap.sampling import legendre_support_check
+from modecap.specfun import QuadratureRule, harmonic_matrix, make_quadrature, \
+    sph_bessel_j
 from modecap.wavefield import (
     ModeSpectrum,
     NoiseModel,
@@ -91,6 +95,89 @@ def test_synthesize_rejects_empty_and_bad_inputs() -> None:
         synthesize_field([src], grid, np.array([-1.0]), wave_speed_c=1.0)
     with pytest.raises(DomainError):
         SphericalGrid(radius=0.0, rule=rule)
+
+
+def _direct_synthesis(sources, grid, freqs, wave_speed_c):
+    """Node-by-node sum of A(omega) e^{i k R x.y}: the reference for the
+    ring-by-ring synthesis."""
+    k = 2.0 * np.pi * freqs / wave_speed_c
+    st = np.sin(grid.rule.theta)
+    nodes = np.column_stack(
+        (st * np.cos(grid.rule.phi), st * np.sin(grid.rule.phi), np.cos(grid.rule.theta))
+    )
+    field = np.zeros((len(grid.rule), freqs.size), dtype=complex)
+    for src in sources:
+        amp = src.spectrum_on(freqs)
+        projection = nodes @ src.unit_vector()
+        field += amp[None, :] * np.exp(
+            1j * grid.radius * projection[:, None] * k[None, :]
+        )
+    return field
+
+
+def _linspace_rule(degree: int) -> QuadratureRule:
+    rule = make_quadrature(degree)
+    rings, azimuths = rule.ring_shape
+    ring_phi = np.linspace(0.0, 2.0 * np.pi, azimuths, endpoint=False)
+    return QuadratureRule(theta=rule.theta, phi=np.tile(ring_phi, rings),
+                          weights=rule.weights, max_degree=degree)
+
+
+# At degree 24, linspace differs from 2*pi*k/P in the last bit on 25 of the
+# 50 azimuths, and some phi_{k+P/2} - phi_k miss pi by 8.9e-16.
+@pytest.mark.parametrize("rule", [make_quadrature(d) for d in (0, 1, 2, 7, 46)]
+                         + [_linspace_rule(24)])
+def test_synthesis_equals_the_direct_node_sum(rule: QuadratureRule) -> None:
+    # Non-uniform grid with f = 0; kR reaches 2 pi * 11.5 * 1.0 / 1.0 = 72.
+    freqs = np.array([0.0, 0.3, 1.7, 4.0, 4.1, 9.0, 11.5])
+    rng = np.random.default_rng(len(rule))
+    shaped = rng.standard_normal(freqs.size) + 1j * rng.standard_normal(freqs.size)
+    on_grid = 2.0 * np.pi * 3 / rule.ring_shape[1]
+    sources = [
+        PlaneWaveSource(theta=0.0, phi=0.0, amplitude=shaped),
+        PlaneWaveSource(theta=math.pi, phi=1.3, amplitude=0.5 - 2.0j),
+        PlaneWaveSource(theta=1.1, phi=on_grid, amplitude=shaped[::-1]),
+        PlaneWaveSource(theta=2.2, phi=4.0, amplitude=np.linspace(0.0, 1.0, freqs.size)),
+    ]
+    grid = SphericalGrid(radius=1.0, rule=rule)
+    fast = synthesize_field(sources, grid, freqs, wave_speed_c=1.0)
+    direct = _direct_synthesis(sources, grid, freqs, 1.0)
+    assert fast.shape == direct.shape == (len(rule), freqs.size)
+    assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+def test_synthesis_allocates_little_beyond_its_field() -> None:
+    grid = SphericalGrid(radius=1.0, rule=make_quadrature(46))
+    freqs = np.linspace(0.0, 11.0, 257)
+    sources = [PlaneWaveSource(theta=t, phi=p, amplitude=1.0 + 0.5j)
+               for t, p in ((0.3, 1.0), (2.0, 4.0), (1.1, 0.2))]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        field = synthesize_field(sources, grid, freqs, wave_speed_c=1.0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert field.nbytes == 4418 * 257 * 16
+    assert peak <= 1.25 * field.nbytes
+
+
+@pytest.mark.parametrize("speed", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_non_finite_or_non_positive_wave_speed_is_a_domain_error(speed) -> None:
+    grid = SphericalGrid(radius=1.0, rule=make_quadrature(4))
+    src = PlaneWaveSource(theta=0.5, phi=0.5)
+    freqs = np.array([0.0, 1.0])
+    calls = [
+        lambda: synthesize_field([src], grid, freqs, wave_speed_c=speed),
+        lambda: theoretical_modes([src], 1.0, freqs, 3, wave_speed_c=speed),
+        lambda: legendre_support_check(lambda t: np.ones_like(t), 1.0, 1.0, 2,
+                                       wave_speed_c=speed),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(DomainError, match="wave speed must be finite and > 0"):
+                call()
 
 
 def test_analyze_rejects_insufficient_quadrature() -> None:
