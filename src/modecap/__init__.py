@@ -110,6 +110,9 @@ __all__ = [
     "SphericalGrid",
     "ModeSpectrum",
     "NoiseModel",
+    "ModeCutoff",
+    "CheckedProperty",
+    "SimulationResult",
     "synthesize_field",
     "theoretical_modes",
     "analyze_modes",
@@ -117,4 +120,6 @@ __all__ = [
     "mode_snr",
     "empirical_critical_frequency",
     "parseval_check",
+    "mode_cutoffs",
+    "simulate",
 ]

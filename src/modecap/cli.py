@@ -4,9 +4,10 @@ Subcommands:
   compute   evaluate one scenario (SI or dimensionless) and report the DoF
             bound with its breakdown and per-mode bandwidth table;
   sweep     evaluate a grid of dimensionless parameters to CSV (or JSON);
-  simulate  run the brute-force wavefield pipeline (synthesize -> noise ->
-            analyze -> SNR -> empirical cutoffs) plus Parseval and
-            reconstruction checks, reporting pass/fail per property;
+  simulate  report compute's fields for the point plus the result of
+            wavefield.simulate, the brute-force pipeline (synthesize ->
+            noise -> analyze -> SNR -> empirical cutoffs, with Parseval and
+            reconstruction checks), with pass/fail per property;
   verify    run the cross-module invariant suite and exit nonzero on any
             failing property.
 
@@ -24,8 +25,8 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,13 +35,11 @@ from .dofcore import (
     NormalizedParams,
     Scenario,
     bandwidth_arrays,
-    critical_frequency,
     dof_asymptotic,
     dof_closed_form,
     dof_mode_sum,
     dof_normalized_breakdown,
     dof_special_cases,
-    effective_time,
     truncation_indices,
 )
 from .errors import ConfigError, DomainError, ModecapError, ResolutionError
@@ -48,8 +47,6 @@ from .errors import ConfigError, DomainError, ModecapError, ResolutionError
 # sampling, specfun and wavefield import SciPy; simulate and verify, the only
 # commands that use them, import them when they run, so compute and sweep
 # start at NumPy's import cost.
-if TYPE_CHECKING:
-    from . import sampling, wavefield
 
 __all__ = ["main", "cmd_compute", "cmd_sweep", "cmd_simulate", "cmd_verify"]
 
@@ -68,14 +65,12 @@ _SWEEP_KEYS = {"a", "b", "d", "rho"}
 _SIMULATION_KEYS = {"sources", "freq_points", "quad_degree", "seed", "trials"}
 _TOP_KEYS = {"scenario", "normalized", "sweep", "simulation"}
 
-_JACOBI_GUARD = 20
-
 # Most rows a JSON mode table may hold (n_max + 1); about 110 bytes each.
 MODE_TABLE_LIMIT = 1_000_000
 
-# Most complex entries (quadrature nodes x freq_points) a simulated field may
-# hold: 160 MB per field-sized array, and simulate keeps a few of them.
-FIELD_ELEMENT_LIMIT = 10_000_000
+# Most points a sweep grid may hold; each is a NormalizedParams and a report
+# row, about 0.9 KB and 10 us apiece.
+SWEEP_POINT_LIMIT = 1_000_000
 
 # Most plane-wave sources and noise trials simulate runs; each source is one
 # synthesis pass over the whole field and each trial one noisy analysis.
@@ -95,6 +90,15 @@ def _fmt(x: float) -> str:
 def _round12(x: float) -> float:
     """Round to the 12 significant digits that get printed."""
     return float(_fmt(x))
+
+
+def _rounded(value: Any) -> Any:
+    """value with every float in it, at any depth, rounded by _round12."""
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rounded(item) for item in value]
+    return _round12(value) if isinstance(value, float) else value
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +174,18 @@ def _build_normalized(cfg: dict) -> NormalizedParams | None:
     return NormalizedParams(**kwargs)
 
 
-def _require_point(cfg: dict) -> tuple[Scenario | None, NormalizedParams | None]:
+def _require_point(cfg: dict) -> tuple[Scenario, NormalizedParams | None]:
+    """The config's point as a Scenario, plus its NormalizedParams when it
+    came as a normalized block (then realized with F0 = c = 1)."""
     scenario = _build_scenario(cfg)
     params = _build_normalized(cfg)
-    if scenario is None and params is None:
+    if params is not None:
+        return params.to_scenario(), params
+    if scenario is None:
         raise ConfigError(
             "config must contain exactly one of 'scenario' or 'normalized'"
         )
-    return scenario, params
+    return scenario, None
 
 
 def _build_sweep(cfg: dict) -> dict[str, list[float]]:
@@ -337,7 +345,7 @@ def _serialize_report(report: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Point evaluation shared by compute and sweep
+# Point evaluation shared by compute, sweep and simulate
 
 
 def _check_finite(bd: DofBreakdown) -> DofBreakdown:
@@ -393,13 +401,31 @@ def _mode_table(s: Scenario, n_max: int) -> _Rows:
     )
 
 
-def _breakdown_dict(bd: DofBreakdown) -> dict[str, float]:
+def _evaluate_point(
+    scenario: Scenario, params: NormalizedParams | None
+) -> tuple[NormalizedParams, int, int, DofBreakdown]:
+    """A _require_point result in dimensionless form, with its n_min, n_max
+    and breakdown in the units the config gave it."""
+    if params is not None:
+        return (params, *_normalized_point(params))
+    n_min, n_max, bd = _scenario_point(scenario)
+    return NormalizedParams.from_scenario(scenario), n_min, n_max, bd
+
+
+def _point_report(
+    cfg: dict, scenario: Scenario, params: NormalizedParams | None
+) -> dict[str, Any]:
+    """The report fields compute and simulate share: the echoed point block,
+    the truncation indices, t_eff, the DoF breakdown and the mode table."""
+    _, n_min, n_max, bd = _evaluate_point(scenario, params)
+    block = "scenario" if params is None else "normalized"
     return {
-        "d1": _round12(bd.d1),
-        "d2": _round12(bd.d2),
-        "d3": _round12(bd.d3),
-        "total": _round12(bd.total),
+        "inputs": {block: dict(cfg[block])},
+        "n_min": n_min,
+        "n_max": n_max,
         "t_eff": _round12(bd.t_eff),
+        "dof": _rounded(asdict(bd)),
+        "mode_table": _mode_table(scenario, n_max),
     }
 
 
@@ -429,32 +455,11 @@ def _csv_row(
 def cmd_compute(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     scenario, params = _require_point(cfg)
-    if scenario is not None:
-        n_min, n_max, bd = _scenario_point(scenario)
-        table_scenario = scenario
-        echo: dict[str, Any] = {"scenario": dict(cfg["scenario"])}
-        p_equiv = NormalizedParams.from_scenario(scenario)
-    else:
-        assert params is not None
-        n_min, n_max, bd = _normalized_point(params)
-        table_scenario = params.to_scenario()
-        echo = {"normalized": dict(cfg["normalized"])}
-        p_equiv = params
-
     if args.format == "csv":
-        text = _CSV_HEADER + "\n" + _csv_row(p_equiv, n_min, n_max, bd) + "\n"
-        _write_output(text, args.out)
-        return EXIT_OK
-
-    report = {
-        "inputs": echo,
-        "n_min": n_min,
-        "n_max": n_max,
-        "t_eff": _round12(bd.t_eff),
-        "dof": _breakdown_dict(bd),
-        "mode_table": _mode_table(table_scenario, n_max),
-    }
-    _write_output(_serialize_report(report), args.out)
+        text = _CSV_HEADER + "\n" + _csv_row(*_evaluate_point(scenario, params)) + "\n"
+    else:
+        text = _serialize_report(_point_report(cfg, scenario, params))
+    _write_output(text, args.out)
     return EXIT_OK
 
 
@@ -464,9 +469,13 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    if "scenario" in cfg and "normalized" in cfg:  # pragma: no cover - guarded above
-        raise ConfigError("both scenario and normalized present")
     grids = _build_sweep(cfg)
+    count = math.prod(len(axis) for axis in grids.values())
+    if count > SWEEP_POINT_LIMIT:
+        raise ResolutionError(
+            f"sweep grid of {count} points exceeds the limit of "
+            f"{SWEEP_POINT_LIMIT} points"
+        )
     points = [
         NormalizedParams(a=a, b=b, d=d, rho=rho)
         for a in grids["a"]
@@ -518,230 +527,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # simulate
 
 
-def _raised_cosine_kernel(x: np.ndarray) -> np.ndarray:
-    """Unit-band interpolation kernel with 1/t^3 tail decay.
-
-    Spectrum cos^2(pi f) on |f| <= 1/2 (raised cosine), hence exactly
-    band-limited; the fast tail decay is what keeps truncated sample sums
-    accurate in the window interior.
-    """
-    return np.sinc(x) + 0.5 * np.sinc(x + 1.0) + 0.5 * np.sinc(x - 1.0)
-
-
-def _reconstruction_error(band: sampling.ModeBand, t_eff: float, seed: int) -> float:
-    """Interior relative L2 reconstruction error for a seeded in-band signal,
-    using exactly floor(w_n t_eff) + 1 samples on [0, t_eff]."""
-    from . import sampling
-
-    w, w0 = band.w_n, band.w_0n
-    wt = w * t_eff
-    rng = np.random.Generator(np.random.Philox(seed))
-    n_kernels = 8
-    edges = np.linspace(0.18 * wt, 0.82 * wt, n_kernels + 1)
-    centers = edges[:-1] + (edges[1:] - edges[:-1]) * rng.uniform(0.2, 0.8, n_kernels)
-    coeffs = rng.standard_normal(n_kernels) + 1j * rng.standard_normal(n_kernels)
-
-    def baseband(u: np.ndarray) -> np.ndarray:
-        acc = np.zeros(u.shape, dtype=complex)
-        for c, u0 in zip(coeffs, centers):
-            acc += c * _raised_cosine_kernel(u - u0)
-        return acc
-
-    ells = np.arange(0, int(math.floor(wt)) + 1)
-    values = baseband(ells.astype(float)) * np.exp(2j * np.pi * w0 * ells / w)
-    train = sampling.SampleTrain(
-        values=values, ell_lo=0, ell_hi=int(ells[-1]), spacing=1.0 / w
-    )
-    t = np.linspace(0.1 * t_eff, 0.9 * t_eff, 512)
-    truth = baseband(w * t) * np.exp(2j * np.pi * w0 * t)
-    recon = sampling.reconstruct(train, band, t)
-    return float(
-        np.sqrt(np.mean(np.abs(recon - truth) ** 2))
-        / np.sqrt(np.mean(np.abs(truth) ** 2))
-    )
-
-
-def _make_sources(
-    count: int, freqs: np.ndarray, seed: int
-) -> list[wavefield.PlaneWaveSource]:
-    from . import wavefield
-
-    rng = np.random.Generator(np.random.Philox(seed))
-    sources = []
-    for _ in range(count):
-        theta = math.acos(rng.uniform(-1.0, 1.0))
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        sources.append(
-            wavefield.PlaneWaveSource(
-                theta=theta, phi=phi, amplitude=np.full(freqs.size, phase)
-            )
-        )
-    return sources
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from . import sampling, specfun, wavefield
+    from . import wavefield
 
     cfg = _load_config(args.config)
     scenario, params = _require_point(cfg)
-    if scenario is None:
-        assert params is not None
-        scenario = params.to_scenario()
-        echo: dict[str, Any] = {"normalized": dict(cfg["normalized"])}
-    else:
-        echo = {"scenario": dict(cfg["scenario"])}
     sim = _build_simulation(cfg, args.seed)
-    if scenario.radius_R == 0:
-        raise DomainError("simulation requires radius_R > 0")
-    if scenario.half_bandwidth_W == 0:
-        raise DomainError(
-            "simulation requires a nonzero bandwidth (half_bandwidth_W > 0, b > 0)"
-        )
-
-    n_min, n_max = truncation_indices(scenario)
-    t_eff = effective_time(scenario)
-    c = scenario.wave_speed_c
-    band_lo, band_hi = scenario.band
-    k_max_r = 2.0 * math.pi * band_hi * scenario.radius_R / c
-    n_field = math.ceil(k_max_r) + _JACOBI_GUARD
-    required_degree = n_max + n_field
-    quad_degree = sim["quad_degree"] if sim["quad_degree"] else required_degree
-    if quad_degree < required_degree:
-        raise ResolutionError(
-            f"quadrature degree {quad_degree} is insufficient for kR = "
-            f"{k_max_r:.3f} with analysis degree {n_max}; required degree is "
-            f"{required_degree}"
-        )
-    nodes = (quad_degree + 1) * (2 * quad_degree + 2)
-    if nodes * sim["freq_points"] > FIELD_ELEMENT_LIMIT:
-        raise ResolutionError(
-            f"simulated field of {nodes} quadrature nodes x {sim['freq_points']} "
-            f"frequencies exceeds the limit of {FIELD_ELEMENT_LIMIT} entries"
-        )
-
-    rule = specfun.make_quadrature(quad_degree)
-    grid = wavefield.SphericalGrid(radius=scenario.radius_R, rule=rule)
-    freqs = np.linspace(band_lo, band_hi, sim["freq_points"])
-    freq_step = float(freqs[1] - freqs[0])
-    sources = _make_sources(sim["sources"], freqs, sim["seed"])
-
-    field = wavefield.synthesize_field(sources, grid, freqs, wave_speed_c=c)
-    theo = wavefield.theoretical_modes(
-        sources, scenario.radius_R, freqs, n_max, wave_speed_c=c
-    )
-    analyzed = wavefield.analyze_modes(field, grid, n_max, freqs)
-    theo_scale = float(np.max(np.abs(theo.coeffs)))
-    jacobi_err = float(np.max(np.abs(analyzed.coeffs - theo.coeffs))) / theo_scale
-
-    analyzed_full = wavefield.analyze_modes(field, grid, n_field, freqs)
-    parseval_err = wavefield.parseval_check(field, grid, analyzed_full)
-
-    # Excitation peak power: fixes sigma0 so the peak mode SNR equals the
-    # scenario's snr_alpha_max.
-    alpha_max_sq = float(np.max(theo.excitation_power()))
-    sigma0_sq = alpha_max_sq / scenario.snr_alpha_max
-    noise = wavefield.NoiseModel(
-        sigma0_sq=sigma0_sq, alpha_max_sq=alpha_max_sq, seed=sim["seed"]
-    )
-
-    # Noise-variance property: Monte Carlo on one frequency column; per-trial
-    # seeds derive from the base seed so trials decorrelate deterministically.
-    mid = freqs.size // 2
-    column = field[:, [mid]]
-    base = analyzed.coeffs[:, [mid]]
-    acc = np.zeros(base.shape[0], dtype=float)
-    for trial in range(sim["trials"]):
-        trial_noise = wavefield.NoiseModel(
-            sigma0_sq=sigma0_sq,
-            alpha_max_sq=alpha_max_sq,
-            seed=sim["seed"] + 1 + trial,
-        )
-        noisy = wavefield.add_noise(column, grid, trial_noise)
-        nu = wavefield.analyze_modes(noisy, grid, n_max, freqs[[mid]]).coeffs - base
-        acc += np.abs(nu[:, 0]) ** 2
-    var_est = acc / sim["trials"]
-    noise_var_err = float(np.max(np.abs(var_est - sigma0_sq) / sigma0_sq))
-    noise_var_tol = 5.0 / math.sqrt(sim["trials"])
-
-    # Detectability: SNR curves from the analyzed (noiseless) spectrum; the
-    # noise model enters through sigma0_sq.
-    snr = wavefield.mode_snr(analyzed, noise)
-    cutoffs = []
-    one_sided = True
-    for n in range(1, n_max + 1):
-        f_hat = wavefield.empirical_critical_frequency(
-            snr, freqs, scenario.threshold_gamma, n
-        )
-        f_n = critical_frequency(scenario, n)
-        ok = f_hat >= f_n - freq_step
-        one_sided = one_sided and ok
-        cutoffs.append(
-            {
-                "n": n,
-                "analytic_Fn": _round12(f_n),
-                "empirical_Fn": None if math.isinf(f_hat) else _round12(f_hat),
-                "detected": not math.isinf(f_hat),
-            }
-        )
-
-    recon_band = sampling.ModeBand.from_edges(band_lo, band_hi)
-    recon_err = _reconstruction_error(recon_band, t_eff, sim["seed"] + 10_000)
-
-    properties = [
-        {
-            "name": "jacobi_anger_consistency",
-            "value": _round12(jacobi_err),
-            "tolerance": 1e-8,
-            "passed": bool(jacobi_err <= 1e-8),
-        },
-        {
-            "name": "parseval",
-            "value": _round12(parseval_err),
-            "tolerance": 1e-8,
-            "passed": bool(parseval_err <= 1e-8),
-        },
-        {
-            "name": "mode_noise_variance",
-            "value": _round12(noise_var_err),
-            "tolerance": _round12(noise_var_tol),
-            "passed": bool(noise_var_err <= noise_var_tol),
-        },
-        {
-            "name": "detectability_one_sided",
-            "value": one_sided,
-            "tolerance": _round12(freq_step),
-            "passed": bool(one_sided),
-        },
-        {
-            "name": "reconstruction",
-            "value": _round12(recon_err),
-            "tolerance": 1e-2,
-            "passed": bool(recon_err <= 1e-2),
-        },
-    ]
-
-    bd = dof_closed_form(scenario)
-    report = {
-        "inputs": echo,
-        "n_min": n_min,
-        "n_max": n_max,
-        "t_eff": _round12(t_eff),
-        "dof": _breakdown_dict(bd),
-        "mode_table": _mode_table(scenario, n_max),
-        "simulation": {
-            "sources": sim["sources"],
-            "freq_points": sim["freq_points"],
-            "freq_step": _round12(freq_step),
-            "quad_degree": quad_degree,
-            "required_degree": required_degree,
-            "trials": sim["trials"],
-            "seed": sim["seed"],
-            "sigma0_sq": _round12(sigma0_sq),
-            "empirical_cutoffs": cutoffs,
-            "properties": properties,
-        },
-    }
+    result = wavefield.simulate(scenario, **sim)
+    report = _point_report(cfg, scenario, params)
+    report["simulation"] = _rounded({**sim, **asdict(result)})
     _write_output(_serialize_report(report), args.out)
     return EXIT_OK
 
@@ -829,16 +623,16 @@ def _verify_dof_consistency() -> tuple[bool, str]:
                     closed = dof_closed_form(s).total
                     normalized = dof_normalized_breakdown(p).total
                     worst = max(worst, abs(closed - normalized) / closed)
-                    leveled = replace(s, threshold_gamma=s.snr_alpha_max)
-                    gap = abs(
-                        dof_closed_form(leveled).total - dof_asymptotic(s).total
-                    ) / dof_closed_form(leveled).total
+                    leveled = dof_closed_form(
+                        replace(s, threshold_gamma=s.snr_alpha_max)
+                    ).total
+                    gap = abs(leveled - dof_asymptotic(s).total) / leveled
                     worst = max(worst, gap)
     return worst <= 1e-9, f"max relative inconsistency = {worst:.3e}"
 
 
 def _verify_detectability() -> tuple[bool, str]:
-    from . import specfun, wavefield
+    from . import wavefield
 
     scenario = Scenario(
         radius_R=0.5,
@@ -856,25 +650,19 @@ def _verify_detectability() -> tuple[bool, str]:
     theo = wavefield.theoretical_modes(
         sources, scenario.radius_R, freqs, n_max, wave_speed_c=c
     )
-    alpha_max_sq = float(
-        np.max(np.abs(4.0 * np.pi * specfun.harmonic_matrix(
-            n_max, np.array([1.1]), np.array([0.4])
-        )) ** 2)
-    )
+    alpha_max_sq = float(np.max(theo.excitation_power()))
     noise = wavefield.NoiseModel(
         sigma0_sq=alpha_max_sq / scenario.snr_alpha_max,
         alpha_max_sq=alpha_max_sq,
         seed=1,
     )
-    snr = wavefield.mode_snr(theo, noise)
     step = float(freqs[1] - freqs[0])
-    for n in range(1, n_max + 1):
-        f_hat = wavefield.empirical_critical_frequency(
-            snr, freqs, scenario.threshold_gamma, n
-        )
-        f_n = critical_frequency(scenario, n)
-        if f_hat < f_n - step:
-            return False, f"mode {n} detected at {f_hat:.6g} < F_n - step = {f_n - step:.6g}"
+    for cut in wavefield.mode_cutoffs(scenario, wavefield.mode_snr(theo, noise), freqs):
+        if not cut.one_sided(step):
+            return False, (
+                f"mode {cut.n} detected at {cut.empirical_Fn:.6g} < F_n - step = "
+                f"{cut.analytic_Fn - step:.6g}"
+            )
     return True, f"empirical cutoffs one-sided for n = 1..{n_max}"
 
 

@@ -382,12 +382,12 @@ def dof_mode_sum(s: Scenario) -> float:
     Requires R > 0.  Always at most dof_closed_form(s).total when the ratio
     snr_alpha_max/threshold_gamma is >= 1.
     """
-    profile = bandwidth_profile(s)
+    bands = bandwidth_arrays(s)
     t_eff = effective_time(s)
     return float(
         sum(
-            (2 * e.n + 1) * (e.eff_bandwidth_Wn * t_eff + 1.0)
-            for e in profile.per_mode
+            (2 * n + 1) * (w * t_eff + 1.0)
+            for n, w in zip(bands.n.tolist(), bands.eff_bandwidth_Wn.tolist())
         )
     )
 

@@ -11,23 +11,37 @@ Noise is generated per node with variance sigma0_sq / w_q (w_q the node's
 quadrature weight); the projected mode-domain noise then has variance exactly
 sigma0_sq and is exactly white across (n, m), because both follow from the
 quadrature rule's harmonic-product exactness.
+
+simulate runs the whole check for one scenario and returns a
+SimulationResult with its five checked properties.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from .dofcore import Scenario, critical_frequency, effective_time, truncation_indices
 from .errors import DomainError, ResolutionError
-from .specfun import QuadratureRule, flat_degrees, harmonic_matrix, sph_bessel_j
+from .sampling import ModeBand, SampleTrain, reconstruct
+from .specfun import (
+    QuadratureRule,
+    flat_degrees,
+    harmonic_matrix,
+    make_quadrature,
+    sph_bessel_j,
+)
 
 __all__ = [
     "PlaneWaveSource",
     "SphericalGrid",
     "ModeSpectrum",
     "NoiseModel",
+    "ModeCutoff",
+    "CheckedProperty",
+    "SimulationResult",
     "synthesize_field",
     "theoretical_modes",
     "analyze_modes",
@@ -35,9 +49,19 @@ __all__ = [
     "mode_snr",
     "empirical_critical_frequency",
     "parseval_check",
+    "mode_cutoffs",
+    "simulate",
 ]
 
 _SPEED_OF_LIGHT = 299792458.0
+
+# Degrees simulate keeps beyond ceil(kR) in a plane wave's Jacobi-Anger
+# series; past kR, j_n(kR) falls off faster than geometrically.
+_JACOBI_GUARD = 20
+
+# Most complex entries (quadrature nodes x frequencies) a simulated field may
+# hold: 160 MB per field-sized array, and simulate keeps a few of them.
+FIELD_ELEMENT_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -200,6 +224,45 @@ class NoiseModel:
         if self.sigma0_sq == 0:
             raise DomainError("snr_alpha_max is undefined for sigma0_sq = 0")
         return self.alpha_max_sq / self.sigma0_sq
+
+
+@dataclass(frozen=True)
+class ModeCutoff:
+    """Mode n's analytic critical frequency F_n and the first grid frequency
+    at which it is detected (None if it never is)."""
+
+    n: int
+    analytic_Fn: float
+    empirical_Fn: float | None
+    detected: bool
+
+    def one_sided(self, step: float) -> bool:
+        """Not detected more than one grid step below F_n."""
+        return not self.detected or self.empirical_Fn >= self.analytic_Fn - step
+
+
+@dataclass(frozen=True)
+class CheckedProperty:
+    """A property simulate checks: its measured value, the tolerance it is
+    held to, and whether it held."""
+
+    name: str
+    value: float | bool
+    tolerance: float
+    passed: bool
+
+
+@dataclass(frozen=True)
+class SimulationResult:
+    """What simulate measured, under the keys of a simulate report's
+    `simulation` block."""
+
+    freq_step: float
+    quad_degree: int
+    required_degree: int
+    sigma0_sq: float
+    empirical_cutoffs: tuple[ModeCutoff, ...]
+    properties: tuple[CheckedProperty, ...]
 
 
 def _check_freqs(freqs) -> np.ndarray:
@@ -439,3 +502,185 @@ def parseval_check(
     nz = node_power > 0
     out[nz] = gap[nz] / node_power[nz]
     return float(np.max(out)) if out.size else 0.0
+
+
+def mode_cutoffs(scenario: Scenario, snr: np.ndarray, freqs) -> tuple[ModeCutoff, ...]:
+    """Analytic and empirical cutoff of each mode n = 1..N of an SNR table
+    of shape ((N+1)^2, F) on the grid freqs."""
+    cutoffs = []
+    for n in range(1, math.isqrt(np.shape(snr)[0])):
+        f_hat = empirical_critical_frequency(snr, freqs, scenario.threshold_gamma, n)
+        detected = not math.isinf(f_hat)
+        f_n = critical_frequency(scenario, n)
+        cutoffs.append(ModeCutoff(n, f_n, f_hat if detected else None, detected))
+    return tuple(cutoffs)
+
+
+def _raised_cosine_kernel(x: np.ndarray) -> np.ndarray:
+    """Unit-band interpolation kernel with 1/t^3 tail decay.
+
+    Spectrum cos^2(pi f) on |f| <= 1/2 (raised cosine), hence exactly
+    band-limited; the fast tail decay is what keeps truncated sample sums
+    accurate in the window interior.
+    """
+    return np.sinc(x) + 0.5 * np.sinc(x + 1.0) + 0.5 * np.sinc(x - 1.0)
+
+
+def _reconstruction_error(band: ModeBand, t_eff: float, seed: int) -> float:
+    """Interior relative L2 reconstruction error for a seeded in-band signal,
+    using exactly floor(w_n t_eff) + 1 samples on [0, t_eff]."""
+    w, w0 = band.w_n, band.w_0n
+    wt = w * t_eff
+    rng = np.random.Generator(np.random.Philox(seed))
+    n_kernels = 8
+    edges = np.linspace(0.18 * wt, 0.82 * wt, n_kernels + 1)
+    centers = edges[:-1] + (edges[1:] - edges[:-1]) * rng.uniform(0.2, 0.8, n_kernels)
+    coeffs = rng.standard_normal(n_kernels) + 1j * rng.standard_normal(n_kernels)
+
+    def baseband(u: np.ndarray) -> np.ndarray:
+        acc = np.zeros(u.shape, dtype=complex)
+        for c, u0 in zip(coeffs, centers):
+            acc += c * _raised_cosine_kernel(u - u0)
+        return acc
+
+    ells = np.arange(0, int(math.floor(wt)) + 1)
+    values = baseband(ells.astype(float)) * np.exp(2j * np.pi * w0 * ells / w)
+    train = SampleTrain(values=values, ell_lo=0, ell_hi=int(ells[-1]), spacing=1.0 / w)
+    t = np.linspace(0.1 * t_eff, 0.9 * t_eff, 512)
+    truth = baseband(w * t) * np.exp(2j * np.pi * w0 * t)
+    recon = reconstruct(train, band, t)
+    return float(
+        np.sqrt(np.mean(np.abs(recon - truth) ** 2))
+        / np.sqrt(np.mean(np.abs(truth) ** 2))
+    )
+
+
+def _random_sources(count: int, freqs: np.ndarray, seed: int) -> list[PlaneWaveSource]:
+    """count seeded plane waves, isotropic in direction, each with a flat
+    spectrum of random phase."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    sources = []
+    for _ in range(count):
+        theta = math.acos(rng.uniform(-1.0, 1.0))
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        sources.append(
+            PlaneWaveSource(theta=theta, phi=phi, amplitude=np.full(freqs.size, phase))
+        )
+    return sources
+
+
+def _bounded(name: str, value: float, tolerance: float) -> CheckedProperty:
+    return CheckedProperty(name, value, tolerance, value <= tolerance)
+
+
+def simulate(
+    scenario: Scenario,
+    *,
+    sources: int,
+    freq_points: int,
+    quad_degree: int,
+    seed: int,
+    trials: int,
+) -> SimulationResult:
+    """Brute-force check of a scenario's mode structure.
+
+    Synthesizes `sources` seeded plane waves on `freq_points` frequencies
+    across the band, sampled by a quadrature of degree `quad_degree` (0 picks
+    the required n_max + ceil(kR) + 20), and checks five properties against
+    their tolerances: Jacobi-Anger consistency and Parseval (1e-8), the mode
+    noise variance over `trials` noisy analyses (5/sqrt(trials)), one-sided
+    detection cutoffs (one grid step) and sampling reconstruction (1e-2).
+
+    Raises DomainError for R = 0, W = 0, freq_points < 2 or trials < 1, and
+    ResolutionError, before any quadrature is built, for a degree below the
+    required one or a field of more than FIELD_ELEMENT_LIMIT node x
+    frequency entries.
+    """
+    if scenario.radius_R == 0:
+        raise DomainError("simulation requires radius_R > 0")
+    if scenario.half_bandwidth_W == 0:
+        raise DomainError(
+            "simulation requires a nonzero bandwidth (half_bandwidth_W > 0, b > 0)"
+        )
+    if freq_points < 2 or trials < 1:
+        raise DomainError(
+            f"simulation needs freq_points >= 2 and trials >= 1, got "
+            f"{freq_points} and {trials}"
+        )
+
+    _, n_max = truncation_indices(scenario)
+    c = scenario.wave_speed_c
+    band_lo, band_hi = scenario.band
+    k_max_r = 2.0 * math.pi * band_hi * scenario.radius_R / c
+    n_field = math.ceil(k_max_r) + _JACOBI_GUARD
+    required_degree = n_max + n_field
+    quad_degree = quad_degree or required_degree
+    if quad_degree < required_degree:
+        raise ResolutionError(
+            f"quadrature degree {quad_degree} is insufficient for kR = "
+            f"{k_max_r:.3f} with analysis degree {n_max}; required degree is "
+            f"{required_degree}"
+        )
+    nodes = (quad_degree + 1) * (2 * quad_degree + 2)
+    if nodes * freq_points > FIELD_ELEMENT_LIMIT:
+        raise ResolutionError(
+            f"simulated field of {nodes} quadrature nodes x {freq_points} "
+            f"frequencies exceeds the limit of {FIELD_ELEMENT_LIMIT} entries"
+        )
+
+    grid = SphericalGrid(radius=scenario.radius_R, rule=make_quadrature(quad_degree))
+    freqs = np.linspace(band_lo, band_hi, freq_points)
+    freq_step = float(freqs[1] - freqs[0])
+    waves = _random_sources(sources, freqs, seed)
+
+    field = synthesize_field(waves, grid, freqs, wave_speed_c=c)
+    theo = theoretical_modes(waves, scenario.radius_R, freqs, n_max, wave_speed_c=c)
+    analyzed = analyze_modes(field, grid, n_max, freqs)
+    theo_scale = float(np.max(np.abs(theo.coeffs)))
+    jacobi_err = float(np.max(np.abs(analyzed.coeffs - theo.coeffs))) / theo_scale
+
+    analyzed_full = analyze_modes(field, grid, n_field, freqs)
+    parseval_err = parseval_check(field, grid, analyzed_full)
+
+    # Excitation peak power: fixes sigma0 so the peak mode SNR equals the
+    # scenario's snr_alpha_max.
+    alpha_max_sq = float(np.max(theo.excitation_power()))
+    sigma0_sq = alpha_max_sq / scenario.snr_alpha_max
+    noise = NoiseModel(sigma0_sq=sigma0_sq, alpha_max_sq=alpha_max_sq, seed=seed)
+
+    # Noise-variance property: Monte Carlo on one frequency column; per-trial
+    # seeds derive from the base seed so trials decorrelate deterministically.
+    mid = freqs.size // 2
+    column = field[:, [mid]]
+    base = analyzed.coeffs[:, [mid]]
+    acc = np.zeros(base.shape[0], dtype=float)
+    for trial in range(trials):
+        noisy = add_noise(column, grid, replace(noise, seed=seed + 1 + trial))
+        nu = analyze_modes(noisy, grid, n_max, freqs[[mid]]).coeffs - base
+        acc += np.abs(nu[:, 0]) ** 2
+    noise_var_err = float(np.max(np.abs(acc / trials - sigma0_sq) / sigma0_sq))
+
+    # Detectability: SNR curves from the analyzed (noiseless) spectrum; the
+    # noise model enters through sigma0_sq.
+    cutoffs = mode_cutoffs(scenario, mode_snr(analyzed, noise), freqs)
+    one_sided = all(cutoff.one_sided(freq_step) for cutoff in cutoffs)
+
+    recon_err = _reconstruction_error(
+        ModeBand.from_edges(band_lo, band_hi), effective_time(scenario), seed + 10_000
+    )
+
+    return SimulationResult(
+        freq_step=freq_step,
+        quad_degree=quad_degree,
+        required_degree=required_degree,
+        sigma0_sq=sigma0_sq,
+        empirical_cutoffs=cutoffs,
+        properties=(
+            _bounded("jacobi_anger_consistency", jacobi_err, 1e-8),
+            _bounded("parseval", parseval_err, 1e-8),
+            _bounded("mode_noise_variance", noise_var_err, 5.0 / math.sqrt(trials)),
+            CheckedProperty("detectability_one_sided", one_sided, freq_step, one_sided),
+            _bounded("reconstruction", recon_err, 1e-2),
+        ),
+    )

@@ -7,9 +7,11 @@ contents, and byte-level determinism.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -29,7 +31,6 @@ from modecap.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_RESOLUTION,
-    FIELD_ELEMENT_LIMIT,
     MAX_SOURCES,
     MAX_THREADS,
     MAX_TRIALS,
@@ -42,6 +43,7 @@ from modecap.cli import (
 )
 from modecap.dofcore import NormalizedParams, dof_normalized
 from modecap.errors import DomainError
+from modecap.wavefield import FIELD_ELEMENT_LIMIT
 
 _PINNED_CONFIG = {"normalized": {"a": 1.0, "b": 0.5, "d": 1.0, "rho": 1.0}}
 _SIM_CONFIG = {
@@ -169,6 +171,39 @@ def test_thread_count_above_the_ceiling_exits_2(
     err = capsys.readouterr().err
     assert err == (f"config error: MODECAP_THREADS must be between 1 and "
                    f"{MAX_THREADS}, got {MAX_THREADS + 1}\n")
+
+
+def test_sweep_grid_above_the_point_limit_exits_5(
+        tmp_path: Path, monkeypatch, capsys) -> None:
+    class PoolReached(Exception):
+        pass
+
+    def no_pool(*args, **kwargs):
+        raise PoolReached
+
+    built = itertools.count()
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(cli, "NormalizedParams", lambda **point: next(built))
+
+    def sweep(*shape: int) -> str:
+        axes = {key: [1.0 / (i + 1) for i in range(size)]
+                for key, size in zip(("a", "b", "d", "rho"), shape)}
+        return _write(tmp_path, "cfg.json", {"sweep": axes})
+
+    # 32^4 = 1,048,576 points: rejected before any point or thread exists.
+    out = tmp_path / "out.csv"
+    for fmt in ("csv", "json"):
+        assert main(["sweep", "--config", sweep(32, 32, 32, 32), "--format", fmt,
+                     "--out", str(out)]) == EXIT_RESOLUTION
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("resolution error: ") and err.count("\n") == 1
+        assert "1048576" in err and str(cli.SWEEP_POINT_LIMIT) in err
+    assert next(built) == 0
+    # A grid of exactly the limit goes on to build its points and its pool.
+    with pytest.raises(PoolReached):
+        main(["sweep", "--config", sweep(10, 10, 100, 100), "--out", str(out)])
+    assert next(built) == cli.SWEEP_POINT_LIMIT + 1
 
 
 def test_sweep_error_is_independent_of_thread_count(
@@ -426,7 +461,8 @@ def _reached_quadrature(monkeypatch) -> type:
     def build(degree):
         raise Reached(degree)
 
-    monkeypatch.setattr(specfun, "make_quadrature", build)
+    # simulate binds the function by name in wavefield.
+    monkeypatch.setattr(wavefield, "make_quadrature", build)
     return Reached
 
 
@@ -588,8 +624,32 @@ def test_row_writer_rejects_non_finite_values(bad) -> None:
         _serialize_report({"rows": rows})
 
 
+def _small_simulation(point: dict, seed: int) -> dict:
+    return dict(point, simulation={"sources": 2, "freq_points": 17,
+                                   "trials": 4, "seed": seed})
+
+
+_SIM_NORMALIZED = {"normalized": {"a": 0.5, "b": 0.25, "d": 120.0, "rho": 100.0}}
+_SIM_SCENARIO = {"scenario": {"radius_R": 0.15, "mid_freq_F0": 1e9,
+                              "half_bandwidth_W": 2.5e8, "obs_time_T": 1.2e-7,
+                              "snr_alpha_max": 100.0}}
+
+# The two round-off residuals of a simulate report move with the BLAS and
+# FFT in use, so a simulate report is hashed with their values blanked.
+_RESIDUALS = re.compile(
+    r'("name": "(?:jacobi_anger_consistency|parseval)",\n'
+    r'(?:\s*"\w+": [^\n]*,\n){2}\s*"value": )[^\n]*')
+
+
+def _without_residuals(data: bytes) -> bytes:
+    text, count = _RESIDUALS.subn(r"\1null", data.decode())
+    assert count == 2
+    return text.encode()
+
+
 # sha256 of reports measured before the mode table and sweep rows got their
-# own writer; any change to a printed byte changes these.
+# own writer, and for simulate before its pipeline moved out of the command
+# line front end; any change to a printed byte changes these.
 _GOLDEN = [
     ("compute", {"normalized": {"a": 300, "b": 0.5, "d": 7, "rho": 50}},
      418224, "4a59071fd7253a3219e876e31078d690168c043b031bd956dee124115cf8c470"),
@@ -600,12 +660,23 @@ _GOLDEN = [
     ("sweep", {"sweep": {"a": [0, 0.05, 1.0, 3.7], "b": [0, 0.5, 1],
                          "d": [0, 2.5], "rho": [0.01, 1, 100]}},
      15998, "e5a7e10dc694ccb01bd4626d3ac95059ce30f58060768fdddc735e0e74896a0f"),
+    ("simulate", _small_simulation(_SIM_NORMALIZED, 1),
+     3100, "e360038ef15e4928b3c002b0198e9cab564b75c663aa726f52ae7b442af9422d"),
+    ("simulate", _small_simulation(_SIM_NORMALIZED, 2),
+     3100, "c1f3204184d25b65684b50580d99280d8b22502efba03bc7b8d90d0086c42fb3"),
+    ("simulate", _small_simulation(_SIM_SCENARIO, 1),
+     3291, "da9062ca7e69389a74feb321ad109cd60ad8b3362fe887ddce1f400d6e700e11"),
+    ("simulate", _small_simulation(_SIM_SCENARIO, 2),
+     3284, "ec460d31dc0ca09c915c15f2c056164606b87ca3d3ab5259f71e933c468e2ea9"),
 ]
 
 
 @pytest.mark.parametrize("command, config, size, sha256", _GOLDEN,
                          ids=["compute-normalized", "compute-scenario",
-                              "sweep-json"])
+                              "sweep-json", "simulate-normalized-seed1",
+                              "simulate-normalized-seed2",
+                              "simulate-scenario-seed1",
+                              "simulate-scenario-seed2"])
 def test_report_bytes_match_the_golden_hash(
         tmp_path: Path, command, config, size, sha256) -> None:
     cfg = _write(tmp_path, "cfg.json", config)
@@ -613,5 +684,7 @@ def test_report_bytes_match_the_golden_hash(
     assert main([command, "--config", cfg, "--format", "json",
                  "--out", str(out)]) == EXIT_OK
     data = out.read_bytes()
+    if command == "simulate":
+        data = _without_residuals(data)
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == sha256

@@ -251,6 +251,32 @@ def test_bandwidth_arrays_equal_the_scalar_path_bit_for_bit(
     _assert_columns_match_scalar_path(s, n_cap)
 
 
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(
+    a=st.one_of(st.floats(1e-4, 40.0), st.sampled_from([1e-300, 1e-12])),
+    b=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    log_rho=st.floats(-14.0, 18.0),
+    log_f0=st.floats(-3.0, 25.0),
+    log_c=st.floats(-3.0, 20.0),
+    log_t=st.floats(-30.0, 5.0),
+)
+def test_mode_sum_equals_the_per_mode_loop_bit_for_bit(
+        a, b, log_rho, log_f0, log_c, log_t) -> None:
+    f0, c = math.exp(log_f0), math.exp(log_c)
+    radius = a * c / f0
+    assume(radius > 0.0)
+    s = Scenario(radius_R=radius, mid_freq_F0=f0, half_bandwidth_W=b * f0,
+                 obs_time_T=math.exp(log_t), wave_speed_c=c,
+                 snr_alpha_max=math.exp(log_rho))
+    n_max = truncation_indices(s)[1]
+    assume(n_max <= 2000)
+    t_eff = effective_time(s)
+    # The sum bandwidth_profile's rows gave, left to right.
+    expected = float(sum((2 * row[0] + 1) * (row[4] * t_eff + 1.0)
+                         for row in _scalar_profile(s, n_max)))
+    assert dof_mode_sum(s).hex() == expected.hex()
+
+
 def test_bandwidth_arrays_at_the_float_range_edges() -> None:
     # A subnormal radius sends F_n to inf; a huge radius and wave speed give
     # inf / inf = NaN, which max(0.0, .) turns into 0.  Neither may warn.

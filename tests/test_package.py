@@ -89,6 +89,16 @@ def test_simulate_and_verify_load_their_layers_on_first_use(
     assert "scipy" in result["heavy"]
 
 
+def test_wavefield_does_not_load_the_cli(tmp_path: Path) -> None:
+    # simulate is a library call; the command line front end depends on it,
+    # never the other way round.
+    statement = ("import modecap.wavefield\n"
+                 "code = sorted(m for m in sys.modules if m.startswith('modecap'))")
+    result = _fresh(tmp_path, statement)
+    assert "modecap.wavefield" in result["code"]
+    assert "modecap.cli" not in result["code"]
+
+
 def _defining_modules() -> dict[str, object]:
     owners: dict[str, object] = {"__version__": modecap}
     for name, value in vars(errors).items():

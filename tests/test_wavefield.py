@@ -13,13 +13,15 @@ import warnings
 import numpy as np
 import pytest
 
-from modecap.dofcore import NormalizedParams, critical_frequency, \
+from modecap import wavefield
+from modecap.dofcore import NormalizedParams, Scenario, critical_frequency, \
     truncation_indices
 from modecap.errors import DomainError, ResolutionError
 from modecap.sampling import legendre_support_check
 from modecap.specfun import QuadratureRule, harmonic_matrix, make_quadrature, \
     sph_bessel_j
 from modecap.wavefield import (
+    FIELD_ELEMENT_LIMIT,
     ModeSpectrum,
     NoiseModel,
     PlaneWaveSource,
@@ -29,6 +31,7 @@ from modecap.wavefield import (
     empirical_critical_frequency,
     mode_snr,
     parseval_check,
+    simulate,
     synthesize_field,
     theoretical_modes,
 )
@@ -369,3 +372,65 @@ def test_empirical_cutoffs_stay_above_analytic_cutoffs() -> None:
         assert f_hat >= critical_frequency(s, n) - delta_f, n
     assert n_max == 20
     assert detected == 14  # frozen: non-degenerate split of the mode range
+
+
+_SIM_SETTINGS = {"sources": 2, "freq_points": 17, "quad_degree": 0, "seed": 3,
+                 "trials": 4}
+
+
+@pytest.mark.parametrize("d", [120.0, 0.0])
+def test_simulate_passes_each_property_by_its_tolerance(d: float) -> None:
+    # d = 0 leaves too few samples for the reconstruction check, so that
+    # property fails while the other four hold.
+    s = NormalizedParams(a=0.5, b=0.25, d=d, rho=100.0).to_scenario()
+    result = simulate(s, **_SIM_SETTINGS)
+    assert result.quad_degree == result.required_degree == 32
+    assert result.freq_step == pytest.approx(0.5 / 16, rel=1e-12)
+    names = [p.name for p in result.properties]
+    assert names == ["jacobi_anger_consistency", "parseval",
+                     "mode_noise_variance", "detectability_one_sided",
+                     "reconstruction"]
+    for prop in result.properties:
+        if isinstance(prop.value, bool):
+            assert prop.passed is prop.value
+        else:
+            assert prop.passed is (prop.value <= prop.tolerance)
+    passed = {p.name: p.passed for p in result.properties}
+    assert passed.pop("reconstruction") is (d > 0)
+    assert all(passed.values())
+    n_max = truncation_indices(s)[1]
+    cutoffs = result.empirical_cutoffs
+    assert [c.n for c in cutoffs] == list(range(1, n_max + 1))
+    for c in cutoffs:
+        assert c.analytic_Fn == critical_frequency(s, c.n)
+        assert c.detected is (c.empirical_Fn is not None)
+        assert c.one_sided(result.freq_step)
+    assert any(c.detected for c in cutoffs)
+
+
+def test_simulate_rejects_a_pointlike_or_zero_band_scenario() -> None:
+    base = NormalizedParams(a=0.5, b=0.25, d=120.0, rho=100.0).to_scenario()
+    for kwargs in ({"radius_R": 0.0}, {"half_bandwidth_W": 0.0}):
+        fields = dict(vars(base), **kwargs)
+        with pytest.raises(DomainError):
+            simulate(Scenario(**fields), **_SIM_SETTINGS)
+    for bad in ({"freq_points": 1}, {"trials": 0}):
+        with pytest.raises(DomainError):
+            simulate(base, **dict(_SIM_SETTINGS, **bad))
+
+
+def test_simulate_checks_its_resolution_before_building_a_quadrature(
+        monkeypatch) -> None:
+    def build(degree):
+        raise AssertionError(f"quadrature of degree {degree} was built")
+
+    monkeypatch.setattr(wavefield, "make_quadrature", build)
+    s = NormalizedParams(a=0.5, b=0.25, d=120.0, rho=100.0).to_scenario()
+    with pytest.raises(ResolutionError, match="required degree is 32"):
+        simulate(s, **dict(_SIM_SETTINGS, quad_degree=31))
+    # Degree 32 has 33 x 66 = 2178 nodes.
+    too_many = FIELD_ELEMENT_LIMIT // 2178 + 1
+    with pytest.raises(ResolutionError, match=str(FIELD_ELEMENT_LIMIT)):
+        simulate(s, **dict(_SIM_SETTINGS, freq_points=too_many))
+    with pytest.raises(AssertionError, match="degree 32"):
+        simulate(s, **dict(_SIM_SETTINGS, freq_points=too_many - 1))
