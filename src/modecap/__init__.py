@@ -85,17 +85,13 @@ __all__ = [
     "dof_asymptotic",
     "dof_special_cases",
     # specfun
-    "ModeIndex",
     "QuadratureRule",
     "sph_bessel_j",
     "sph_bessel_j_bound",
     "legendre_p",
-    "sph_harmonic",
     "harmonic_matrix",
-    "mode_indices",
     "flat_degrees",
     "make_quadrature",
-    "sphere_integrate",
     # sampling
     "ModeBand",
     "SampleTrain",

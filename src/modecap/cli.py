@@ -650,12 +650,7 @@ def _verify_detectability() -> tuple[bool, str]:
     theo = wavefield.theoretical_modes(
         sources, scenario.radius_R, freqs, n_max, wave_speed_c=c
     )
-    alpha_max_sq = float(np.max(theo.excitation_power()))
-    noise = wavefield.NoiseModel(
-        sigma0_sq=alpha_max_sq / scenario.snr_alpha_max,
-        alpha_max_sq=alpha_max_sq,
-        seed=1,
-    )
+    noise = wavefield.NoiseModel.calibrated(theo, scenario.snr_alpha_max, seed=1)
     step = float(freqs[1] - freqs[0])
     for cut in wavefield.mode_cutoffs(scenario, wavefield.mode_snr(theo, noise), freqs):
         if not cut.one_sided(step):

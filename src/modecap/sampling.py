@@ -33,11 +33,10 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-# Gauss-Legendre panel rule used by the band integrator.
-_GL_ORDER = 16
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_ORDER)
-# 12-node rule for the basis-orthogonality integral (half-unit panels).
-_GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
+# Gauss-Legendre (nodes, weights) per panel: 16 nodes for the band
+# integrator, 12 for the basis-orthogonality integral (half-unit panels).
+_GL16 = np.polynomial.legendre.leggauss(16)
+_GL12 = np.polynomial.legendre.leggauss(12)
 _MAX_PANELS = 1 << 18
 _MIN_WINDOW_UNITS = 50.0
 
@@ -124,12 +123,17 @@ class SampleTrain:
         return self.values * self.spacing
 
 
-def _panel_nodes(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+def _panel_nodes(
+    lo: float, hi: float, n_panels: int, rule: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss-Legendre `rule` repeated on n_panels
+    equal panels of [lo, hi]."""
+    x, w = rule
     edges = np.linspace(lo, hi, n_panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mids[:, None] + half * _GL_X[None, :]).ravel()
-    weights = np.tile(half * _GL_W, n_panels)
+    nodes = (mids[:, None] + half * x[None, :]).ravel()
+    weights = np.tile(half * w, n_panels)
     return nodes, weights
 
 
@@ -148,7 +152,7 @@ def _band_integral(
     n_panels = int(min(_MAX_PANELS, max(4, math.ceil(cycles) + 4)))
 
     def evaluate(k: int) -> tuple[np.ndarray, float]:
-        nodes, weights = _panel_nodes(omega_lo, omega_hi, k)
+        nodes, weights = _panel_nodes(omega_lo, omega_hi, k, _GL16)
         f = np.asarray(integrand(nodes), dtype=complex)
         bound = width * float(np.max(np.abs(f))) if f.size else 0.0
         kernel = np.exp(1j * np.outer(t, nodes))
@@ -253,13 +257,9 @@ def phi_basis(ell: int, t, band: ModeBand):
 def _sinc_pair_integral(ell: int, ellp: int, center: float, units: int) -> float:
     """integral of sinc(u-ell) sinc(u-ellp) du over [center-units,
     center+units] in normalized (sinc-unit) time, half-unit GL-12 panels."""
-    n_panels = 4 * units
-    edges = np.linspace(center - units, center + units, n_panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    u = (mids[:, None] + half * _GL12_X[None, :]).ravel()
+    u, weights = _panel_nodes(center - units, center + units, 4 * units, _GL12)
     f = np.sinc(u - ell) * np.sinc(u - ellp)
-    return float(f @ np.tile(half * _GL12_W, n_panels))
+    return float(f @ weights)
 
 
 def phi_inner(ell: int, ellp: int, band: ModeBand, window: float) -> complex:

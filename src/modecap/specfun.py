@@ -2,12 +2,16 @@
 
 Validated wrappers over SciPy: spherical Bessel functions of the first kind
 (scipy.special.spherical_jn, with an ascending series near zero where SciPy
-underflows), their log-space envelope bound, orthonormal complex spherical
-harmonics (scipy.special.sph_harm_y; a basis matrix is built separably, one
-broadcast call over the distinct polar angles times a table of e^{i m phi}
-over the distinct azimuths), plus Legendre polynomials by recurrence, the
-flat (n, m) mode layout, and Gauss-Legendre x uniform-azimuth product
-quadrature on the unit sphere.
+underflows), their log-space envelope bound, the orthonormal complex
+spherical-harmonic basis matrix (scipy.special.sph_harm_y, built separably:
+one broadcast call over the distinct polar angles times a table of
+e^{i m phi} over the distinct azimuths), plus Legendre polynomials by
+recurrence and Gauss-Legendre x uniform-azimuth product quadrature on the
+unit sphere.
+
+Modes (n, m) have one representation: row n*n + n + m of a mode-domain
+array, with flat_degrees giving each row's n.  A quadrature integral is the
+plain weighted sum rule.weights @ f.
 
 All functions are pure; QuadratureRule instances are immutable after
 construction.
@@ -23,17 +27,13 @@ from scipy.special import gammaln, sph_harm_y, spherical_jn
 from .errors import DomainError, ResolutionError
 
 __all__ = [
-    "ModeIndex",
     "QuadratureRule",
     "sph_bessel_j",
     "sph_bessel_j_bound",
     "legendre_p",
-    "sph_harmonic",
     "harmonic_matrix",
-    "mode_indices",
     "flat_degrees",
     "make_quadrature",
-    "sphere_integrate",
 ]
 
 _MAX_BESSEL_ORDER = 200
@@ -42,32 +42,6 @@ _MAX_QUAD_DEGREE = 512
 # double precision, while spherical_jn underflows to 0 for tiny z (it gives
 # 0.0 at n=1, z=1.3e-220, where the true value is 4.5e-221).
 _SERIES_CUTOFF = 1e-3
-
-
-@dataclass(frozen=True)
-class ModeIndex:
-    """Spherical-harmonic index: spatial mode n >= 0 and order |m| <= n."""
-
-    n: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise DomainError(f"mode n must be >= 0, got {self.n}")
-        if abs(self.m) > self.n:
-            raise DomainError(f"order |m| must be <= n, got m={self.m}, n={self.n}")
-
-    @property
-    def flat(self) -> int:
-        """Position of (n, m) in the standard flattened ordering n*n + n + m."""
-        return self.n * self.n + self.n + self.m
-
-
-def mode_indices(max_degree: int) -> list[ModeIndex]:
-    """All (n, m) indices with n <= max_degree in flat order."""
-    return [
-        ModeIndex(n, m) for n in range(max_degree + 1) for m in range(-n, n + 1)
-    ]
 
 
 def flat_degrees(max_degree: int) -> np.ndarray:
@@ -137,11 +111,6 @@ class QuadratureRule:
     def ring_shape(self) -> tuple[int, int]:
         """(rings, azimuths per ring) = (max_degree+1, 2*max_degree+2)."""
         return self.max_degree + 1, 2 * self.max_degree + 2
-
-    @property
-    def nodes(self) -> np.ndarray:
-        """Node angles as an (N, 2) array of (theta, phi) pairs."""
-        return np.column_stack((self.theta, self.phi))
 
     def __len__(self) -> int:
         return self.weights.size
@@ -252,20 +221,12 @@ def legendre_p(n: int, x):
     return float(pk[0]) if scalar else pk
 
 
-def sph_harmonic(idx: ModeIndex, theta, phi):
-    """Orthonormal complex spherical harmonic Y_nm(theta, phi).
-
-    Convention: unit-sphere integral of |Y_nm|^2 is 1 and the Condon-Shortley
-    phase is included (Y_1^1(pi/2, 0) = -sqrt(3/(8 pi))), so the orthonormality
-    relation holds with coefficient exactly 1.
-    """
-    return sph_harm_y(idx.n, idx.m, theta, phi)
-
-
 def harmonic_matrix(max_degree: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Matrix of Y_nm over points: shape ((max_degree+1)^2, len(theta)).
 
-    Rows follow the flat ordering n*n + n + m.  Evaluated separably as
+    Rows follow the flat ordering n*n + n + m.  The harmonics are
+    orthonormal on the unit sphere and include the Condon-Shortley phase
+    (Y_1^1(pi/2, 0) = -sqrt(3/(8 pi))).  Evaluated separably as
     Y_nm(theta, phi) = Y_nm(theta, 0) e^{i m phi}: sph_harm_y runs once per
     distinct polar angle and the azimuthal factor once per distinct phi and
     order m = -N..N, so a product rule with T polar rings costs (N+1)^2 T
@@ -312,21 +273,3 @@ def make_quadrature(max_degree: int) -> QuadratureRule:
     phi = np.tile(phi_az, max_degree + 1)
     weights = np.repeat(w_polar * w_az, n_az)
     return QuadratureRule(theta=theta, phi=phi, weights=weights, max_degree=int(max_degree))
-
-
-def sphere_integrate(f, rule: QuadratureRule):
-    """Weighted sum approximating the unit-sphere integral of f.
-
-    Parameters
-    ----------
-    f : array_like
-        Field values sampled exactly on rule's nodes; the first axis must
-        match the node count (extra trailing axes integrate independently).
-    rule : QuadratureRule
-    """
-    f_arr = np.asarray(f)
-    if f_arr.shape[0] != len(rule):
-        raise DomainError(
-            f"field has {f_arr.shape[0]} samples but the rule has {len(rule)} nodes"
-        )
-    return np.tensordot(rule.weights, f_arr, axes=(0, 0))

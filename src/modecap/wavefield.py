@@ -27,6 +27,7 @@ from .dofcore import Scenario, critical_frequency, effective_time, truncation_in
 from .errors import DomainError, ResolutionError
 from .sampling import ModeBand, SampleTrain, reconstruct
 from .specfun import (
+    _MAX_BESSEL_ORDER,
     QuadratureRule,
     flat_degrees,
     harmonic_matrix,
@@ -217,6 +218,17 @@ class NoiseModel:
         if not 0 <= int(self.seed) < 2**64:
             raise DomainError(f"seed must fit in 64 bits, got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
+
+    @classmethod
+    def calibrated(
+        cls, signal: ModeSpectrum, snr_alpha_max: float, seed: int
+    ) -> "NoiseModel":
+        """Noise that puts the peak excitation power of `signal` (a
+        theoretical_modes spectrum) at the peak SNR snr_alpha_max."""
+        alpha_max_sq = float(np.max(signal.excitation_power()))
+        return cls(
+            sigma0_sq=alpha_max_sq / snr_alpha_max, alpha_max_sq=alpha_max_sq, seed=seed
+        )
 
     @property
     def snr_alpha_max(self) -> float:
@@ -593,9 +605,9 @@ def simulate(
     detection cutoffs (one grid step) and sampling reconstruction (1e-2).
 
     Raises DomainError for R = 0, W = 0, freq_points < 2 or trials < 1, and
-    ResolutionError, before any quadrature is built, for a degree below the
-    required one or a field of more than FIELD_ELEMENT_LIMIT node x
-    frequency entries.
+    ResolutionError, before any quadrature is built, for n_max above the
+    largest Bessel order sph_bessel_j accepts, a degree below the required
+    one or a field of more than FIELD_ELEMENT_LIMIT node x frequency entries.
     """
     if scenario.radius_R == 0:
         raise DomainError("simulation requires radius_R > 0")
@@ -610,6 +622,11 @@ def simulate(
         )
 
     _, n_max = truncation_indices(scenario)
+    if n_max > _MAX_BESSEL_ORDER:
+        raise ResolutionError(
+            f"analysis degree n_max = {n_max} exceeds the largest supported "
+            f"Bessel order {_MAX_BESSEL_ORDER}"
+        )
     c = scenario.wave_speed_c
     band_lo, band_hi = scenario.band
     k_max_r = 2.0 * math.pi * band_hi * scenario.radius_R / c
@@ -643,11 +660,7 @@ def simulate(
     analyzed_full = analyze_modes(field, grid, n_field, freqs)
     parseval_err = parseval_check(field, grid, analyzed_full)
 
-    # Excitation peak power: fixes sigma0 so the peak mode SNR equals the
-    # scenario's snr_alpha_max.
-    alpha_max_sq = float(np.max(theo.excitation_power()))
-    sigma0_sq = alpha_max_sq / scenario.snr_alpha_max
-    noise = NoiseModel(sigma0_sq=sigma0_sq, alpha_max_sq=alpha_max_sq, seed=seed)
+    noise = NoiseModel.calibrated(theo, scenario.snr_alpha_max, seed)
 
     # Noise-variance property: Monte Carlo on one frequency column; per-trial
     # seeds derive from the base seed so trials decorrelate deterministically.
@@ -659,6 +672,7 @@ def simulate(
         noisy = add_noise(column, grid, replace(noise, seed=seed + 1 + trial))
         nu = analyze_modes(noisy, grid, n_max, freqs[[mid]]).coeffs - base
         acc += np.abs(nu[:, 0]) ** 2
+    sigma0_sq = noise.sigma0_sq
     noise_var_err = float(np.max(np.abs(acc / trials - sigma0_sq) / sigma0_sq))
 
     # Detectability: SNR curves from the analyzed (noiseless) spectrum; the

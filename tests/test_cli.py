@@ -514,6 +514,31 @@ def test_simulate_source_and_trial_caps_exit_2(
             assert f"simulation.{key}" in err and str(cap) in err
 
 
+def test_simulate_above_the_bessel_order_cap_exits_5(
+        tmp_path: Path, monkeypatch, capsys) -> None:
+    reached = _reached_quadrature(monkeypatch)
+
+    def synthesize(*args, **kwargs):
+        raise AssertionError("the field was synthesized")
+
+    monkeypatch.setattr(wavefield, "synthesize_field", synthesize)
+    sim = {"sources": 16, "freq_points": 30}
+    # n_max is 200 at a = 19.5, the largest order sph_bessel_j accepts.
+    cfg = _write(tmp_path, "cfg.json", {
+        "normalized": {"a": 19.5, "b": 0.2, "d": 1.0, "rho": 1.0}, "simulation": sim})
+    with pytest.raises(reached):
+        main(["simulate", "--config", cfg])
+    # n_max is 205 at a = 20.
+    cfg = _write(tmp_path, "cfg.json", {
+        "normalized": {"a": 20.0, "b": 0.2, "d": 1.0, "rho": 1.0}, "simulation": sim})
+    out = tmp_path / "sim.json"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_RESOLUTION
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("resolution error: ") and err.count("\n") == 1
+    assert "n_max = 205" in err and "200" in err
+
+
 def test_verify_reports_every_property(capsys) -> None:
     assert main(["verify"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -522,6 +547,24 @@ def test_verify_reports_every_property(capsys) -> None:
     assert len(passes) == 7
     assert not any(line.startswith("FAIL") for line in lines)
     assert lines[-1].endswith("all properties hold")
+
+
+# sha256 of the verify text measured before its noise calibration and its
+# orthogonality panels were shared with simulate and the band integrator.
+# The Gram residual moves with the BLAS in use, so it is blanked.
+_VERIFY_SIZE = 488
+_VERIFY_SHA256 = "a5bf3f58635c9d280ca716260fd1ec94b79bdbbcaa238e08f8b37d50cce8d0ef"
+
+
+def test_verify_bytes_match_the_golden_hash(tmp_path: Path) -> None:
+    out = tmp_path / "verify.txt"
+    assert main(["verify", "--out", str(out)]) == EXIT_OK
+    text, count = re.subn(r"(max \|Gram - I\| = )\S+", r"\1null",
+                          out.read_text())
+    assert count == 1
+    data = text.encode()
+    assert len(data) == _VERIFY_SIZE
+    assert hashlib.sha256(data).hexdigest() == _VERIFY_SHA256
 
 
 def test_help_and_unknown_subcommand() -> None:

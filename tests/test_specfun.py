@@ -17,16 +17,13 @@ from scipy.special import sph_harm_y
 
 from modecap.errors import DomainError, ResolutionError
 from modecap.specfun import (
-    ModeIndex,
     QuadratureRule,
+    flat_degrees,
     harmonic_matrix,
     legendre_p,
     make_quadrature,
-    mode_indices,
     sph_bessel_j,
     sph_bessel_j_bound,
-    sph_harmonic,
-    sphere_integrate,
 )
 
 # (n, z, j_n(z)) frozen from a 60-digit power-series evaluation; the two
@@ -162,38 +159,33 @@ def test_legendre_bounded_by_one(n: int, x: float) -> None:
     assert abs(legendre_p(n, x)) <= 1.0 + 1e-12
 
 
-def test_mode_index_flat_layout() -> None:
-    idx = ModeIndex(n=3, m=-2)
-    assert idx.flat == 3 * 3 + 3 - 2
-    listing = mode_indices(4)
-    assert len(listing) == 25
-    assert [e.flat for e in listing] == list(range(25))
-    assert all(abs(e.m) <= e.n for e in listing)
-    with pytest.raises(DomainError):
-        ModeIndex(n=2, m=3)
-
-
-def test_sph_harmonic_known_values() -> None:
-    val00 = sph_harmonic(ModeIndex(0, 0), 0.3, 1.2)
-    assert val00 == pytest.approx(1.0 / math.sqrt(4 * math.pi), rel=1e-14)
-    # Positive-m harmonics carry the (-1)^m sign convention.
-    val11 = sph_harmonic(ModeIndex(1, 1), math.pi / 2, 0.0)
-    assert val11.real == pytest.approx(-math.sqrt(3 / (8 * math.pi)), rel=1e-12)
-    assert val11.imag == pytest.approx(0.0, abs=1e-15)
-    theta = np.linspace(0.0, math.pi, 11)
-    val10 = sph_harmonic(ModeIndex(1, 0), theta, np.zeros_like(theta))
-    ref = math.sqrt(3 / (4 * math.pi)) * np.cos(theta)
-    assert np.max(np.abs(val10 - ref)) < 1e-14
-
-
-def test_harmonic_matrix_rows_match_single_evaluations() -> None:
+def test_flat_layout() -> None:
+    # Mode (n, m) sits at row n*n + n + m: orders -n..n of each degree in turn.
+    rows = [n * n + n + m for n in range(5) for m in range(-n, n + 1)]
+    assert rows == list(range(25))
+    degrees = flat_degrees(4)
+    assert degrees.tolist() == [n for n in range(5) for _ in range(2 * n + 1)]
+    # Lower degrees are a prefix, so (N+1)^2 leading rows are degree N's layout.
+    assert np.array_equal(degrees[:9], flat_degrees(2))
     theta = np.array([0.4, 1.1, 2.9])
     phi = np.array([0.0, 2.5, 5.1])
-    matrix = harmonic_matrix(2, theta, phi)
-    assert matrix.shape == (9, 3)
-    for idx in mode_indices(2):
-        assert np.allclose(matrix[idx.flat], sph_harmonic(idx, theta, phi),
-                           rtol=0, atol=1e-15)
+    matrix = harmonic_matrix(4, theta, phi)
+    assert matrix.shape == (25, 3)
+    for n, m in [(0, 0), (2, -2), (3, 1), (4, -4), (4, 4)]:
+        assert np.array_equal(matrix[n * n + n + m], sph_harm_y(n, m, theta, phi))
+
+
+def test_harmonic_matrix_known_values() -> None:
+    y00 = harmonic_matrix(0, np.array([0.3]), np.array([1.2]))
+    assert y00[0, 0] == pytest.approx(1.0 / math.sqrt(4 * math.pi), rel=1e-14)
+    # Positive-m harmonics carry the Condon-Shortley sign (-1)^m; Y_11 is row 3.
+    y11 = harmonic_matrix(1, np.array([math.pi / 2]), np.array([0.0]))[3, 0]
+    assert y11.real == pytest.approx(-math.sqrt(3 / (8 * math.pi)), rel=1e-12)
+    assert y11.imag == pytest.approx(0.0, abs=1e-15)
+    theta = np.linspace(0.0, math.pi, 11)
+    y10 = harmonic_matrix(1, theta, np.zeros_like(theta))[2]
+    ref = math.sqrt(3 / (4 * math.pi)) * np.cos(theta)
+    assert np.max(np.abs(y10 - ref)) < 1e-14
 
 
 def _direct_harmonic_matrix(max_degree: int, theta, phi) -> np.ndarray:
@@ -238,10 +230,9 @@ def test_quadrature_weights_and_exactness() -> None:
     assert math.fsum(rule.weights.tolist()) == pytest.approx(
         4 * math.pi, rel=1e-14)
     ones = np.ones(len(rule))
-    assert sphere_integrate(ones, rule) == pytest.approx(4 * math.pi, rel=1e-13)
+    assert rule.weights @ ones == pytest.approx(4 * math.pi, rel=1e-13)
     cos2 = np.cos(rule.theta) ** 2
-    assert sphere_integrate(cos2, rule) == pytest.approx(
-        4 * math.pi / 3, rel=1e-13)
+    assert rule.weights @ cos2 == pytest.approx(4 * math.pi / 3, rel=1e-13)
 
 
 def test_quadrature_gram_identity() -> None:
@@ -318,11 +309,3 @@ def test_quadrature_rule_rejects_nodes_off_the_product_layout() -> None:
     for arrays in bad:
         with pytest.raises(DomainError):
             QuadratureRule(**arrays)
-
-
-def test_sphere_integrate_vector_valued() -> None:
-    rule = make_quadrature(4)
-    f = np.stack([np.ones(len(rule)), np.cos(rule.theta) ** 2])
-    # Leading axis indexes the node; trailing axes pass through.
-    out = sphere_integrate(np.moveaxis(f, 0, -1).T.copy().T, rule)
-    assert out.shape == (2,)

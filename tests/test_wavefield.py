@@ -252,6 +252,19 @@ def test_excitation_power_divides_out_the_bessel_table() -> None:
     assert np.all(power[1:, 0] == 0.0)
 
 
+def test_calibrated_noise_puts_the_peak_excitation_at_the_snr() -> None:
+    src = PlaneWaveSource(theta=0.7, phi=1.9, amplitude=0.5 - 2.0j)
+    spectrum = theoretical_modes([src], 1.0, np.array([0.4, 1.3]), 4,
+                                 wave_speed_c=1.0)
+    noise = NoiseModel.calibrated(spectrum, 50.0, seed=4)
+    assert noise.alpha_max_sq == float(np.max(spectrum.excitation_power()))
+    assert noise.sigma0_sq == noise.alpha_max_sq / 50.0
+    assert noise.seed == 4
+    analyzed = ModeSpectrum(radius=1.0, freqs=spectrum.freqs, coeffs=spectrum.coeffs)
+    with pytest.raises(DomainError, match="Bessel table"):
+        NoiseModel.calibrated(analyzed, 50.0, seed=4)
+
+
 def test_noise_is_deterministic_per_seed() -> None:
     rule = make_quadrature(5)
     grid = SphericalGrid(radius=1.0, rule=rule)
