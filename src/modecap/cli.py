@@ -82,14 +82,9 @@ MAX_TRIALS = 4096
 MAX_THREADS = 64
 
 
-def _fmt(x: float) -> str:
-    """Canonical 12-significant-digit rendering."""
-    return f"{float(x):.12g}"
-
-
 def _round12(x: float) -> float:
     """Round to the 12 significant digits that get printed."""
-    return float(_fmt(x))
+    return float(f"{float(x):.12g}")
 
 
 def _rounded(value: Any) -> Any:
@@ -429,23 +424,15 @@ def _point_report(
     }
 
 
+# One sweep or compute CSV row, each float printed to 12 significant digits.
+_CSV_ROW = "%.12g,%.12g,%.12g,%.12g,%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g"
+
+
 def _csv_row(
     p: NormalizedParams, n_min: int, n_max: int, bd: DofBreakdown
 ) -> str:
-    fields = [
-        _fmt(p.a),
-        _fmt(p.b),
-        _fmt(p.d),
-        _fmt(p.rho),
-        str(n_min),
-        str(n_max),
-        _fmt(bd.t_eff),
-        _fmt(bd.d1),
-        _fmt(bd.d2),
-        _fmt(bd.d3),
-        _fmt(bd.total),
-    ]
-    return ",".join(fields)
+    return _CSV_ROW % (p.a, p.b, p.d, p.rho, n_min, n_max,
+                       bd.t_eff, bd.d1, bd.d2, bd.d3, bd.total)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Validated wrappers over SciPy: spherical Bessel functions of the first kind
 (scipy.special.spherical_jn, with an ascending series near zero where SciPy
 underflows), their log-space envelope bound, the orthonormal complex
-spherical-harmonic basis matrix (scipy.special.sph_harm_y, built separably:
-one broadcast call over the distinct polar angles times a table of
-e^{i m phi} over the distinct azimuths), plus Legendre polynomials by
+spherical-harmonic basis matrix (built separably: one all-degree recurrence,
+scipy.special.sph_harm_y_all, over the distinct polar angles, O(N^2) per
+angle and bit-equal to a broadcast scipy.special.sph_harm_y, times a table
+of e^{i m phi} over the distinct azimuths), plus Legendre polynomials by
 recurrence and Gauss-Legendre x uniform-azimuth product quadrature on the
 unit sphere.
 
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, sph_harm_y, spherical_jn
+from scipy.special import gammaln, sph_harm_y_all, spherical_jn
 
 from .errors import DomainError, ResolutionError
 
@@ -42,6 +43,16 @@ _MAX_QUAD_DEGREE = 512
 # double precision, while spherical_jn underflows to 0 for tiny z (it gives
 # 0.0 at n=1, z=1.3e-220, where the true value is 4.5e-221).
 _SERIES_CUTOFF = 1e-3
+
+
+def _check_degree(max_degree) -> None:
+    """Raise DomainError unless max_degree is an integer >= 0 (bool is not)."""
+    if (
+        not isinstance(max_degree, (int, np.integer))
+        or isinstance(max_degree, bool)
+        or max_degree < 0
+    ):
+        raise DomainError(f"max_degree must be an integer >= 0, got {max_degree!r}")
 
 
 def flat_degrees(max_degree: int) -> np.ndarray:
@@ -70,14 +81,8 @@ class QuadratureRule:
     max_degree: int
 
     def __post_init__(self) -> None:
-        degree = self.max_degree
-        if (
-            not isinstance(degree, (int, np.integer))
-            or isinstance(degree, bool)
-            or degree < 0
-        ):
-            raise DomainError(f"max_degree must be an integer >= 0, got {degree!r}")
-        object.__setattr__(self, "max_degree", int(degree))
+        _check_degree(self.max_degree)
+        object.__setattr__(self, "max_degree", int(self.max_degree))
         rings, azimuths = self.ring_shape
         for name in ("theta", "phi", "weights"):
             arr = np.asarray(getattr(self, name), dtype=float)
@@ -227,21 +232,30 @@ def harmonic_matrix(max_degree: int, theta: np.ndarray, phi: np.ndarray) -> np.n
     Rows follow the flat ordering n*n + n + m.  The harmonics are
     orthonormal on the unit sphere and include the Condon-Shortley phase
     (Y_1^1(pi/2, 0) = -sqrt(3/(8 pi))).  Evaluated separably as
-    Y_nm(theta, phi) = Y_nm(theta, 0) e^{i m phi}: sph_harm_y runs once per
-    distinct polar angle and the azimuthal factor once per distinct phi and
-    order m = -N..N, so a product rule with T polar rings costs (N+1)^2 T
-    Legendre evaluations instead of one per (mode, point).  The result equals
-    the direct broadcast sph_harm_y(n, m, theta, phi) bit for bit.
+    Y_nm(theta, phi) = Y_nm(theta, 0) e^{i m phi}: one sph_harm_y_all call
+    runs the Legendre recurrence once per distinct polar angle and yields
+    every degree and order on the way, and the azimuthal factor is taken once
+    per distinct phi and order m = -N..N.  A product rule with T polar rings
+    therefore costs O(N^2 T) instead of the O(N^3 T) of one recurrence per
+    (mode, ring).  The result equals the direct broadcast
+    sph_harm_y(n, m, theta, phi) bit for bit.
+
+    Raises DomainError unless max_degree is an integer >= 0 (bool is not)
+    and every theta and phi is finite.
     """
+    _check_degree(max_degree)
     theta, phi = np.broadcast_arrays(
         np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     )
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
+        raise DomainError("harmonic angles theta and phi must be finite")
     theta_u, theta_at = np.unique(theta, return_inverse=True)
     phi_u, phi_at = np.unique(phi, return_inverse=True)
     n = flat_degrees(max_degree)
     m = np.arange(n.size) - n * (n + 1)
-    polar = sph_harm_y(n[:, None], m[:, None], theta_u[None, :], 0.0)
-    out = polar[:, theta_at.ravel()]
+    # sph_harm_y_all holds order m at index m mod (2N+1) of its second axis.
+    polar = sph_harm_y_all(max_degree, max_degree, theta_u, 0.0)
+    out = polar[n[:, None], m[:, None] % (2 * max_degree + 1), theta_at.ravel()]
     orders = np.arange(-max_degree, max_degree + 1)
     azimuth = np.exp(1j * orders[:, None] * phi_u[None, :])[:, phi_at.ravel()]
     # Rows n*n .. n*n + 2n hold m = -n..n, one contiguous slice of azimuth.

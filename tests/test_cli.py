@@ -692,39 +692,56 @@ def _without_residuals(data: bytes) -> bytes:
 
 # sha256 of reports measured before the mode table and sweep rows got their
 # own writer, and for simulate before its pipeline moved out of the command
-# line front end; any change to a printed byte changes these.
+# line front end; any change to a printed byte changes these.  The CSV rows,
+# and simulate at quadrature degree 46, were measured before the CSV row got
+# one format template and the polar table one all-degree recurrence.
+_SWEEP_GRID = {"sweep": {"a": [0, 0.05, 1.0, 3.7], "b": [0, 0.5, 1],
+                         "d": [0, 2.5], "rho": [0.01, 1, 100]}}
+# Each column of this grid prints all 12 significant digits somewhere.
+_SWEEP_DIGITS = {"sweep": {"a": [0, 1 / 3, math.pi], "b": [0.5, 2 / 3, 1],
+                           "d": [0, math.e], "rho": [0.01, 7 / 3]}}
+_COMPUTE_POINT = {"normalized": {"a": 300, "b": 0.5, "d": 7, "rho": 50}}
+_SIM_WIDE = {"normalized": {"a": 1.0, "b": 0.5, "d": 10.0, "rho": 100.0},
+             "simulation": {"sources": 3, "freq_points": 17, "quad_degree": 46,
+                            "trials": 8, "seed": 1}}
 _GOLDEN = [
-    ("compute", {"normalized": {"a": 300, "b": 0.5, "d": 7, "rho": 50}},
+    ("compute", "json", _COMPUTE_POINT,
      418224, "4a59071fd7253a3219e876e31078d690168c043b031bd956dee124115cf8c470"),
-    ("compute", {"scenario": {"radius_R": 0.5, "mid_freq_F0": 3e9,
-                              "half_bandwidth_W": 1e9, "obs_time_T": 2e-8,
-                              "snr_alpha_max": 1000}},
+    ("compute", "json", {"scenario": {"radius_R": 0.5, "mid_freq_F0": 3e9,
+                                      "half_bandwidth_W": 1e9, "obs_time_T": 2e-8,
+                                      "snr_alpha_max": 1000}},
      7080, "a1060177fd29c52237880d06bca1484947371f5a25590b3e25375de03444d07d"),
-    ("sweep", {"sweep": {"a": [0, 0.05, 1.0, 3.7], "b": [0, 0.5, 1],
-                         "d": [0, 2.5], "rho": [0.01, 1, 100]}},
+    ("sweep", "json", _SWEEP_GRID,
      15998, "e5a7e10dc694ccb01bd4626d3ac95059ce30f58060768fdddc735e0e74896a0f"),
-    ("simulate", _small_simulation(_SIM_NORMALIZED, 1),
+    ("simulate", "json", _small_simulation(_SIM_NORMALIZED, 1),
      3100, "e360038ef15e4928b3c002b0198e9cab564b75c663aa726f52ae7b442af9422d"),
-    ("simulate", _small_simulation(_SIM_NORMALIZED, 2),
+    ("simulate", "json", _small_simulation(_SIM_NORMALIZED, 2),
      3100, "c1f3204184d25b65684b50580d99280d8b22502efba03bc7b8d90d0086c42fb3"),
-    ("simulate", _small_simulation(_SIM_SCENARIO, 1),
+    ("simulate", "json", _small_simulation(_SIM_SCENARIO, 1),
      3291, "da9062ca7e69389a74feb321ad109cd60ad8b3362fe887ddce1f400d6e700e11"),
-    ("simulate", _small_simulation(_SIM_SCENARIO, 2),
+    ("simulate", "json", _small_simulation(_SIM_SCENARIO, 2),
      3284, "ec460d31dc0ca09c915c15f2c056164606b87ca3d3ab5259f71e933c468e2ea9"),
+    ("compute", "csv", _COMPUTE_POINT,
+     122, "a70ebf220241923b0f12ffa354596029db24a6ad4ad5a23d548a6198927c3eaa"),
+    ("sweep", "csv", _SWEEP_DIGITS,
+     3145, "724913248e847f277e03bbf78f9ffe4ce737975951fb2816945979f394542673"),
+    ("simulate", "json", _SIM_WIDE,
+     4994, "82b8115e9e5346a548c78bf1b269184cb452b17b8ccffb3888c3708c8b325322"),
 ]
 
 
-@pytest.mark.parametrize("command, config, size, sha256", _GOLDEN,
+@pytest.mark.parametrize("command, fmt, config, size, sha256", _GOLDEN,
                          ids=["compute-normalized", "compute-scenario",
                               "sweep-json", "simulate-normalized-seed1",
                               "simulate-normalized-seed2",
                               "simulate-scenario-seed1",
-                              "simulate-scenario-seed2"])
+                              "simulate-scenario-seed2", "compute-csv",
+                              "sweep-csv", "simulate-quad46"])
 def test_report_bytes_match_the_golden_hash(
-        tmp_path: Path, command, config, size, sha256) -> None:
+        tmp_path: Path, command, fmt, config, size, sha256) -> None:
     cfg = _write(tmp_path, "cfg.json", config)
-    out = tmp_path / "report.json"
-    assert main([command, "--config", cfg, "--format", "json",
+    out = tmp_path / "report.out"
+    assert main([command, "--config", cfg, "--format", fmt,
                  "--out", str(out)]) == EXIT_OK
     data = out.read_bytes()
     if command == "simulate":

@@ -8,6 +8,7 @@ and closed-form Legendre polynomials.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,17 @@ def _seeded_points(count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _RULE_46 = make_quadrature(46)
+# a=3's polar table: degree 41 on the 91 rings of the degree-90 rule, one
+# azimuth of the rule per ring.
+_RULE_90 = make_quadrature(90)
+_RINGS_90 = (_RULE_90.theta[:: 2 * 90 + 2], _RULE_90.phi[: 2 * 90 + 2 : 2])
+
+
+def _pole_points() -> tuple[np.ndarray, np.ndarray]:
+    """Both poles, the subnormal and the last double short of pi, then seeded."""
+    edge = np.array([0.0, math.pi, 5e-324, np.nextafter(math.pi, 0.0)])
+    theta, phi = _seeded_points(6)
+    return np.concatenate([edge, theta]), np.concatenate([phi[:4], phi])
 
 
 @pytest.mark.parametrize(
@@ -215,6 +227,8 @@ _RULE_46 = make_quadrature(46)
         pytest.param(7, np.linspace(0.1, 3.0, 6), np.full(6, 2.2),
                      id="shared-phi"),
         pytest.param(9, np.array([1.1]), np.array([0.4]), id="single-point"),
+        pytest.param(200, *_pole_points(), id="degree200-poles"),
+        pytest.param(41, *_RINGS_90, id="rule90-rings-degree41"),
     ],
 )
 def test_harmonic_matrix_equals_direct_evaluation_exactly(
@@ -222,6 +236,28 @@ def test_harmonic_matrix_equals_direct_evaluation_exactly(
 ) -> None:
     matrix = harmonic_matrix(max_degree, theta, phi)
     assert np.array_equal(matrix, _direct_harmonic_matrix(max_degree, theta, phi))
+
+
+@pytest.mark.parametrize("degree", [-1, 2.5, True, "3", None])
+def test_harmonic_matrix_rejects_a_bad_degree(degree) -> None:
+    with pytest.raises(DomainError, match="max_degree"):
+        harmonic_matrix(degree, np.array([0.5]), np.array([0.5]))
+
+
+@pytest.mark.parametrize(
+    ("theta", "phi"),
+    [
+        pytest.param([0.5, math.nan], [0.1, 0.2], id="nan-theta"),
+        pytest.param([0.5, 1.0], [0.1, math.inf], id="inf-phi"),
+        pytest.param([-math.inf], [0.1], id="inf-theta"),
+        pytest.param([0.5], [math.nan], id="nan-phi"),
+    ],
+)
+def test_harmonic_matrix_rejects_non_finite_angles(theta, phi) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite"):
+            harmonic_matrix(3, np.array(theta), np.array(phi))
 
 
 def test_quadrature_weights_and_exactness() -> None:
