@@ -26,7 +26,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -60,8 +60,8 @@ _CSV_HEADER = "a,b,d,rho,n_min,n_max,t_eff,d1,d2,d3,dof_total"
 
 _SCENARIO_REQUIRED = {"radius_R", "mid_freq_F0", "half_bandwidth_W", "obs_time_T"}
 _SCENARIO_OPTIONAL = {"wave_speed_c", "threshold_gamma", "snr_alpha_max"}
-_NORMALIZED_KEYS = {"a", "b", "d", "rho"}
-_SWEEP_KEYS = {"a", "b", "d", "rho"}
+# The keys of a normalized point and of a sweep grid.
+_POINT_KEYS = {"a", "b", "d", "rho"}
 _SIMULATION_KEYS = {"sources", "freq_points", "quad_degree", "seed", "trials"}
 _TOP_KEYS = {"scenario", "normalized", "sweep", "simulation"}
 
@@ -114,11 +114,13 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    # Besides JSONDecodeError, json.loads raises ValueError for an integer
+    # literal above 4300 digits and RecursionError for very deep nesting.
     try:
         cfg = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -132,68 +134,61 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _block(
+    cfg: dict, name: str, required: Iterable[str], optional: Iterable[str] = ()
+) -> dict | None:
+    """cfg[name], or None when the config has no such block.
+
+    Raises ConfigError when the block is not an object, holds a key outside
+    required | optional, or lacks a required key.
+    """
+    block = cfg.get(name)
+    if block is None:
+        return None
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name!r} must be a JSON object")
+    unknown = set(block) - set(required) - set(optional)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    missing = set(required) - set(block)
+    if missing:
+        raise ConfigError(f"{name} is missing required keys: {sorted(missing)}")
+    return block
+
+
 def _number(block: str, key: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{block}.{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _build_scenario(cfg: dict) -> Scenario | None:
-    block = cfg.get("scenario")
-    if block is None:
-        return None
-    if not isinstance(block, dict):
-        raise ConfigError("'scenario' must be a JSON object")
-    unknown = set(block) - _SCENARIO_REQUIRED - _SCENARIO_OPTIONAL
-    if unknown:
-        raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
-    missing = _SCENARIO_REQUIRED - set(block)
-    if missing:
-        raise ConfigError(f"scenario is missing required keys: {sorted(missing)}")
-    kwargs = {k: _number("scenario", k, v) for k, v in block.items()}
-    return Scenario(**kwargs)
-
-
-def _build_normalized(cfg: dict) -> NormalizedParams | None:
-    block = cfg.get("normalized")
-    if block is None:
-        return None
-    if not isinstance(block, dict):
-        raise ConfigError("'normalized' must be a JSON object")
-    if set(block) != _NORMALIZED_KEYS:
-        raise ConfigError(
-            f"normalized block must have exactly the keys {sorted(_NORMALIZED_KEYS)}, "
-            f"got {sorted(block)}"
-        )
-    kwargs = {k: _number("normalized", k, v) for k, v in block.items()}
-    return NormalizedParams(**kwargs)
+    try:
+        return float(value)
+    except OverflowError:
+        # An integer literal beyond the float range; 1e400 reads as inf and
+        # fails the same finiteness check downstream.
+        raise DomainError(f"{block}.{key} must be finite, got an integer "
+                          "literal beyond the float range") from None
 
 
 def _require_point(cfg: dict) -> tuple[Scenario, NormalizedParams | None]:
     """The config's point as a Scenario, plus its NormalizedParams when it
     came as a normalized block (then realized with F0 = c = 1)."""
-    scenario = _build_scenario(cfg)
-    params = _build_normalized(cfg)
-    if params is not None:
+    block = _block(cfg, "normalized", _POINT_KEYS)
+    if block is not None:
+        params = NormalizedParams(
+            **{k: _number("normalized", k, v) for k, v in block.items()}
+        )
         return params.to_scenario(), params
-    if scenario is None:
+    block = _block(cfg, "scenario", _SCENARIO_REQUIRED, _SCENARIO_OPTIONAL)
+    if block is None:
         raise ConfigError(
             "config must contain exactly one of 'scenario' or 'normalized'"
         )
-    return scenario, None
+    return Scenario(**{k: _number("scenario", k, v) for k, v in block.items()}), None
 
 
 def _build_sweep(cfg: dict) -> dict[str, list[float]]:
-    block = cfg.get("sweep")
+    block = _block(cfg, "sweep", _POINT_KEYS)
     if block is None:
         raise ConfigError("sweep command requires a 'sweep' block with grids")
-    if not isinstance(block, dict):
-        raise ConfigError("'sweep' must be a JSON object")
-    if set(block) != _SWEEP_KEYS:
-        raise ConfigError(
-            f"sweep block must have exactly the keys {sorted(_SWEEP_KEYS)}, "
-            f"got {sorted(block)}"
-        )
     grids: dict[str, list[float]] = {}
     for key, values in block.items():
         if not isinstance(values, list) or not values:
@@ -203,14 +198,9 @@ def _build_sweep(cfg: dict) -> dict[str, list[float]]:
 
 
 def _build_simulation(cfg: dict, seed_override: int | None) -> dict[str, int]:
-    block = cfg.get("simulation")
+    block = _block(cfg, "simulation", (), _SIMULATION_KEYS)
     if block is None:
         raise ConfigError("simulate command requires a 'simulation' block")
-    if not isinstance(block, dict):
-        raise ConfigError("'simulation' must be a JSON object")
-    unknown = set(block) - _SIMULATION_KEYS
-    if unknown:
-        raise ConfigError(f"unknown simulation keys: {sorted(unknown)}")
     out = {"sources": 3, "freq_points": 257, "quad_degree": 0, "seed": 1, "trials": 64}
     for key, value in block.items():
         if key == "quad_degree" and value == "auto":
@@ -258,8 +248,8 @@ def _thread_count() -> int:
     return value
 
 
-def _write_output(text: str, out_path: str | None) -> None:
-    if out_path is None:
+def _write_output(text: str, out_path: str) -> None:
+    if out_path == "-":
         sys.stdout.write(text)
         return
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -670,11 +660,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
+# argument parsing
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ConfigError, so they exit 2
+    with one stderr line instead of a usage block."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(f"{self.prog}: {' '.join(message.splitlines())}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modecap",
         description=(
             "Degrees-of-freedom bounds for band-limited wavefields observed "
@@ -683,56 +681,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, needs_config: bool) -> None:
-        if needs_config:
+    # Each subcommand takes only the flags its handler reads; a config-driven
+    # one also takes --config and --format, defaulting to the first format.
+    def command(
+        name: str, run: Callable[[argparse.Namespace], int], summary: str,
+        formats: Sequence[str] = (),
+    ) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        if formats:
             p.add_argument("--config", required=True, help="path to JSON config")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument(
-            "--seed", type=int, default=None, help="override the simulation seed"
-        )
-        p.add_argument(
-            "--format",
-            choices=("csv", "json"),
-            default=None,
-            help="output format",
-        )
+            p.add_argument("--format", choices=formats, default=formats[0],
+                           help=f"output format (default {formats[0]})")
+        p.add_argument("--out", default="-", help="output path (default -, stdout)")
+        return p
 
-    p_compute = sub.add_parser("compute", help="evaluate one scenario")
-    add_common(p_compute, needs_config=True)
-    p_sweep = sub.add_parser("sweep", help="evaluate a dimensionless grid")
-    add_common(p_sweep, needs_config=True)
-    p_sim = sub.add_parser("simulate", help="run the wavefield verification pipeline")
-    add_common(p_sim, needs_config=True)
-    p_verify = sub.add_parser("verify", help="run the invariant suite")
-    add_common(p_verify, needs_config=False)
+    command("compute", cmd_compute, "evaluate one scenario", ("json", "csv"))
+    command("sweep", cmd_sweep, "evaluate a dimensionless grid", ("csv", "json"))
+    simulate = command("simulate", cmd_simulate,
+                       "run the wavefield verification pipeline", ("json",))
+    simulate.add_argument("--seed", type=int, help="override the simulation seed")
+    command("verify", cmd_verify, "run the invariant suite")
     return parser
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "compute":
-        if args.format is None:
-            args.format = "json"
-        return cmd_compute(args)
-    if args.command == "sweep":
-        if args.format is None:
-            args.format = "csv"
-        return cmd_sweep(args)
-    if args.command == "simulate":
-        if args.format == "csv":
-            raise ConfigError("simulate reports are JSON only; csv is not supported")
-        return cmd_simulate(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    raise ConfigError(f"unknown command {args.command!r}")  # pragma: no cover
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_CONFIG
-    try:
-        return _dispatch(args)
+        return args.run(args)
+    except SystemExit as exc:  # --help, the one flag that exits
+        return int(exc.code or 0)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_index
 
 __all__ = [
     "EPI",
@@ -272,10 +272,7 @@ def critical_frequency(s: Scenario, n: int) -> float:
     Raises DomainError for R = 0: a pointlike region has no mode structure,
     and callers should take the R = 0 special case instead.
     """
-    if not isinstance(n, (int,)) or isinstance(n, bool):
-        raise DomainError(f"mode index must be an integer, got {n!r}")
-    if n < 0:
-        raise DomainError(f"mode index must be >= 0, got {n}")
+    n = require_index("mode index", n)
     if s.radius_R == 0:
         raise DomainError(
             "critical_frequency is undefined for radius_R = 0; use the "
@@ -337,8 +334,8 @@ def bandwidth_arrays(s: Scenario, n_cap: int | None = None) -> ModeBandArrays:
     n_min, n_max = truncation_indices(s)
     if n_cap is None:
         n_cap = n_max
-    elif not isinstance(n_cap, int) or isinstance(n_cap, bool) or n_cap < 0:
-        raise DomainError(f"n_cap must be an integer >= 0, got {n_cap!r}")
+    else:
+        n_cap = require_index("n_cap", n_cap)
     lo, hi = s.band
     n = np.arange(n_cap + 1)
     fn = _critical_frequencies(s, n)
@@ -393,7 +390,7 @@ def dof_mode_sum(s: Scenario) -> float:
 
 
 def _breakdown(
-    a: float, b: float, d: float, rho: float, t_eff: float, wt2: float
+    a: float, b: float, rho: float, t_eff: float, wt2: float
 ) -> DofBreakdown:
     """Closed-form bound from dimensionless parameters.
 
@@ -428,7 +425,7 @@ def dof_closed_form(s: Scenario) -> DofBreakdown:
     p = NormalizedParams.from_scenario(s)
     t_eff = effective_time(s)
     wt2 = 2.0 * s.half_bandwidth_W * t_eff
-    return _breakdown(p.a, p.b, p.d, p.rho, t_eff, wt2)
+    return _breakdown(p.a, p.b, p.rho, t_eff, wt2)
 
 
 def dof_normalized_breakdown(p: NormalizedParams) -> DofBreakdown:
@@ -442,7 +439,7 @@ def dof_normalized_breakdown(p: NormalizedParams) -> DofBreakdown:
         return DofBreakdown(d1=1.0, d2=two_wt, d3=0.0, total=two_wt + 1.0, t_eff=p.d)
     t_eff = p.d + 2.0 * p.a
     wt2 = 2.0 * p.b * (2.0 * p.a + p.d)
-    return _breakdown(p.a, p.b, p.d, p.rho, t_eff, wt2)
+    return _breakdown(p.a, p.b, p.rho, t_eff, wt2)
 
 
 def dof_normalized(p: NormalizedParams) -> float:

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError
+from .errors import DomainError, ResolutionError, require_index
 from .specfun import legendre_p
 
 __all__ = [
@@ -333,8 +333,7 @@ def legendre_support_check(
     Degenerate cases are exact: r = 0 returns obs_time_T (identity kernel
     limit) and obs_time_T = 0 returns 2r/c (the kernel's own support).
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"mode index must be an integer >= 0, got {n!r}")
+    n = require_index("mode index", n)
     if r < 0 or not math.isfinite(r):
         raise DomainError(f"radius must be finite and >= 0, got {r!r}")
     if obs_time_T < 0 or not math.isfinite(obs_time_T):

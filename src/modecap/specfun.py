@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, sph_harm_y_all, spherical_jn
 
-from .errors import DomainError, ResolutionError
+from .errors import DomainError, ResolutionError, require_index
 
 __all__ = [
     "QuadratureRule",
@@ -43,16 +43,6 @@ _MAX_QUAD_DEGREE = 512
 # double precision, while spherical_jn underflows to 0 for tiny z (it gives
 # 0.0 at n=1, z=1.3e-220, where the true value is 4.5e-221).
 _SERIES_CUTOFF = 1e-3
-
-
-def _check_degree(max_degree) -> None:
-    """Raise DomainError unless max_degree is an integer >= 0 (bool is not)."""
-    if (
-        not isinstance(max_degree, (int, np.integer))
-        or isinstance(max_degree, bool)
-        or max_degree < 0
-    ):
-        raise DomainError(f"max_degree must be an integer >= 0, got {max_degree!r}")
 
 
 def flat_degrees(max_degree: int) -> np.ndarray:
@@ -81,8 +71,9 @@ class QuadratureRule:
     max_degree: int
 
     def __post_init__(self) -> None:
-        _check_degree(self.max_degree)
-        object.__setattr__(self, "max_degree", int(self.max_degree))
+        object.__setattr__(
+            self, "max_degree", require_index("max_degree", self.max_degree)
+        )
         rings, azimuths = self.ring_shape
         for name in ("theta", "phi", "weights"):
             arr = np.asarray(getattr(self, name), dtype=float)
@@ -160,10 +151,7 @@ def sph_bessel_j(n: int, z):
         n in {0, 1, 2, 5, 8, 20, 46}) while the absolute error stays
         below 1e-15 / z.
     """
-    if not isinstance(n, (int, np.integer)):
-        raise DomainError(f"order must be an integer, got {n!r}")
-    if n < 0 or n > _MAX_BESSEL_ORDER:
-        raise DomainError(f"order must be in [0, {_MAX_BESSEL_ORDER}], got {n}")
+    n = require_index("order", n, _MAX_BESSEL_ORDER)
     z_arr = np.asarray(z, dtype=float)
     if np.any(~np.isfinite(z_arr)) or np.any(z_arr < 0):
         raise DomainError("argument must be finite and >= 0")
@@ -184,8 +172,7 @@ def sph_bessel_j_bound(n: int, z):
     Evaluated in log space so large n and z do not overflow.  Strictly
     increasing in z for fixed n >= 1.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"order must be an integer >= 0, got {n!r}")
+    n = require_index("order", n)
     z_arr = np.asarray(z, dtype=float)
     if np.any(~np.isfinite(z_arr)) or np.any(z_arr < 0):
         raise DomainError("argument must be finite and >= 0")
@@ -209,8 +196,7 @@ def legendre_p(n: int, x):
     P_n(1) = 1 exactly; |x| > 1 raises DomainError (the convolution kernel
     this supports is only defined on its physical support).
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"degree must be an integer >= 0, got {n!r}")
+    n = require_index("degree", n)
     x_arr = np.asarray(x, dtype=float)
     if np.any(~np.isfinite(x_arr)) or np.any(np.abs(x_arr) > 1.0):
         raise DomainError("argument must lie in [-1, 1]")
@@ -243,7 +229,7 @@ def harmonic_matrix(max_degree: int, theta: np.ndarray, phi: np.ndarray) -> np.n
     Raises DomainError unless max_degree is an integer >= 0 (bool is not)
     and every theta and phi is finite.
     """
-    _check_degree(max_degree)
+    max_degree = require_index("max_degree", max_degree)
     theta, phi = np.broadcast_arrays(
         np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     )
@@ -271,8 +257,7 @@ def make_quadrature(max_degree: int) -> QuadratureRule:
     of degree <= 2*max_degree+1) times 2*max_degree+2 uniform azimuths (exact
     for e^{i m phi}, |m| <= 2*max_degree+1).
     """
-    if not isinstance(max_degree, (int, np.integer)) or max_degree < 0:
-        raise DomainError(f"degree must be an integer >= 0, got {max_degree!r}")
+    max_degree = require_index("degree", max_degree)
     if max_degree > _MAX_QUAD_DEGREE:
         raise ResolutionError(
             f"quadrature degree {max_degree} exceeds the supported maximum "
@@ -286,4 +271,4 @@ def make_quadrature(max_degree: int) -> QuadratureRule:
     theta = np.repeat(np.arccos(x), n_az)
     phi = np.tile(phi_az, max_degree + 1)
     weights = np.repeat(w_polar * w_az, n_az)
-    return QuadratureRule(theta=theta, phi=phi, weights=weights, max_degree=int(max_degree))
+    return QuadratureRule(theta=theta, phi=phi, weights=weights, max_degree=max_degree)

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .dofcore import Scenario, critical_frequency, effective_time, truncation_indices
-from .errors import DomainError, ResolutionError
+from .errors import DomainError, ResolutionError, require_index
 from .sampling import ModeBand, SampleTrain, reconstruct
 from .specfun import (
     _MAX_BESSEL_ORDER,
@@ -63,6 +63,10 @@ _JACOBI_GUARD = 20
 # Most complex entries (quadrature nodes x frequencies) a simulated field may
 # hold: 160 MB per field-sized array, and simulate keeps a few of them.
 FIELD_ELEMENT_LIMIT = 10_000_000
+
+# Instants at which simulate's reconstruction check compares the
+# interpolated signal with the truth.
+_RECONSTRUCTION_TIMES = 512
 
 
 @dataclass(frozen=True)
@@ -191,7 +195,8 @@ class ModeSpectrum:
                 "excitation power needs the Bessel table of theoretical_modes"
             )
         rows = self.bessel[flat_degrees(self.max_degree), :]
-        with np.errstate(invalid="ignore", divide="ignore"):
+        # Quotients by the masked rows may overflow; np.where drops them.
+        with np.errstate(all="ignore"):
             return np.where(np.abs(rows) > 1e-14, np.abs(self.coeffs / rows) ** 2, 0.0)
 
 
@@ -213,11 +218,7 @@ class NoiseModel:
             raise DomainError(f"sigma0_sq must be >= 0, got {self.sigma0_sq!r}")
         if not (math.isfinite(self.alpha_max_sq) and self.alpha_max_sq > 0):
             raise DomainError(f"alpha_max_sq must be > 0, got {self.alpha_max_sq!r}")
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise DomainError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise DomainError(f"seed must fit in 64 bits, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", require_index("seed", self.seed, 2**64 - 1))
 
     @classmethod
     def calibrated(
@@ -358,8 +359,7 @@ def theoretical_modes(
     Psi_nm = alpha_nm j_n(omega R / c).  The returned spectrum keeps the
     j_n(omega R / c) table, so excitation_power needs no second evaluation.
     """
-    if not isinstance(N, int) or isinstance(N, bool) or N < 0:
-        raise DomainError(f"analysis degree must be an integer >= 0, got {N!r}")
+    N = require_index("analysis degree", N)
     if not (math.isfinite(radius) and radius > 0):
         raise DomainError(f"radius must be finite and > 0, got {radius!r}")
     freqs = _check_freqs(freqs)
@@ -397,8 +397,7 @@ def analyze_modes(
     projection would alias); callers must additionally budget max_degree >=
     N + field content degree for exactness.
     """
-    if not isinstance(N, int) or isinstance(N, bool) or N < 0:
-        raise DomainError(f"analysis degree must be an integer >= 0, got {N!r}")
+    N = require_index("analysis degree", N)
     freqs = _check_freqs(freqs)
     field = np.asarray(field, dtype=complex)
     if field.shape != (len(grid.rule), freqs.size):
@@ -469,8 +468,7 @@ def empirical_critical_frequency(
     """
     freqs = _check_freqs(freqs)
     snr = np.asarray(snr, dtype=float)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"mode index must be an integer >= 0, got {n!r}")
+    n = require_index("mode index", n)
     if threshold_gamma <= 0 or not math.isfinite(threshold_gamma):
         raise DomainError(f"threshold must be finite and > 0, got {threshold_gamma!r}")
     if snr.ndim != 2 or snr.shape[1] != freqs.size:
@@ -558,7 +556,7 @@ def _reconstruction_error(band: ModeBand, t_eff: float, seed: int) -> float:
     ells = np.arange(0, int(math.floor(wt)) + 1)
     values = baseband(ells.astype(float)) * np.exp(2j * np.pi * w0 * ells / w)
     train = SampleTrain(values=values, ell_lo=0, ell_hi=int(ells[-1]), spacing=1.0 / w)
-    t = np.linspace(0.1 * t_eff, 0.9 * t_eff, 512)
+    t = np.linspace(0.1 * t_eff, 0.9 * t_eff, _RECONSTRUCTION_TIMES)
     truth = baseband(w * t) * np.exp(2j * np.pi * w0 * t)
     recon = reconstruct(train, band, t)
     return float(
@@ -604,16 +602,21 @@ def simulate(
     noise variance over `trials` noisy analyses (5/sqrt(trials)), one-sided
     detection cutoffs (one grid step) and sampling reconstruction (1e-2).
 
-    Raises DomainError for R = 0, W = 0, freq_points < 2 or trials < 1, and
+    Raises DomainError for R = 0, a band F0 +- W of zero width in floating
+    point (W = 0 included), freq_points < 2 or trials < 1, and
     ResolutionError, before any quadrature is built, for n_max above the
     largest Bessel order sph_bessel_j accepts, a degree below the required
-    one or a field of more than FIELD_ELEMENT_LIMIT node x frequency entries.
+    one, a field of more than FIELD_ELEMENT_LIMIT node x frequency entries or
+    a reconstruction check of more than FIELD_ELEMENT_LIMIT sample x instant
+    entries.
     """
+    band_lo, band_hi = scenario.band
     if scenario.radius_R == 0:
         raise DomainError("simulation requires radius_R > 0")
-    if scenario.half_bandwidth_W == 0:
+    if not band_lo < band_hi:
         raise DomainError(
-            "simulation requires a nonzero bandwidth (half_bandwidth_W > 0, b > 0)"
+            "simulation requires a nonzero bandwidth (half_bandwidth_W > 0, b > 0) "
+            f"that separates the band edges, got the band {scenario.band}"
         )
     if freq_points < 2 or trials < 1:
         raise DomainError(
@@ -628,7 +631,6 @@ def simulate(
             f"Bessel order {_MAX_BESSEL_ORDER}"
         )
     c = scenario.wave_speed_c
-    band_lo, band_hi = scenario.band
     k_max_r = 2.0 * math.pi * band_hi * scenario.radius_R / c
     n_field = math.ceil(k_max_r) + _JACOBI_GUARD
     required_degree = n_max + n_field
@@ -644,6 +646,16 @@ def simulate(
         raise ResolutionError(
             f"simulated field of {nodes} quadrature nodes x {freq_points} "
             f"frequencies exceeds the limit of {FIELD_ELEMENT_LIMIT} entries"
+        )
+    # The reconstruction check interpolates floor(w t_eff) + 1 samples at
+    # _RECONSTRUCTION_TIMES instants, as one (samples x instants) matrix.
+    t_eff = effective_time(scenario)
+    wt = (band_hi - band_lo) * t_eff
+    if not wt < FIELD_ELEMENT_LIMIT // _RECONSTRUCTION_TIMES:
+        raise ResolutionError(
+            f"reconstruction check of floor(w * t_eff) + 1 samples (w * t_eff = "
+            f"{wt:.6g}) x {_RECONSTRUCTION_TIMES} instants exceeds the limit of "
+            f"{FIELD_ELEMENT_LIMIT} entries"
         )
 
     grid = SphericalGrid(radius=scenario.radius_R, rule=make_quadrature(quad_degree))
@@ -681,7 +693,7 @@ def simulate(
     one_sided = all(cutoff.one_sided(freq_step) for cutoff in cutoffs)
 
     recon_err = _reconstruction_error(
-        ModeBand.from_edges(band_lo, band_hi), effective_time(scenario), seed + 10_000
+        ModeBand.from_edges(band_lo, band_hi), t_eff, seed + 10_000
     )
 
     return SimulationResult(

@@ -6,7 +6,9 @@ contents, and byte-level determinism.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -331,6 +333,15 @@ def test_huge_a_exits_3(tmp_path: Path, capsys) -> None:
     assert capsys.readouterr().err.count("overflow") == 2
 
 
+def test_out_dash_writes_stdout(tmp_path: Path, monkeypatch, capsys) -> None:
+    cfg = _write(tmp_path, "cfg.json", _PINNED_CONFIG)
+    monkeypatch.chdir(tmp_path)
+    assert main(["compute", "--config", cfg, "--format", "csv",
+                 "--out", "-"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("a,b,d,rho,")
+    assert not (tmp_path / "-").exists()
+
+
 def test_unwritable_output_exits_4(tmp_path: Path) -> None:
     cfg = _write(tmp_path, "cfg.json", _PINNED_CONFIG)
     target = str(tmp_path / "no" / "such" / "dir" / "out.json")
@@ -539,6 +550,49 @@ def test_simulate_above_the_bessel_order_cap_exits_5(
     assert "n_max = 205" in err and "200" in err
 
 
+def test_simulate_band_narrower_than_rounding_exits_3(tmp_path: Path, capsys) -> None:
+    # 1 - b and 1 + b round to 1: the band has zero width though W > 0.
+    for b in (5e-324, 1e-17):
+        cfg = _write(tmp_path, "cfg.json", {
+            "normalized": {"a": 0.5, "b": b, "d": 1.0, "rho": 100.0},
+            "simulation": {"sources": 1, "freq_points": 5, "trials": 2}})
+        assert main(["simulate", "--config", cfg]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: ") and err.count("\n") == 1
+        assert "nonzero bandwidth" in err
+
+
+def test_simulate_subnormal_radius_warns_nothing(tmp_path: Path, capsys) -> None:
+    cfg = _write(tmp_path, "cfg.json", {
+        "normalized": {"a": 5e-324, "b": 0.5, "d": 1.0, "rho": 100.0},
+        "simulation": {"sources": 1, "freq_points": 5, "trials": 2}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ") and err.count("\n") == 1
+
+
+def test_simulate_reconstruction_above_the_element_limit_exits_5(
+        tmp_path: Path, monkeypatch, capsys) -> None:
+    # The reconstruction check would interpolate floor(w t_eff) + 1 samples
+    # at 512 instants; w t_eff = d + 1 here.  A quadrature build raises out
+    # of main, so the run is rejected before anything is allocated.
+    reached = _reached_quadrature(monkeypatch)
+    for d in (19_529.0, 19_530.0, 1e308):
+        cfg = _write(tmp_path, "cfg.json", {
+            "normalized": {"a": 0.5, "b": 0.5, "d": d, "rho": 100.0},
+            "simulation": {"sources": 1, "freq_points": 5, "trials": 2}})
+        if d == 19_529.0:  # 19,531 samples x 512 is just below the limit
+            with pytest.raises(reached):
+                main(["simulate", "--config", cfg])
+            continue
+        assert main(["simulate", "--config", cfg]) == EXIT_RESOLUTION
+        err = capsys.readouterr().err
+        assert err.startswith("resolution error: ") and err.count("\n") == 1
+        assert "reconstruction" in err and str(FIELD_ELEMENT_LIMIT) in err
+
+
 def test_verify_reports_every_property(capsys) -> None:
     assert main(["verify"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -567,10 +621,67 @@ def test_verify_bytes_match_the_golden_hash(tmp_path: Path) -> None:
     assert hashlib.sha256(data).hexdigest() == _VERIFY_SHA256
 
 
-def test_help_and_unknown_subcommand() -> None:
+def test_help_and_unknown_subcommand(tmp_path: Path, capsys) -> None:
     assert main(["--help"]) == EXIT_OK
-    assert main(["definitely-not-a-command"]) == EXIT_CONFIG
-    assert main([]) == EXIT_CONFIG
+    capsys.readouterr()
+    cfg = _write(tmp_path, "cfg.json", _SIM_CONFIG)
+    # Usage errors, and flags a subcommand does not take, are config errors
+    # of one stderr line, not an argparse usage block.
+    for argv in (["definitely-not-a-command"], [], ["compute"],
+                 ["compute", "--config", cfg, "--bogus"],
+                 ["compute", "--config", cfg, "--format", "xml"],
+                 ["verify", "--seed", "1"], ["verify", "--format", "json"],
+                 ["compute", "--config", cfg, "--seed", "1"],
+                 ["sweep", "--config", cfg, "--seed", "1"],
+                 ["simulate", "--config", cfg, "--format", "csv"]):
+        assert main(argv) == EXIT_CONFIG, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: modecap")
+        assert captured.err.count("\n") == 1, argv
+
+
+def test_integer_beyond_the_float_range_exits_3(tmp_path: Path, capsys) -> None:
+    huge = "1" + "0" * 400
+    out = tmp_path / "report.out"
+    for command, text in (
+            ("compute", '{"normalized": {"a": %s, "b": 0.5, "d": 1, "rho": 1}}' % huge),
+            ("compute", '{"scenario": {"radius_R": 1, "mid_freq_F0": 2, '
+                        '"half_bandwidth_W": 1, "obs_time_T": %s}}' % huge),
+            ("sweep", '{"sweep": {"a": [1], "b": [0.5], "d": [1, %s], "rho": [1]}}' % huge)):
+        cfg = _write(tmp_path, "cfg.json", text)
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_DOMAIN
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: ") and err.count("\n") == 1
+        assert "must be finite" in err
+
+
+def test_integer_literal_above_4300_digits_exits_2(tmp_path: Path, capsys) -> None:
+    cfg = _write(tmp_path, "cfg.json", (
+        '{"normalized": {"a": 1%s, "b": 0.5, "d": 1, "rho": 1}}' % ("0" * 5000)))
+    assert main(["compute", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "not valid JSON" in err
+
+
+def test_deeply_nested_config_exits_2(tmp_path: Path, capsys) -> None:
+    depth = 100_000
+    cfg = _write(tmp_path, "cfg.json",
+                 '{"normalized": %s%s}' % ("[" * depth, "]" * depth))
+    assert main(["compute", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "not valid JSON" in err
+
+
+def test_undecodable_config_exits_2(tmp_path: Path, capsys) -> None:
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"normalized": "\xff"}')
+    assert main(["compute", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read") and err.count("\n") == 1
 
 
 def test_console_script_entry_point(tmp_path: Path) -> None:
@@ -748,3 +859,196 @@ def test_report_bytes_match_the_golden_hash(
         data = _without_residuals(data)
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == sha256
+
+
+# ---------------------------------------------------------------------------
+# main() on generated configs and flags
+
+
+class _Raw(str):
+    """JSON text written as it is: literals json.dumps cannot write."""
+
+
+class _Obj(tuple):
+    """A JSON object as (key, value) pairs, so a key may repeat."""
+
+
+def _json_text(value) -> str:
+    if isinstance(value, _Raw):
+        return str(value)
+    if isinstance(value, _Obj):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v)}"
+                               for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_json_text, value)) + "]"
+    return json.dumps(value)
+
+
+# Extremes: huge, tiny, subnormal, non-finite and big-integer numbers.  Each
+# is an immediate rejection or keeps its point far below the mode-table,
+# grid and field limits, alone or combined with the ordinary values below.
+_EXTREMES = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 5e-324, 2.2250738585072014e-308, 1e-300,
+                     1e300, 1.7976931348623157e308, 2**53 + 1, 2**64]),
+    st.sampled_from(["1e400", "-1e400", "1e-400", "NaN", "-Infinity",
+                     "1" + "0" * 400]).map(_Raw),
+)
+# Wrong types and extra nesting.
+_JUNK = st.sampled_from([None, True, "1", [], [1.0], "auto", _Obj([("x", 1.0)])])
+# Whole configs that are not a JSON object, or not JSON that Python reads.
+_BAD_ROOTS = st.sampled_from([
+    [], 1, _Obj([("normalized", _Raw("[" * 100_000 + "]" * 100_000))]),
+    _Obj([("sweep", _Obj([("a", [_Raw("1" + "0" * 5000)])]))]),
+])
+
+
+# True about one draw in ten.  Hypothesis favours the low end of a range,
+# so the common case sits there and the rare one at the top.
+_RARELY = st.integers(0, 9).map(lambda k: k == 9)
+
+
+@st.composite
+def _mostly(draw, common, rare):
+    """A draw from `common`, or rarely from `rare`."""
+    return draw(rare if draw(_RARELY) else common)
+
+
+def _values(low: float, high: float):
+    """Mostly an ordinary number in [low, high]; else an extreme or junk."""
+    return _mostly(st.floats(low, high), _mostly(_EXTREMES, _JUNK))
+
+
+@st.composite
+def _fields(draw, values: dict, optional=()):
+    """An object holding `values`' keys, each drawn from its strategy; an
+    optional key may be left out, and rarely a key is dropped, repeated or
+    added."""
+    pairs = [(key, draw(strategy)) for key, strategy in values.items()
+             if key not in optional or draw(st.booleans())]
+    if pairs and draw(_RARELY):
+        i = draw(st.integers(0, len(pairs) - 1))
+        pairs = draw(st.sampled_from([pairs[:i] + pairs[i + 1:],
+                                      pairs + [pairs[i]], pairs + [("q", 1.0)]]))
+    return _Obj(pairs)
+
+
+# Ordinary ranges of the normalized parameters; simulate keeps a <= 0.5.
+_POINT_RANGES = {"a": (0.01, 4.0), "b": (0.01, 1.0), "d": (0.0, 4.0),
+                 "rho": (0.01, 4.0)}
+
+
+def _normalized(a_high: float):
+    ranges = dict(_POINT_RANGES, a=(0.01, a_high))
+    return _fields({key: _values(*bounds) for key, bounds in ranges.items()})
+
+
+_SCENARIO_BLOCK = _fields(
+    {"radius_R": _values(0.01, 4.0), "mid_freq_F0": _values(0.01, 4.0),
+     "half_bandwidth_W": _values(0.0, 4.0), "obs_time_T": _values(0.0, 4.0),
+     "wave_speed_c": _values(0.01, 4.0), "threshold_gamma": _values(0.01, 4.0),
+     "snr_alpha_max": _values(0.01, 4.0)},
+    optional=("wave_speed_c", "threshold_gamma", "snr_alpha_max"))
+
+# Grids of at most 4 x 4 x 2 x 2 = 64 points.
+_SWEEP_BLOCK = _fields({
+    key: _mostly(st.lists(_values(*_POINT_RANGES[key]), min_size=1,
+                          max_size=size), _JUNK)
+    for key, size in (("a", 4), ("b", 4), ("d", 2), ("rho", 2))})
+
+# Tiny simulations: sizes in range are small, and sizes out of range are
+# rejected before anything runs.  Leaving out sources, freq_points or trials
+# would run the defaults of 3, 257 and 64, so only seed and quad_degree may
+# be left out.
+_SIMULATION_BLOCK = _fields({
+    "sources": _mostly(st.sampled_from([1, 2]),
+                       st.sampled_from([0, MAX_SOURCES + 1, 10**30, True, 1.5])),
+    "freq_points": _mostly(st.sampled_from([2, 5, 9]),
+                           st.sampled_from([1, 10**13, "9"])),
+    "trials": _mostly(st.sampled_from([2, 4]),
+                      st.sampled_from([1, MAX_TRIALS + 1, None])),
+    "quad_degree": _mostly(st.sampled_from(["auto", 0]),
+                           st.sampled_from([5, 513, -1, 2.5, "x"])),
+    "seed": _mostly(st.sampled_from([0, 7, 2**63 - 1]),
+                    st.sampled_from([2**63, -1, False])),
+}, optional=("quad_degree", "seed"))
+
+
+@st.composite
+def _invocations(draw):
+    """(argv with {cfg}, {out} and {dir} placeholders, config text)."""
+    command = draw(st.sampled_from(["compute", "sweep", "simulate", "verify"]))
+    # simulate stays at a <= 0.5, and never gets a scenario block alone.
+    points = {"normalized": _normalized(0.5 if command == "simulate" else 4.0),
+              "scenario": _SCENARIO_BLOCK}
+    kinds = [("normalized",)] * 2 if command == "simulate" else [
+        ("normalized",), ("scenario",)]
+    kinds = draw(_mostly(st.sampled_from(kinds), st.sampled_from(
+        [("normalized", "scenario"), ()])))
+    blocks = [(name, draw(points[name])) for name in kinds]
+    for name, block in (("sweep", _SWEEP_BLOCK), ("simulation", _SIMULATION_BLOCK)):
+        if not draw(_RARELY):
+            blocks.append((name, draw(block)))
+    if draw(_RARELY):
+        blocks.append(("extra", {}))
+    config = draw(_BAD_ROOTS) if draw(_RARELY) else _Obj(blocks)
+    argv = [command]
+    if not draw(_RARELY):
+        argv += ["--config", "{cfg}"]
+    if draw(st.booleans()):
+        argv += ["--format", draw(_mostly(st.sampled_from(["json", "csv"]),
+                                          st.just("xml")))]
+    if draw(_RARELY):
+        argv += ["--seed", draw(st.sampled_from(["3", "-1", str(2**63), "x"]))]
+    if draw(st.booleans()):
+        argv += ["--out", draw(st.sampled_from(["{out}", "{out}", "{dir}"]))]
+    if draw(_RARELY):
+        argv.append("--bogus")
+    return argv, _json_text(config)
+
+
+def _strict_json_number(text: str):
+    raise AssertionError(f"report holds {text}")
+
+
+def _check_report(argv: list[str], text: str) -> None:
+    """text is what a successful run of argv wrote: a verify summary,
+    well-formed CSV or strict JSON."""
+    if argv[0] == "verify":
+        assert text.endswith("verify: all properties hold\n")
+        return
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else (
+        "csv" if argv[0] == "sweep" else "json")
+    if fmt == "json":
+        assert isinstance(
+            json.loads(text, parse_constant=_strict_json_number), dict)
+        return
+    header, *rows = text.split("\n")[:-1]
+    assert text.endswith("\n") and header == cli._CSV_HEADER and rows
+    for row in rows:
+        fields = row.split(",")
+        assert len(fields) == 11
+        assert all(math.isfinite(float(field)) for field in fields)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(invocation=_invocations())
+def test_main_on_generated_configs_and_flags(tmp_path_factory, invocation) -> None:
+    template, config = invocation
+    tmp = tmp_path_factory.mktemp("fuzz", numbered=True)
+    cfg, out = tmp / "cfg.json", tmp / "report.out"
+    cfg.write_text(config)
+    paths = {"{cfg}": str(cfg), "{out}": str(out), "{dir}": str(tmp)}
+    argv = [paths.get(arg, arg) for arg in template]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = main(argv)
+    err = stderr.getvalue()
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_RESOLUTION)
+    if code != EXIT_OK:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert stdout.getvalue() == "" and not out.exists()
+        return
+    assert err == ""
+    _check_report(argv, out.read_text() if "--out" in argv else stdout.getvalue())

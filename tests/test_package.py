@@ -4,9 +4,11 @@
 (`sampling`, `specfun`, `wavefield`) load when `simulate`, `verify` or a
 lazily exported name first needs them.  The import checks run in fresh
 interpreters, because this process has long since imported everything.
+Every integer argument of the numeric layers passes one check.
 """
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import json
 import os
@@ -14,10 +16,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import modecap
-from modecap import errors, specfun
+from modecap import dofcore, errors, sampling, specfun, wavefield
 
 _HEAVY_LAYERS = ("modecap.sampling", "modecap.specfun", "modecap.wavefield")
 _LAYERS = ("dofcore", "sampling", "specfun", "wavefield")
@@ -147,3 +150,56 @@ def test_lazy_names_follow_the_module_binding(monkeypatch) -> None:
     assert modecap.harmonic_matrix is original
     # Nothing was cached in the package namespace.
     assert "harmonic_matrix" not in vars(modecap)
+
+
+_SCENARIO = dofcore.NormalizedParams(a=1.0, b=0.5, d=1.0, rho=10.0).to_scenario()
+_FREQS = np.linspace(0.5, 1.5, 5)
+_SOURCES = [wavefield.PlaneWaveSource(theta=1.1, phi=0.4, amplitude=1.0)]
+_GRID = wavefield.SphericalGrid(radius=1.0, rule=specfun.make_quadrature(8))
+_FIELD = wavefield.synthesize_field(_SOURCES, _GRID, _FREQS, wave_speed_c=1.0)
+_SNR = np.abs(wavefield.theoretical_modes(
+    _SOURCES, 1.0, _FREQS, 4, wave_speed_c=1.0).coeffs) ** 2 * 100.0
+
+# Each numeric entry point with one integer argument k (a degree, order,
+# mode index or seed), called at k = 3.
+_INTEGER_ARGUMENTS = {
+    "make_quadrature": lambda k: specfun.make_quadrature(k),
+    "harmonic_matrix": lambda k: specfun.harmonic_matrix(k, [0.3, 2.0], [0.1, 5.0]),
+    "sph_bessel_j": lambda k: specfun.sph_bessel_j(k, [1e-4, 0.5, 7.0]),
+    "sph_bessel_j_bound": lambda k: specfun.sph_bessel_j_bound(k, [0.0, 0.5, 7.0]),
+    "legendre_p": lambda k: specfun.legendre_p(k, [-1.0, 0.2, 1.0]),
+    "critical_frequency": lambda k: dofcore.critical_frequency(_SCENARIO, k),
+    "bandwidth_arrays": lambda k: dofcore.bandwidth_arrays(_SCENARIO, n_cap=k),
+    "theoretical_modes": lambda k: wavefield.theoretical_modes(
+        _SOURCES, 1.0, _FREQS, k, wave_speed_c=1.0),
+    "analyze_modes": lambda k: wavefield.analyze_modes(_FIELD, _GRID, k, _FREQS),
+    "empirical_critical_frequency": lambda k: wavefield.empirical_critical_frequency(
+        _SNR, _FREQS, 1.0, k),
+    "legendre_support_check": lambda k: sampling.legendre_support_check(
+        lambda x: np.ones_like(x), 1e-3, 0.3, k, 3e8),
+    "NoiseModel": lambda k: wavefield.NoiseModel(
+        sigma0_sq=1.0, alpha_max_sq=1.0, seed=k),
+}
+
+
+def _same(x, y) -> bool:
+    """x and y are equal values of the same type, arrays and dataclass
+    fields compared element by element."""
+    if type(x) is not type(y):
+        return False
+    if dataclasses.is_dataclass(x):
+        return all(_same(getattr(x, f.name), getattr(y, f.name))
+                   for f in dataclasses.fields(x))
+    if isinstance(x, np.ndarray):
+        return x.dtype == y.dtype and np.array_equal(x, y)
+    return x == y
+
+
+@pytest.mark.parametrize("call", _INTEGER_ARGUMENTS.values(),
+                         ids=_INTEGER_ARGUMENTS.keys())
+def test_integer_arguments_take_numpy_integers_and_reject_bool(call) -> None:
+    assert _same(call(np.int64(3)), call(3))
+    with pytest.raises(errors.DomainError, match="must be an integer"):
+        call(True)
+    with pytest.raises(errors.DomainError, match="must be an integer"):
+        call(-1)
