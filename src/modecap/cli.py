@@ -26,7 +26,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Callable, Iterable, Mapping, NoReturn, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -277,6 +277,31 @@ _ROWS_MARK = "\0rows"
 _ROWS_TOKEN = json.dumps(_ROWS_MARK)
 
 
+def _json_floats(values: Sequence[float]) -> list[str]:
+    """repr(_round12(x)) for each finite x in `values`, formatting each x
+    once, with "%.12g" % x.
+
+    For a normal double, a decimal of at most 12 significant digits is the
+    only decimal that short within half an ulp of its nearest double, so
+    repr, the shortest round trip, prints the digits "%.12g" prints.  The
+    two texts differ only in layout:
+    - "%.12g" drops a trailing ".0" (3.0 prints "3", -0.0 "-0"), so a text
+      without "." or "e" gets ".0" appended;
+    - "%.12g" writes exponents 12 to 15 in exponent form, which repr writes
+      positionally, and rounds 999999999999.5 up to "1e+12": such texts,
+      every |x| >= 1e11, take repr(float(text));
+    - below about 1e-312, in the subnormal range, repr can print fewer
+      digits (5e-324 for "4.94065645841e-324"): every |x| < 1e-300 takes
+      repr(float(text)) too.
+    """
+    values = np.asarray(values, dtype=float)
+    texts = ["%.12g" % x for x in values.tolist()]
+    magnitude = np.abs(values)
+    for i in np.flatnonzero((magnitude >= 1e11) | (magnitude < 1e-300)).tolist():
+        texts[i] = repr(float(texts[i]))
+    return [t if "." in t or "e" in t else t + ".0" for t in texts]
+
+
 def _rows_json(rows: _Rows, indent: str) -> str:
     """`rows` as json.dumps(indent=2, sort_keys=True) writes the row list
     when its opening line is indented by `indent`."""
@@ -287,9 +312,9 @@ def _rows_json(rows: _Rows, indent: str) -> str:
         if not finite.all():
             bad = float(values[~finite][0])
             raise DomainError(f"report holds a non-finite number: {key} is {bad!r}")
-        texts[key] = [repr(float(format(x, ".12g"))) for x in values.tolist()]
+        texts[key] = _json_floats(values)
     for key, column in rows.ints.items():
-        texts[key] = [str(int(v)) for v in column]
+        texts[key] = list(map(str, column))
     keys = sorted(texts)
     columns = [texts[k] for k in keys]
     if not columns[0]:
@@ -302,6 +327,19 @@ def _rows_json(rows: _Rows, indent: str) -> str:
     )
     body = ",\n".join(template % row for row in zip(*columns, strict=True))
     return "[\n" + body + "\n" + indent + "]"
+
+
+def _floats_in(value: Any, path: str = "") -> Iterator[tuple[str, float]]:
+    """(key path, x) for each float x in `value`, in json.dumps's sort_keys
+    order."""
+    if isinstance(value, float):
+        yield path, value
+    elif isinstance(value, dict):
+        for key in sorted(value):
+            yield from _floats_in(value[key], f"{path}.{key}" if path else key)
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _floats_in(item, f"{path}[{i}]")
 
 
 def _serialize_report(report: dict) -> str:
@@ -321,7 +359,11 @@ def _serialize_report(report: dict) -> str:
             report, indent=2, sort_keys=True, allow_nan=False, default=mark
         )
     except ValueError as exc:
-        raise DomainError(f"report holds a non-finite number: {exc}") from exc
+        found = next(((path, x) for path, x in _floats_in(report)
+                      if not math.isfinite(x)), None)
+        if found is None:
+            raise
+        raise DomainError("report holds a non-finite number: %s is %r" % found) from exc
     parts = text.split(_ROWS_TOKEN)
     for i, table in enumerate(tables):
         line = parts[i][parts[i].rfind("\n") + 1:]
@@ -674,6 +716,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="modecap",
+        allow_abbrev=False,
         description=(
             "Degrees-of-freedom bounds for band-limited wavefields observed "
             "over finite spherical and temporal windows"
@@ -687,7 +730,7 @@ def _build_parser() -> argparse.ArgumentParser:
         name: str, run: Callable[[argparse.Namespace], int], summary: str,
         formats: Sequence[str] = (),
     ) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.set_defaults(run=run)
         if formats:
             p.add_argument("--config", required=True, help="path to JSON config")

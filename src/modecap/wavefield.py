@@ -603,12 +603,12 @@ def simulate(
     detection cutoffs (one grid step) and sampling reconstruction (1e-2).
 
     Raises DomainError for R = 0, a band F0 +- W of zero width in floating
-    point (W = 0 included), freq_points < 2 or trials < 1, and
-    ResolutionError, before any quadrature is built, for n_max above the
+    point (W = 0 included), freq_points < 2 or trials < 1, or an R so small
+    that F_{n_max} overflows, and ResolutionError for n_max above the
     largest Bessel order sph_bessel_j accepts, a degree below the required
     one, a field of more than FIELD_ELEMENT_LIMIT node x frequency entries or
     a reconstruction check of more than FIELD_ELEMENT_LIMIT sample x instant
-    entries.
+    entries; both before any quadrature is built.
     """
     band_lo, band_hi = scenario.band
     if scenario.radius_R == 0:
@@ -629,6 +629,13 @@ def simulate(
         raise ResolutionError(
             f"analysis degree n_max = {n_max} exceeds the largest supported "
             f"Bessel order {_MAX_BESSEL_ORDER}"
+        )
+    # F_n grows with n, so a finite F_{n_max} means every cutoff is finite.
+    top_cutoff = critical_frequency(scenario, n_max)
+    if not math.isfinite(top_cutoff):
+        raise DomainError(
+            f"critical frequency F_{n_max} of the top analysis mode is "
+            f"{top_cutoff!r}: radius_R = {scenario.radius_R!r} is too small"
         )
     c = scenario.wave_speed_c
     k_max_r = 2.0 * math.pi * band_hi * scenario.radius_R / c

@@ -7,6 +7,7 @@ contents, and byte-level determinism.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -38,6 +39,7 @@ from modecap.cli import (
     MAX_TRIALS,
     MODE_TABLE_LIMIT,
     _build_simulation,
+    _json_floats,
     _round12,
     _Rows,
     _serialize_report,
@@ -562,7 +564,11 @@ def test_simulate_band_narrower_than_rounding_exits_3(tmp_path: Path, capsys) ->
         assert "nonzero bandwidth" in err
 
 
-def test_simulate_subnormal_radius_warns_nothing(tmp_path: Path, capsys) -> None:
+def test_simulate_subnormal_radius_warns_nothing(
+        tmp_path: Path, monkeypatch, capsys) -> None:
+    # At a = 5e-324, n_max is 3 and F_3 = (3 - ln(rho)/2) c / (e pi R) is
+    # inf, so simulate stops before it builds a quadrature.
+    _reached_quadrature(monkeypatch)
     cfg = _write(tmp_path, "cfg.json", {
         "normalized": {"a": 5e-324, "b": 0.5, "d": 1.0, "rho": 100.0},
         "simulation": {"sources": 1, "freq_points": 5, "trials": 2}})
@@ -571,6 +577,31 @@ def test_simulate_subnormal_radius_warns_nothing(tmp_path: Path, capsys) -> None
         assert main(["simulate", "--config", cfg]) == EXIT_DOMAIN
     err = capsys.readouterr().err
     assert err.startswith("domain error: ") and err.count("\n") == 1
+    assert "critical frequency F_3" in err and "inf" in err
+
+
+def test_non_finite_report_field_is_named(
+        tmp_path: Path, monkeypatch, capsys) -> None:
+    with pytest.raises(DomainError, match=re.escape("a.x[1].y[1] is -inf")):
+        _serialize_report({"b": 1.0, "a": {"x": [1.0, {"y": (2.0, -math.inf)}]}})
+
+    # A pipeline result that holds an inf names its field on the one line.
+    real = wavefield.simulate
+
+    def simulate(scenario, **sim):
+        result = real(scenario, **sim)
+        cutoff = dataclasses.replace(result.empirical_cutoffs[1], analytic_Fn=math.inf)
+        cutoffs = (result.empirical_cutoffs[0], cutoff, *result.empirical_cutoffs[2:])
+        return dataclasses.replace(result, empirical_cutoffs=cutoffs)
+
+    monkeypatch.setattr(wavefield, "simulate", simulate)
+    cfg = _write(tmp_path, "cfg.json", _small_simulation(_SIM_NORMALIZED, 1))
+    out = tmp_path / "sim.json"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_DOMAIN
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "domain error: report holds a non-finite number: "
+        "simulation.empirical_cutoffs[1].analytic_Fn is inf\n")
 
 
 def test_simulate_reconstruction_above_the_element_limit_exits_5(
@@ -633,7 +664,10 @@ def test_help_and_unknown_subcommand(tmp_path: Path, capsys) -> None:
                  ["verify", "--seed", "1"], ["verify", "--format", "json"],
                  ["compute", "--config", cfg, "--seed", "1"],
                  ["sweep", "--config", cfg, "--seed", "1"],
-                 ["simulate", "--config", cfg, "--format", "csv"]):
+                 ["simulate", "--config", cfg, "--format", "csv"],
+                 # No prefix of a flag stands for the flag.
+                 ["compute", "--conf", cfg],
+                 ["compute", "--config", cfg, "--f", "csv"]):
         assert main(argv) == EXIT_CONFIG, argv
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -734,7 +768,9 @@ def test_mode_table_above_the_row_limit_exits_5(tmp_path: Path, capsys) -> None:
 
 # Values whose 12-digit rounding and float repr are easy to get wrong.
 _EDGE_FLOATS = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308, 1e16,
-                123456789012.5]
+                123456789012.5, 999999999999.5, 1e11, 1e12, 1e15,
+                9.999999999995e15, 2.2250738585072014e-308,
+                2.225073858507201e-308, 1e-5, 1e-4, 3.0, -3.0]
 _FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS),
                     st.floats(allow_nan=False, allow_infinity=False))
 _INTS = st.integers(-2**63, 2**63)
@@ -769,6 +805,13 @@ def test_row_writer_equals_the_generic_json_path(table, nested) -> None:
 
     expected = json.dumps(report(rounded), indent=2, sort_keys=True) + "\n"
     assert _serialize_report(report(columns)) == expected
+
+
+@settings(deadline=None, max_examples=2000, derandomize=True)
+@given(xs=st.lists(st.one_of(_FLOATS, st.integers(-2**60, 2**60).map(float)),
+                   max_size=8))
+def test_json_floats_equal_the_repr_of_the_rounded_value(xs) -> None:
+    assert _json_floats(xs) == [repr(_round12(x)) for x in xs]
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
