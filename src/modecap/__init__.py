@@ -29,7 +29,6 @@ from .dofcore import (
     dof_mode_sum,
     dof_normalized,
     dof_normalized_breakdown,
-    dof_special_cases,
     effective_time,
     truncation_indices,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "dof_normalized",
     "dof_normalized_breakdown",
     "dof_asymptotic",
-    "dof_special_cases",
     # specfun
     "QuadratureRule",
     "sph_bessel_j",

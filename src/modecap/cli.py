@@ -39,7 +39,6 @@ from .dofcore import (
     dof_closed_form,
     dof_mode_sum,
     dof_normalized_breakdown,
-    dof_special_cases,
     truncation_indices,
 )
 from .errors import ConfigError, DomainError, ModecapError, ResolutionError
@@ -383,20 +382,9 @@ def _check_finite(bd: DofBreakdown) -> DofBreakdown:
 
 
 def _normalized_point(p: NormalizedParams) -> tuple[int, int, DofBreakdown]:
-    """(n_min, n_max, breakdown) in dimensionless units, a = 0 included."""
+    """(n_min, n_max, breakdown) in dimensionless units."""
     bd = _check_finite(dof_normalized_breakdown(p))
-    if p.a == 0:
-        return 0, 0, bd
-    n_min, n_max = truncation_indices(p.to_scenario())
-    return n_min, n_max, bd
-
-
-def _scenario_point(s: Scenario) -> tuple[int, int, DofBreakdown]:
-    special = dof_special_cases(s)
-    if special is not None:
-        return 0, 0, _check_finite(special)
-    n_min, n_max = truncation_indices(s)
-    return n_min, n_max, _check_finite(dof_closed_form(s))
+    return (*truncation_indices(p.to_scenario()), bd)
 
 
 def _mode_table(s: Scenario, n_max: int) -> _Rows:
@@ -409,14 +397,6 @@ def _mode_table(s: Scenario, n_max: int) -> _Rows:
             f"mode table at n_max = {n_max} would have {n_max + 1} rows, above the "
             f"limit of {MODE_TABLE_LIMIT}; compute --format csv reports the bound "
             "without it"
-        )
-    if s.radius_R == 0:
-        return _Rows(
-            floats={
-                "critical_freq_Fn": [0.0],
-                "eff_bandwidth_Wn": [2.0 * s.half_bandwidth_W],
-            },
-            ints={"n": [0]},
         )
     bands = bandwidth_arrays(s)
     return _Rows(
@@ -435,8 +415,8 @@ def _evaluate_point(
     and breakdown in the units the config gave it."""
     if params is not None:
         return (params, *_normalized_point(params))
-    n_min, n_max, bd = _scenario_point(scenario)
-    return NormalizedParams.from_scenario(scenario), n_min, n_max, bd
+    bd = _check_finite(dof_closed_form(scenario))
+    return (NormalizedParams.from_scenario(scenario), *truncation_indices(scenario), bd)
 
 
 def _point_report(

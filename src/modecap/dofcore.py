@@ -39,7 +39,6 @@ __all__ = [
     "dof_normalized",
     "dof_normalized_breakdown",
     "dof_asymptotic",
-    "dof_special_cases",
 ]
 
 # e * pi, the constant relating mode index to critical frequency.
@@ -255,10 +254,11 @@ def _critical_frequencies(s: Scenario, n):
     n, without the n = 0 case.
 
     np.where(x > 0, x, 0) is Python's max(0.0, x), so a NaN (inf / inf at a
-    huge R) gives 0 either way; overflow to inf at a tiny R is silent.
+    huge R, 0 / 0 at R = 0) gives 0 either way; overflow to inf at a tiny R
+    and division by R = 0 are silent.
     """
     half_log = 0.5 * math.log(s.snr_ratio)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = (n - half_log) * s.wave_speed_c / (EPI * s.radius_R)
     return np.where(x > 0.0, x, 0.0)
 
@@ -267,19 +267,20 @@ def critical_frequency(s: Scenario, n: int) -> float:
     """Critical frequency F_n below which mode n falls under the threshold.
 
     F_n = max(0, n c / (e pi R) + (c / (2 e pi R)) ln(gamma / snr_alpha_max)),
-    natural log, except F_0 = 0 unconditionally (mode 0 is always full-band).
+    natural log, except F_0 = 0 unconditionally (mode 0 is always full-band),
+    R = 0 included.
 
-    Raises DomainError for R = 0: a pointlike region has no mode structure,
-    and callers should take the R = 0 special case instead.
+    Raises DomainError for n >= 1 at R = 0: a pointlike region has mode 0
+    only.
     """
     n = require_index("mode index", n)
-    if s.radius_R == 0:
-        raise DomainError(
-            "critical_frequency is undefined for radius_R = 0; use the "
-            "pointlike special case"
-        )
     if n == 0:
         return 0.0
+    if s.radius_R == 0:
+        raise DomainError(
+            f"critical frequency of mode {n} is undefined for radius_R = 0: a "
+            "pointlike region has mode 0 only"
+        )
     return float(_critical_frequencies(s, n))
 
 
@@ -303,12 +304,10 @@ def _indices(a: float, b: float, rho: float) -> tuple[int, int]:
 
 def truncation_indices(s: Scenario) -> tuple[int, int]:
     """(n_min, n_max): the last full-band mode index and the last mode with
-    any usable bandwidth.  Requires R > 0 and n_max below 1e154."""
+    any usable bandwidth.  (0, 0) at R = 0, where a pointlike region has mode
+    0 only.  Raises DomainError when n_max would reach 1e154."""
     if s.radius_R == 0:
-        raise DomainError(
-            "truncation indices are undefined for radius_R = 0; use the "
-            "pointlike special case"
-        )
+        return 0, 0
     p = NormalizedParams.from_scenario(s)
     return _indices(p.a, p.b, p.rho)
 
@@ -323,11 +322,14 @@ def bandwidth_arrays(s: Scenario, n_cap: int | None = None) -> ModeBandArrays:
       * n > n_max: W_n = 0 (rows included only when n_cap asks for them).
 
     Every element equals, bit for bit, the Python scalar arithmetic of
-    critical_frequency and of the per-mode max/min clamps.
+    critical_frequency and of the per-mode max/min clamps.  At R = 0,
+    n_min = n_max = 0, so the table is the single full-band row of mode 0;
+    rows above it that n_cap asks for hold the R -> 0 limit of F_n (0 or inf)
+    and W_n = 0.
 
     Parameters
     ----------
-    s : Scenario with radius_R > 0.
+    s : Scenario.
     n_cap : int, optional
         Highest mode index to tabulate; defaults to n_max.
     """
@@ -376,8 +378,9 @@ def bandwidth_profile(s: Scenario, n_cap: int | None = None) -> ModeBandwidthPro
 def dof_mode_sum(s: Scenario) -> float:
     """Exact mode-by-mode DoF count sum((2n+1) (W_n T_eff + 1), n=0..n_max).
 
-    Requires R > 0.  Always at most dof_closed_form(s).total when the ratio
-    snr_alpha_max/threshold_gamma is >= 1.
+    Always at most dof_closed_form(s).total when the ratio
+    snr_alpha_max/threshold_gamma is >= 1.  At R = 0 it is the one term
+    W_0 T + 1, with W_0 = (F0 + W) - (F0 - W) the full band.
     """
     bands = bandwidth_arrays(s)
     t_eff = effective_time(s)
@@ -387,6 +390,12 @@ def dof_mode_sum(s: Scenario) -> float:
             for n, w in zip(bands.n.tolist(), bands.eff_bandwidth_Wn.tolist())
         )
     )
+
+
+def _pointlike(two_wt: float, t_eff: float) -> DofBreakdown:
+    """The R = 0 (a = 0) breakdown: one spatial mode carrying 2WT + 1
+    degrees of freedom, with two_wt = 2WT and t_eff = T."""
+    return DofBreakdown(d1=1.0, d2=two_wt, d3=0.0, total=two_wt + 1.0, t_eff=t_eff)
 
 
 def _breakdown(
@@ -415,13 +424,11 @@ def dof_closed_form(s: Scenario) -> DofBreakdown:
 
     d1 = (n_max+1)^2 counts spatial modes; d2 = 2 W T_eff (n_min+1)^2 counts
     the full-band modes' time-bandwidth content; d3 bounds the partial-band
-    tail.  Each component is clamped at 0.  Requires R > 0 (the pointlike
-    case is served by dof_special_cases).
+    tail.  Each component is clamped at 0.  At R = 0 (a pointlike region)
+    the bound is exact: d1 = 1, d2 = 2WT, d3 = 0 and t_eff = T.
     """
     if s.radius_R == 0:
-        raise DomainError(
-            "dof_closed_form requires radius_R > 0; use dof_special_cases"
-        )
+        return _pointlike(2.0 * s.half_bandwidth_W * s.obs_time_T, s.obs_time_T)
     p = NormalizedParams.from_scenario(s)
     t_eff = effective_time(s)
     wt2 = 2.0 * s.half_bandwidth_W * t_eff
@@ -435,8 +442,7 @@ def dof_normalized_breakdown(p: NormalizedParams) -> DofBreakdown:
     pointlike case: d1 = 1, d2 = 2 b d, d3 = 0 and t_eff = d.
     """
     if p.a == 0:
-        two_wt = 2.0 * p.b * p.d
-        return DofBreakdown(d1=1.0, d2=two_wt, d3=0.0, total=two_wt + 1.0, t_eff=p.d)
+        return _pointlike(2.0 * p.b * p.d, p.d)
     t_eff = p.d + 2.0 * p.a
     wt2 = 2.0 * p.b * (2.0 * p.a + p.d)
     return _breakdown(p.a, p.b, p.rho, t_eff, wt2)
@@ -451,21 +457,6 @@ def dof_normalized(p: NormalizedParams) -> float:
     return dof_normalized_breakdown(p).total
 
 
-def dof_special_cases(s: Scenario) -> DofBreakdown | None:
-    """Closed special cases not covered by the general formulas.
-
-    Returns the breakdown when one applies, else None.  Currently: R = 0
-    (pointlike observation) has a single spatial sample and exactly
-    2 W T + 1 degrees of freedom.
-    """
-    if s.radius_R == 0:
-        two_wt = 2.0 * s.half_bandwidth_W * s.obs_time_T
-        return DofBreakdown(
-            d1=1.0, d2=two_wt, d3=0.0, total=two_wt + 1.0, t_eff=s.obs_time_T
-        )
-    return None
-
-
 def dof_asymptotic(s: Scenario) -> DofBreakdown:
     """High-SNR DoF bound: the threshold equals the peak SNR (rho = 1).
 
@@ -473,7 +464,4 @@ def dof_asymptotic(s: Scenario) -> DofBreakdown:
     R >= 0: R = 0 returns exactly 2WT + 1, and T = 0 keeps the pure
     spatial-plus-transit content.
     """
-    special = dof_special_cases(s)
-    if special is not None:
-        return special
     return dof_closed_form(replace(s, threshold_gamma=s.snr_alpha_max))

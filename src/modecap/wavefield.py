@@ -603,12 +603,14 @@ def simulate(
     detection cutoffs (one grid step) and sampling reconstruction (1e-2).
 
     Raises DomainError for R = 0, a band F0 +- W of zero width in floating
-    point (W = 0 included), freq_points < 2 or trials < 1, or an R so small
-    that F_{n_max} overflows, and ResolutionError for n_max above the
-    largest Bessel order sph_bessel_j accepts, a degree below the required
-    one, a field of more than FIELD_ELEMENT_LIMIT node x frequency entries or
-    a reconstruction check of more than FIELD_ELEMENT_LIMIT sample x instant
-    entries; both before any quadrature is built.
+    point (W = 0 included), sources < 1, freq_points < 2, trials < 1, a seed
+    outside [0, 2**64 - 1 - trials] (the noise trials use seeds up to
+    seed + trials), or an R so small that F_{n_max} overflows, and
+    ResolutionError for n_max above the largest Bessel order sph_bessel_j
+    accepts, a degree below the required one, a field of more than
+    FIELD_ELEMENT_LIMIT node x frequency entries or a reconstruction check
+    of more than FIELD_ELEMENT_LIMIT sample x instant entries; both before
+    any quadrature is built.
     """
     band_lo, band_hi = scenario.band
     if scenario.radius_R == 0:
@@ -618,11 +620,12 @@ def simulate(
             "simulation requires a nonzero bandwidth (half_bandwidth_W > 0, b > 0) "
             f"that separates the band edges, got the band {scenario.band}"
         )
-    if freq_points < 2 or trials < 1:
+    if sources < 1 or freq_points < 2 or trials < 1:
         raise DomainError(
-            f"simulation needs freq_points >= 2 and trials >= 1, got "
-            f"{freq_points} and {trials}"
+            f"simulation needs sources >= 1, freq_points >= 2 and trials >= 1, "
+            f"got {sources}, {freq_points} and {trials}"
         )
+    seed = require_index("seed", seed, 2**64 - 1 - trials)
 
     _, n_max = truncation_indices(scenario)
     if n_max > _MAX_BESSEL_ORDER:

@@ -855,6 +855,11 @@ _SWEEP_GRID = {"sweep": {"a": [0, 0.05, 1.0, 3.7], "b": [0, 0.5, 1],
 _SWEEP_DIGITS = {"sweep": {"a": [0, 1 / 3, math.pi], "b": [0.5, 2 / 3, 1],
                            "d": [0, math.e], "rho": [0.01, 7 / 3]}}
 _COMPUTE_POINT = {"normalized": {"a": 300, "b": 0.5, "d": 7, "rho": 50}}
+# A pointlike (R = 0) scenario at rho = 1000, where the formula's indices
+# at a = 0 would not be (0, 0); measured while R = 0 was a separate path.
+_POINTLIKE = {"scenario": {"radius_R": 0.0, "mid_freq_F0": 3e9,
+                           "half_bandwidth_W": 1e9, "obs_time_T": 2e-8,
+                           "snr_alpha_max": 1000}}
 _SIM_WIDE = {"normalized": {"a": 1.0, "b": 0.5, "d": 10.0, "rho": 100.0},
              "simulation": {"sources": 3, "freq_points": 17, "quad_degree": 46,
                             "trials": 8, "seed": 1}}
@@ -881,6 +886,10 @@ _GOLDEN = [
      3145, "724913248e847f277e03bbf78f9ffe4ce737975951fb2816945979f394542673"),
     ("simulate", "json", _SIM_WIDE,
      4994, "82b8115e9e5346a548c78bf1b269184cb452b17b8ccffb3888c3708c8b325322"),
+    ("compute", "json", _POINTLIKE,
+     464, "6c168d0af7b7fa6e544d0b5a7845f2ee0bac387df75c90e9abea844b4574cb8e"),
+    ("compute", "csv", _POINTLIKE,
+     92, "0a3bbd56bb7e1e8dd43e4a995b9f29babfe5edea7a2dc8dd835dc9f10e1ac270"),
 ]
 
 
@@ -890,7 +899,8 @@ _GOLDEN = [
                               "simulate-normalized-seed2",
                               "simulate-scenario-seed1",
                               "simulate-scenario-seed2", "compute-csv",
-                              "sweep-csv", "simulate-quad46"])
+                              "sweep-csv", "simulate-quad46",
+                              "compute-pointlike", "compute-pointlike-csv"])
 def test_report_bytes_match_the_golden_hash(
         tmp_path: Path, command, fmt, config, size, sha256) -> None:
     cfg = _write(tmp_path, "cfg.json", config)

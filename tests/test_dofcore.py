@@ -26,7 +26,6 @@ from modecap.dofcore import (
     dof_mode_sum,
     dof_normalized,
     dof_normalized_breakdown,
-    dof_special_cases,
     effective_time,
     truncation_indices,
 )
@@ -85,21 +84,28 @@ def test_narrowband_collapse_is_exact() -> None:
 
 
 def test_pointlike_region_reduces_to_time_bandwidth_product() -> None:
-    s = Scenario(radius_R=0.0, mid_freq_F0=10.0, half_bandwidth_W=2.0,
-                 obs_time_T=3.0)
-    special = dof_special_cases(s)
-    assert special is not None
-    assert special.d1 == 1.0
-    assert special.d2 == 12.0  # 2 W T
-    assert special.d3 == 0.0
-    assert special.total == 13.0
-    assert special.t_eff == 3.0
-    assert dof_asymptotic(s).total == 13.0
-    with pytest.raises(DomainError):
-        dof_closed_form(s)
-    with pytest.raises(DomainError):
-        critical_frequency(s, 1)
-    assert dof_special_cases(_PINNED.to_scenario()) is None
+    # R = 0 is an ordinary point: one full-band spatial mode and 2WT + 1 on
+    # every route, at any SNR (at rho = 1000 the general index formula would
+    # give n_max = 4 for a = 0).  Warnings are errors here, so the division
+    # by R = 0 inside bandwidth_arrays must stay silent.
+    for snr in (1.0, 0.5, 1000.0):
+        s = Scenario(radius_R=0.0, mid_freq_F0=10.0, half_bandwidth_W=2.0,
+                     obs_time_T=3.0, snr_alpha_max=snr)
+        closed = dof_closed_form(s)
+        assert (closed.d1, closed.d2, closed.d3, closed.total, closed.t_eff) == (
+            1.0, 12.0, 0.0, 13.0, 3.0)  # d2 = 2 W T
+        assert dof_asymptotic(s) == closed
+        assert dof_mode_sum(s) == 13.0
+        assert truncation_indices(s) == (0, 0)
+        cols = bandwidth_arrays(s)
+        assert (cols.n_min, cols.n_max, cols.n.tolist()) == (0, 0, [0])
+        assert cols.critical_freq_Fn.tolist() == [0.0]
+        assert (cols.band_lo.tolist(), cols.band_hi.tolist()) == ([8.0], [12.0])
+        assert cols.eff_bandwidth_Wn.tolist() == [4.0]
+        assert len(bandwidth_profile(s).per_mode) == 1
+        assert critical_frequency(s, 0) == 0.0
+        with pytest.raises(DomainError):
+            critical_frequency(s, 1)
 
 
 def test_normalized_breakdown_at_a_zero_is_pointlike() -> None:
@@ -350,13 +356,9 @@ def test_normalized_and_dimensional_routes_agree(
     p = NormalizedParams(a=a, b=b, d=d, rho=rho)
     direct = dof_normalized(p)
     s = p.to_scenario(mid_freq_F0=f0, wave_speed_c=c)
-    if s.radius_R == 0.0:
-        via_scenario = dof_asymptotic(s).total if rho == 1.0 else None
-        if via_scenario is None:
-            return
-    else:
-        via_scenario = dof_closed_form(s).total
-    assert via_scenario == pytest.approx(direct, rel=1e-9)
+    # An a > 0 whose radius underflows to R = 0 is a different point.
+    assume(a == 0.0 or s.radius_R > 0.0)
+    assert dof_closed_form(s).total == pytest.approx(direct, rel=1e-9)
 
 
 @settings(deadline=None, max_examples=150, derandomize=True)

@@ -4,10 +4,12 @@
 (`sampling`, `specfun`, `wavefield`) load when `simulate`, `verify` or a
 lazily exported name first needs them.  The import checks run in fresh
 interpreters, because this process has long since imported everything.
-Every integer argument of the numeric layers passes one check.
+Every integer argument of the numeric layers passes one check, and every
+name a module imports is used in it.
 """
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import json
@@ -203,3 +205,29 @@ def test_integer_arguments_take_numpy_integers_and_reject_bool(call) -> None:
         call(True)
     with pytest.raises(errors.DomainError, match="must be an integer"):
         call(-1)
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    """The names the import statements of `tree`, at any depth, bind."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def test_every_imported_name_is_used() -> None:
+    # A name imported but never read is a leftover of deleted code.  The
+    # package __init__ imports names to re-export them, so it is exempt.
+    unused = {}
+    for path in sorted(Path(modecap.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names = sorted(_imported_names(tree) - read)
+        if names:
+            unused[path.name] = names
+    assert unused == {}

@@ -432,6 +432,23 @@ def test_simulate_rejects_a_pointlike_or_zero_band_scenario() -> None:
             simulate(base, **dict(_SIM_SETTINGS, **bad))
 
 
+def test_simulate_checks_seed_and_sources_before_building_a_quadrature(
+        monkeypatch) -> None:
+    def build(degree):
+        raise AssertionError(f"quadrature of degree {degree} was built")
+
+    monkeypatch.setattr(wavefield, "make_quadrature", build)
+    s = NormalizedParams(a=0.5, b=0.25, d=120.0, rho=100.0).to_scenario()
+    trials = _SIM_SETTINGS["trials"]
+    # The noise trials seed their generators with seed + 1 .. seed + trials.
+    for bad in ({"seed": -1}, {"seed": 2**64 - trials}, {"seed": 2**64 - 1},
+                {"seed": 1.0}, {"sources": 0}):
+        with pytest.raises(DomainError):
+            simulate(s, **dict(_SIM_SETTINGS, **bad))
+    with pytest.raises(AssertionError, match="quadrature"):
+        simulate(s, **dict(_SIM_SETTINGS, seed=2**64 - 1 - trials))
+
+
 def test_simulate_checks_its_resolution_before_building_a_quadrature(
         monkeypatch) -> None:
     def build(degree):
