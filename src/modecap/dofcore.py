@@ -316,7 +316,8 @@ def bandwidth_arrays(s: Scenario, n_cap: int | None = None) -> ModeBandArrays:
     """Per-mode effective bandwidths W_n and usable bands, as NumPy columns.
 
     Branches over the mode index n:
-      * n <= n_min: full band, W_n = 2W over [F0-W, F0+W];
+      * n <= n_min: full band, W_n = 2W exactly over [F0-W, F0+W] (not the
+        difference of the band edges, which cancels when W << F0);
       * n_min < n <= n_max: W_n = max(0, F0+W-F_n) over [max(F0-W, F_n), F0+W]
         (degenerating to the empty band at F0+W when the clamp bites);
       * n > n_max: W_n = 0 (rows included only when n_cap asks for them).
@@ -346,6 +347,8 @@ def bandwidth_arrays(s: Scenario, n_cap: int | None = None) -> ModeBandArrays:
     clamped = np.clip(fn, lo, hi)
     band_lo = np.where(n <= n_min, lo, np.where(n <= n_max, clamped, hi))
     band_hi = np.full(n.shape, hi)
+    eff = band_hi - band_lo
+    eff[: n_min + 1] = 2.0 * s.half_bandwidth_W
     return ModeBandArrays(
         n_min=n_min,
         n_max=n_max,
@@ -353,7 +356,7 @@ def bandwidth_arrays(s: Scenario, n_cap: int | None = None) -> ModeBandArrays:
         critical_freq_Fn=fn,
         band_lo=band_lo,
         band_hi=band_hi,
-        eff_bandwidth_Wn=band_hi - band_lo,
+        eff_bandwidth_Wn=eff,
         mid_band_W0n=0.5 * (band_lo + band_hi),
     )
 
@@ -379,8 +382,9 @@ def dof_mode_sum(s: Scenario) -> float:
     """Exact mode-by-mode DoF count sum((2n+1) (W_n T_eff + 1), n=0..n_max).
 
     Always at most dof_closed_form(s).total when the ratio
-    snr_alpha_max/threshold_gamma is >= 1.  At R = 0 it is the one term
-    W_0 T + 1, with W_0 = (F0 + W) - (F0 - W) the full band.
+    snr_alpha_max/threshold_gamma is >= 1.  Each full-band mode n <= n_min
+    counts W_n = 2W, the 2W of d2, so at R = 0 the sum is the one term
+    2WT + 1 and equals the closed form.
     """
     bands = bandwidth_arrays(s)
     t_eff = effective_time(s)

@@ -61,8 +61,11 @@ class QuadratureRule:
 
     The layout is ring-major and checked on construction: node j*P + k
     (P = 2*max_degree+2) lies on ring j at azimuth 2*pi*k/P (to 1e-12 rad),
-    and theta and the weights are constant along each ring.  The fast
-    analysis in wavefield relies on this layout.
+    theta and the weights are constant along each ring, and the T =
+    max_degree+1 rings come in mirror pairs: ring T-1-j lies at
+    pi - theta_j (to 1e-12 rad), so the middle ring of an odd T is the
+    equator.  The fast analysis and the synthesis in wavefield rely on this
+    layout.
     """
 
     theta: np.ndarray
@@ -90,6 +93,12 @@ class QuadratureRule:
             raise DomainError(
                 f"quadrature theta and weights must be constant along each ring "
                 f"of {azimuths} consecutive nodes"
+            )
+        ring_theta = theta[:, 0]
+        if not np.all(np.abs(ring_theta[::-1] - (np.pi - ring_theta)) <= 1e-12):
+            raise DomainError(
+                f"quadrature rings must come in mirror pairs: ring {rings - 1}-j "
+                f"at pi - theta_j (to 1e-12 rad)"
             )
         uniform = 2.0 * np.pi * np.arange(azimuths) / azimuths
         if not np.all(np.abs(self.phi.reshape(rings, azimuths) - uniform) <= 1e-12):

@@ -311,13 +311,17 @@ def synthesize_field(
         * e^{i k R sin(theta_j) (u_x cos(phi_k) + u_y sin(phi_k))},
 
     so each source needs one (rings x F) polar table, which also carries
-    A(omega), and one (P/2 x F) exponential per ring.  Node k + P/2 sits at
-    phi_k + pi, where the second factor is the complex conjugate of its
-    value at phi_k, so the other half of the ring costs a conjugate.  The
-    ring angles and the first P/2 azimuths come from the rule; the
-    half-turn pairing holds to the 1e-12 rad to which QuadratureRule checks
-    its azimuths, the layout the FFT analysis relies on as well.
-    Temporaries are bounded by one ring, not the whole field.
+    A(omega), and one (P/2 x F) exponential per mirror pair of rings.  Node
+    k + P/2 sits at phi_k + pi, where the second factor is the complex
+    conjugate of its value at phi_k, so the other half of a ring costs a
+    conjugate.  Ring T-1-j sits at pi - theta_j, where sin(theta) and so
+    the second factor are the same, so the exponential of ring j <= (T-1)/2
+    serves its mirror too; only the polar factor differs.  The equator ring
+    of an odd ring count T is its own mirror.  The ring angles and the first
+    P/2 azimuths come from the rule; both pairings hold to the 1e-12 rad to
+    which QuadratureRule checks its layout (the uniform azimuths are what
+    the FFT analysis relies on as well).  Temporaries are bounded by one
+    ring, not the whole field.
     """
     if len(sources) == 0:
         raise DomainError("synthesize_field requires at least one source")
@@ -336,12 +340,14 @@ def synthesize_field(
         polar = np.exp(1j * np.multiply.outer(np.cos(theta) * uz, kr))
         polar *= src.spectrum_on(freqs)
         lateral = ux * cos_phi + uy * sin_phi
-        for j in range(rings):
+        for j in range((rings + 1) // 2):
             ring = np.exp(1j * np.multiply.outer(sin_theta[j] * lateral, kr))
-            field[j, :half] += polar[j] * ring
+            pair = {j, rings - 1 - j}
+            for r in pair:
+                field[r, :half] += polar[r] * ring
             np.conjugate(ring, out=ring)
-            ring *= polar[j]
-            field[j, half:] += ring
+            for r in pair:
+                field[r, half:] += ring * polar[r]
     return field.reshape(rings * azimuths, freqs.size)
 
 

@@ -188,7 +188,8 @@ def test_zero_bandwidth_profile_is_all_point_bands() -> None:
 
 def _scalar_profile(s: Scenario, n_cap: int) -> list[tuple]:
     """The per-mode Python loop bandwidth_profile ran before its array path,
-    with critical_frequency's scalar arithmetic written out."""
+    with critical_frequency's scalar arithmetic written out; full-band rows
+    count W_n = 2W exactly."""
     n_min, n_max = truncation_indices(s)
     half_log = 0.5 * math.log(s.snr_ratio)
     lo, hi = s.band
@@ -204,8 +205,8 @@ def _scalar_profile(s: Scenario, n_cap: int) -> list[tuple]:
             band_lo, band_hi = min(max(lo, fn), hi), hi
         else:
             band_lo, band_hi = hi, hi
-        rows.append((n, fn, band_lo, band_hi, band_hi - band_lo,
-                     0.5 * (band_lo + band_hi)))
+        w_n = 2.0 * s.half_bandwidth_W if n <= n_min else band_hi - band_lo
+        rows.append((n, fn, band_lo, band_hi, w_n, 0.5 * (band_lo + band_hi)))
     return rows
 
 
@@ -296,6 +297,20 @@ def test_bandwidth_arrays_at_the_float_range_edges() -> None:
                 _assert_columns_match_scalar_path(s, n_cap)
         assert math.isinf(bandwidth_arrays(tiny).critical_freq_Fn[1])
         assert not bandwidth_arrays(huge).critical_freq_Fn.any()
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.5])
+def test_full_band_rows_count_exactly_two_w(radius: float) -> None:
+    # W << F0: (F0 + W) - (F0 - W) would give 0.00246906280518, not 2W.
+    w = 1.2345e-3
+    s = Scenario(radius_R=radius, mid_freq_F0=1e9, half_bandwidth_W=w,
+                 obs_time_T=1e6)
+    cols = bandwidth_arrays(s)
+    assert cols.n_min == cols.n_max
+    assert cols.eff_bandwidth_Wn.tolist() == [2 * w] * (cols.n_min + 1)
+    # Every mode is full band, so the mode sum is d1 plus d2's 2W T_eff term.
+    bound = dof_closed_form(s)
+    assert dof_mode_sum(s) == pytest.approx(bound.d1 + bound.d2, rel=1e-14)
 
 
 def test_normalization_roundtrip() -> None:

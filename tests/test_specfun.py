@@ -297,11 +297,17 @@ def _rule_arrays(degree: int) -> dict:
             "weights": rule.weights.copy(), "max_degree": degree}
 
 
-@pytest.mark.parametrize("degree", [0, 1, 7])
+# One ring, an even and an odd ring count, and the largest supported degree.
+@pytest.mark.parametrize("degree", [0, 1, 2, 7, 46, 90, 512])
 def test_quadrature_rule_accepts_the_product_layout(degree: int) -> None:
     rule = QuadratureRule(**_rule_arrays(degree))
     assert rule.ring_shape == (degree + 1, 2 * degree + 2)
     assert len(rule) == (degree + 1) * (2 * degree + 2)
+    # Ring T-1-j mirrors ring j far inside the 1e-12 rad the rule checks
+    # (4.4e-16 at worst over degrees 0..512); an odd T's middle ring is the
+    # equator.
+    rings = rule.theta[:: 2 * degree + 2]
+    assert np.max(np.abs(rings[::-1] - (math.pi - rings))) <= 1e-15
     # Azimuths built another way agree to rounding and are accepted.
     arrays = _rule_arrays(degree)
     arrays["phi"] = np.tile(np.linspace(0.0, 2 * math.pi, 2 * degree + 2,
@@ -316,10 +322,18 @@ def test_quadrature_rule_rejects_nodes_off_the_product_layout() -> None:
     order = rng.permutation(size)
     shuffled = dict(base, theta=base["theta"][order], phi=base["phi"][order],
                     weights=base["weights"][order])
-    # Swapping two whole rings keeps every ring intact, so that is allowed.
-    rings = np.arange(size).reshape(5, 10)[[1, 0, 2, 3, 4]].ravel()
+    # Swapping a ring with its mirror keeps every mirror pair, so that is
+    # allowed; swapping two rings that are not mirrors is not.
+    rings = np.arange(size).reshape(5, 10)
+    mirrored = rings[[4, 1, 2, 3, 0]].ravel()
+    QuadratureRule(**dict(base, theta=base["theta"][mirrored],
+                          weights=base["weights"][mirrored]))
+    rings = rings[[1, 0, 2, 3, 4]].ravel()
     swapped = dict(base, theta=base["theta"][rings], weights=base["weights"][rings])
-    QuadratureRule(**swapped)
+    # Ring 1 moved as a whole: theta stays constant along it, but ring 3 no
+    # longer mirrors it.
+    moved_ring = base["theta"].copy()
+    moved_ring[10:20] += 1e-9
     # Move one ring's nodes by a quarter step in azimuth, keeping the weights.
     skewed_phi = base["phi"].copy()
     skewed_phi[10:20] += 0.25 * (2 * math.pi / 10)
@@ -331,6 +345,8 @@ def test_quadrature_rule_rejects_nodes_off_the_product_layout() -> None:
     ragged_theta[3] += 1e-9
     bad = [
         shuffled,
+        swapped,
+        dict(base, theta=moved_ring),
         dict(base, theta=base["theta"][:-1], phi=base["phi"][:-1],
              weights=base["weights"][:-1]),
         dict(base, max_degree=3),

@@ -149,6 +149,49 @@ def test_synthesis_equals_the_direct_node_sum(rule: QuadratureRule) -> None:
     assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
+def _one_ring_at_a_time(sources, grid, freqs, wave_speed_c):
+    """The synthesis arithmetic before mirror rings shared an exponential:
+    one exponential per ring, from that ring's own sin(theta)."""
+    kr = 2.0 * np.pi * grid.radius * freqs / wave_speed_c
+    rings, azimuths = grid.rule.ring_shape
+    half = azimuths // 2
+    theta = grid.rule.theta[::azimuths]
+    phi = grid.rule.phi[:half]
+    field = np.zeros((rings, azimuths, freqs.size), dtype=complex)
+    for src in sources:
+        ux, uy, uz = src.unit_vector()
+        polar = np.exp(1j * np.multiply.outer(np.cos(theta) * uz, kr))
+        polar *= src.spectrum_on(freqs)
+        lateral = ux * np.cos(phi) + uy * np.sin(phi)
+        for j in range(rings):
+            ring = np.exp(1j * np.multiply.outer(np.sin(theta[j]) * lateral, kr))
+            field[j, :half] += polar[j] * ring
+            np.conjugate(ring, out=ring)
+            ring *= polar[j]
+            field[j, half:] += ring
+    return field
+
+
+@pytest.mark.parametrize("degree", [7, 46])
+def test_synthesis_moves_only_the_mirror_rings(degree: int) -> None:
+    # Rings j <= (T-1)/2 (the equator ring included when T is odd) keep the
+    # one-ring-at-a-time bits; ring T-1-j reuses ring j's exponential.
+    grid = SphericalGrid(radius=1.0, rule=make_quadrature(degree))
+    freqs = np.linspace(0.0, 11.0, 33)
+    rng = np.random.default_rng(degree)
+    shaped = rng.standard_normal(freqs.size) + 1j * rng.standard_normal(freqs.size)
+    sources = [PlaneWaveSource(theta=0.3, phi=1.0, amplitude=shaped),
+               PlaneWaveSource(theta=2.0, phi=4.0, amplitude=0.5 - 2.0j),
+               PlaneWaveSource(theta=math.pi / 2, phi=0.2, amplitude=1.0)]
+    rings, azimuths = grid.rule.ring_shape
+    fast = synthesize_field(sources, grid, freqs, wave_speed_c=1.0)
+    fast = fast.reshape(rings, azimuths, freqs.size)
+    old = _one_ring_at_a_time(sources, grid, freqs, 1.0)
+    kept = (rings + 1) // 2
+    assert fast[:kept].tobytes() == old[:kept].tobytes()
+    assert np.max(np.abs(fast - old)) <= 1e-13 * np.max(np.abs(old))
+
+
 def test_synthesis_allocates_little_beyond_its_field() -> None:
     grid = SphericalGrid(radius=1.0, rule=make_quadrature(46))
     freqs = np.linspace(0.0, 11.0, 257)
