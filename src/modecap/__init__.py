@@ -34,9 +34,11 @@ from .dofcore import (
 )
 from .errors import ConfigError, DomainError, ModecapError, ResolutionError
 
-# The simulate/verify layers import SciPy, which costs more to load than the
-# closed form costs to run, so their names load with their module on first
-# access (PEP 562).  specfun comes first: the other two import it anyway.
+# Loading NumPy or SciPy costs more than the closed form costs to run, so
+# importing the package loads neither: dofcore imports NumPy only inside its
+# array functions, and the simulate/verify layers, which import SciPy, load
+# with their names on first access (PEP 562).  specfun comes first: the
+# other two import it anyway.
 _LAZY_LAYERS = ("specfun", "sampling", "wavefield")
 
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import DomainError, require_index
 
 __all__ = [
@@ -257,6 +255,8 @@ def _critical_frequencies(s: Scenario, n):
     huge R, 0 / 0 at R = 0) gives 0 either way; overflow to inf at a tiny R
     and division by R = 0 are silent.
     """
+    import numpy as np
+
     half_log = 0.5 * math.log(s.snr_ratio)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = (n - half_log) * s.wave_speed_c / (EPI * s.radius_R)
@@ -334,6 +334,8 @@ def bandwidth_arrays(s: Scenario, n_cap: int | None = None) -> ModeBandArrays:
     n_cap : int, optional
         Highest mode index to tabulate; defaults to n_max.
     """
+    import numpy as np
+
     n_min, n_max = truncation_indices(s)
     if n_cap is None:
         n_cap = n_max

@@ -1,9 +1,12 @@
 """The package surface and what each entry point imports.
 
-`compute` and `sweep` need only NumPy and `dofcore`; the SciPy-backed layers
-(`sampling`, `specfun`, `wavefield`) load when `simulate`, `verify` or a
-lazily exported name first needs them.  The import checks run in fresh
-interpreters, because this process has long since imported everything.
+`import modecap`, `import modecap.cli` and the CSV forms of `compute` and
+`sweep` need only the standard library, `errors` and `dofcore`; NumPy loads
+when a JSON report, the mode table, `simulate` or `verify` first needs it.  The
+SciPy-backed layers (`sampling`, `specfun`, `wavefield`) load when
+`simulate`, `verify` or a lazily exported name first needs them.  The
+import checks run in fresh interpreters, because this process has long
+since imported everything.
 Every integer argument of the numeric layers passes one check, and every
 name a module imports is used in it.
 """
@@ -37,7 +40,8 @@ _SIMULATE = {
 
 def _fresh(tmp_path: Path, statement: str, config: dict | None = None) -> dict:
     """Run `statement` in a new interpreter; return the exit code it leaves
-    in `code` (if any) and the SciPy-backed modules it loaded."""
+    in `code` (if any), the SciPy-backed modules it loaded, and whether it
+    loaded NumPy."""
     cfg = tmp_path / "cfg.json"
     if config is not None:
         cfg.write_text(json.dumps(config))
@@ -47,7 +51,8 @@ def _fresh(tmp_path: Path, statement: str, config: dict | None = None) -> dict:
         statement.format(cfg=str(cfg), out=str(tmp_path / "report")),
         "heavy = sorted(m for m in sys.modules",
         f"               if m.split('.')[0] == 'scipy' or m in {_HEAVY_LAYERS!r})",
-        "print(json.dumps({'code': code, 'heavy': heavy}))",
+        "numpy = 'numpy' in sys.modules",
+        "print(json.dumps({'code': code, 'heavy': heavy, 'numpy': numpy}))",
     ])
     src = str(Path(modecap.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -64,19 +69,22 @@ def _main(*argv: str) -> str:
     return f"from modecap import cli\ncode = cli.main({[*argv, '--out', '{out}']!r})"
 
 
-@pytest.mark.parametrize(("statement", "config"), [
-    ("import modecap", None),
-    ("import modecap.cli", None),
-    (_main("compute", "--config", "{cfg}"), _COMPUTE),
-    (_main("compute", "--config", "{cfg}", "--format", "csv"), _COMPUTE),
-    (_main("sweep", "--config", "{cfg}", "--format", "csv"), _SWEEP),
-    (_main("sweep", "--config", "{cfg}", "--format", "json"), _SWEEP),
+# Each closed-form entry point, and whether it needs NumPy: only the JSON
+# reports do, to write their row tables.
+@pytest.mark.parametrize(("statement", "config", "numpy"), [
+    ("import modecap", None, False),
+    ("import modecap.cli", None, False),
+    (_main("compute", "--config", "{cfg}"), _COMPUTE, True),
+    (_main("compute", "--config", "{cfg}", "--format", "csv"), _COMPUTE, False),
+    (_main("sweep", "--config", "{cfg}", "--format", "csv"), _SWEEP, False),
+    (_main("sweep", "--config", "{cfg}", "--format", "json"), _SWEEP, True),
 ], ids=["import-modecap", "import-cli", "compute-json", "compute-csv",
         "sweep-csv", "sweep-json"])
 def test_closed_form_paths_load_no_scipy(tmp_path: Path, statement: str,
-                                         config: dict | None) -> None:
+                                         config: dict | None, numpy: bool) -> None:
     result = _fresh(tmp_path, statement, config)
     assert result["heavy"] == []
+    assert result["numpy"] is numpy
     if config is not None:
         assert result["code"] == 0
         assert (tmp_path / "report").stat().st_size > 0
@@ -90,6 +98,7 @@ def test_simulate_and_verify_load_their_layers_on_first_use(
         tmp_path: Path, statement: str) -> None:
     result = _fresh(tmp_path, statement, _SIMULATE)
     assert result["code"] == 0
+    assert result["numpy"] is True
     assert set(_HEAVY_LAYERS) <= set(result["heavy"])
     assert "scipy" in result["heavy"]
 
