@@ -68,7 +68,7 @@ _TOP_KEYS = {"scenario", "normalized", "sweep", "simulation"}
 MODE_TABLE_LIMIT = 1_000_000
 
 # Most points a sweep grid may hold; each is a NormalizedParams and a report
-# row, about 0.8 KB and 13 us apiece in a CSV sweep on a 2-core host.
+# row, about 0.9 KB and 19 us apiece in a CSV sweep on a 2-core host.
 SWEEP_POINT_LIMIT = 1_000_000
 
 # Most plane-wave sources and noise trials simulate runs; each source is one
@@ -388,7 +388,7 @@ def _check_finite(bd: DofBreakdown) -> DofBreakdown:
 def _normalized_point(p: NormalizedParams) -> tuple[int, int, DofBreakdown]:
     """(n_min, n_max, breakdown) in dimensionless units."""
     bd = _check_finite(dof_normalized_breakdown(p))
-    return (*truncation_indices(p.to_scenario()), bd)
+    return (*truncation_indices(p), bd)
 
 
 def _mode_table(s: Scenario, n_max: int) -> _Rows:

@@ -302,10 +302,19 @@ def _indices(a: float, b: float, rho: float) -> tuple[int, int]:
     return n_min, n_max
 
 
-def truncation_indices(s: Scenario) -> tuple[int, int]:
+def truncation_indices(s: Scenario | NormalizedParams) -> tuple[int, int]:
     """(n_min, n_max): the last full-band mode index and the last mode with
-    any usable bandwidth.  (0, 0) at R = 0, where a pointlike region has mode
-    0 only.  Raises DomainError when n_max would reach 1e154."""
+    any usable bandwidth.
+
+    Takes a Scenario or a NormalizedParams; n_min and n_max depend only on
+    a, b and rho.  (0, 0) at R = 0 or a = 0, where a pointlike region has
+    mode 0 only.  A NormalizedParams gives what its to_scenario() gives.
+    Raises DomainError when n_max would reach 1e154.
+    """
+    if isinstance(s, NormalizedParams):
+        if s.a == 0:
+            return 0, 0
+        return _indices(s.a, s.b, s.rho)
     if s.radius_R == 0:
         return 0, 0
     p = NormalizedParams.from_scenario(s)

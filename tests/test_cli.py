@@ -137,6 +137,26 @@ def test_sweep_json_format(tmp_path: Path) -> None:
     assert rows[0]["dof_total"] == pytest.approx(100.0)
 
 
+@pytest.mark.parametrize("point", [
+    {"a": 0.0, "b": 0.5, "d": 3.0, "rho": 1e4},
+    {"a": 2.5, "b": 0.25, "d": 1.0, "rho": 0.01},
+    {"a": 0.75, "b": 1.0, "d": 4.0, "rho": 10.0},
+    {"a": 1.0, "b": 0.5, "d": 1.0, "rho": 1.0},
+], ids=["a-zero", "rho-below-one", "b-one", "ordinary"])
+def test_sweep_row_equals_the_compute_row(tmp_path: Path, point: dict) -> None:
+    # compute and sweep evaluate a normalized point by the same path.
+    rows = []
+    for command, config in (
+            ("compute", {"normalized": point}),
+            ("sweep", {"sweep": {key: [value] for key, value in point.items()}})):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", _write(tmp_path, f"{command}.json", config),
+                     "--format", "csv", "--out", str(out)]) == EXIT_OK
+        rows.append(out.read_text().splitlines())
+    assert len(rows[0]) == len(rows[1]) == 2
+    assert rows[0] == rows[1]
+
+
 def test_sweep_thread_count_does_not_change_output(
         tmp_path: Path, monkeypatch) -> None:
     # Seven points: no thread count from 2 to 6 divides them and 8 and

@@ -7,6 +7,7 @@ term-by-term mode sum; both are noted inline.
 from __future__ import annotations
 
 import math
+import random
 import warnings
 
 import pytest
@@ -323,6 +324,28 @@ def test_normalization_roundtrip() -> None:
     assert back.b == pytest.approx(p.b, rel=1e-12)
     assert back.d == pytest.approx(p.d, rel=1e-12)
     assert back.rho == pytest.approx(p.rho, rel=1e-12)
+
+
+def test_normalized_indices_equal_the_scenario_route() -> None:
+    # At F0 = c = 1, to_scenario gives R = a and from_scenario gives back a,
+    # b and rho bit for bit, so the two routes must agree exactly.
+    rng = random.Random(1)
+    a_values = [0.0, 5e-324] + sorted(
+        math.exp(rng.uniform(math.log(0.05), math.log(3000.0))) for _ in range(40))
+    for a in a_values:
+        for b in (0.0, 0.5, 1.0):
+            for rho in (1e-3, 1.0, 1e4):
+                p = NormalizedParams(a=a, b=b, d=1.0, rho=rho)
+                assert truncation_indices(p) == truncation_indices(p.to_scenario())
+    assert truncation_indices(NormalizedParams(a=0.0, b=1.0, d=1.0, rho=1e4)) == (0, 0)
+    huge = NormalizedParams(a=1e300, b=0.5, d=1.0, rho=1.0)
+    messages = []
+    for point in (huge, huge.to_scenario()):
+        with pytest.raises(DomainError) as err:
+            truncation_indices(point)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("degrees of freedom overflow")
 
 
 def test_effective_time() -> None:
