@@ -95,7 +95,6 @@ __all__ = [
     # sampling
     "ModeBand",
     "SampleTrain",
-    "mode_time_signal",
     "fourier_coefficients",
     "phi_basis",
     "phi_inner",

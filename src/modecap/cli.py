@@ -582,7 +582,7 @@ def _verify_harmonic_gram() -> tuple[bool, str]:
 def _verify_phi_orthogonality() -> tuple[bool, str]:
     from . import sampling
 
-    band = sampling.ModeBand.from_edges(10.0, 13.0)
+    band = sampling.ModeBand(10.0, 13.0)
     w = band.w_n
     worst = 0.0
     for ell, ellp in [(0, 0), (0, 1), (0, 3), (5, 5), (2, 7)]:

@@ -247,6 +247,13 @@ def effective_time(s: Scenario) -> float:
     return s.obs_time_T + 2.0 * s.radius_R / s.wave_speed_c
 
 
+def _is_pointlike(s: Scenario) -> bool:
+    """Whether a = F0 R / c, as from_scenario computes it, is 0: then the
+    region is pointlike and has mode 0 only.  That holds at R = 0 and at an
+    R so small that F0 R / c underflows."""
+    return s.mid_freq_F0 * s.radius_R / s.wave_speed_c == 0
+
+
 def _critical_frequencies(s: Scenario, n):
     """max(0, (n - ln(rho)/2) c / (e pi R)) for an integer or an integer array
     n, without the n = 0 case.
@@ -268,17 +275,17 @@ def critical_frequency(s: Scenario, n: int) -> float:
 
     F_n = max(0, n c / (e pi R) + (c / (2 e pi R)) ln(gamma / snr_alpha_max)),
     natural log, except F_0 = 0 unconditionally (mode 0 is always full-band),
-    R = 0 included.
+    a = 0 included.
 
-    Raises DomainError for n >= 1 at R = 0: a pointlike region has mode 0
-    only.
+    Raises DomainError for n >= 1 at a = F0 R / c = 0: a pointlike region
+    has mode 0 only.
     """
     n = require_index("mode index", n)
     if n == 0:
         return 0.0
-    if s.radius_R == 0:
+    if _is_pointlike(s):
         raise DomainError(
-            f"critical frequency of mode {n} is undefined for radius_R = 0: a "
+            f"critical frequency of mode {n} is undefined at a = F0 R / c = 0: a "
             "pointlike region has mode 0 only"
         )
     return float(_critical_frequencies(s, n))
@@ -307,17 +314,14 @@ def truncation_indices(s: Scenario | NormalizedParams) -> tuple[int, int]:
     any usable bandwidth.
 
     Takes a Scenario or a NormalizedParams; n_min and n_max depend only on
-    a, b and rho.  (0, 0) at R = 0 or a = 0, where a pointlike region has
-    mode 0 only.  A NormalizedParams gives what its to_scenario() gives.
-    Raises DomainError when n_max would reach 1e154.
+    a, b and rho.  (0, 0) at a = 0, where a pointlike region has mode 0
+    only.  A NormalizedParams gives what its to_scenario() gives.  Raises
+    DomainError when n_max would reach 1e154.
     """
-    if isinstance(s, NormalizedParams):
-        if s.a == 0:
-            return 0, 0
-        return _indices(s.a, s.b, s.rho)
-    if s.radius_R == 0:
+    # A NormalizedParams comes first: it is the sweep's hot path.
+    p = s if isinstance(s, NormalizedParams) else NormalizedParams.from_scenario(s)
+    if p.a == 0:
         return 0, 0
-    p = NormalizedParams.from_scenario(s)
     return _indices(p.a, p.b, p.rho)
 
 
@@ -332,7 +336,7 @@ def bandwidth_arrays(s: Scenario, n_cap: int | None = None) -> ModeBandArrays:
       * n > n_max: W_n = 0 (rows included only when n_cap asks for them).
 
     Every element equals, bit for bit, the Python scalar arithmetic of
-    critical_frequency and of the per-mode max/min clamps.  At R = 0,
+    critical_frequency and of the per-mode max/min clamps.  At a = 0,
     n_min = n_max = 0, so the table is the single full-band row of mode 0;
     rows above it that n_cap asks for hold the R -> 0 limit of F_n (0 or inf)
     and W_n = 0.
@@ -394,7 +398,7 @@ def dof_mode_sum(s: Scenario) -> float:
 
     Always at most dof_closed_form(s).total when the ratio
     snr_alpha_max/threshold_gamma is >= 1.  Each full-band mode n <= n_min
-    counts W_n = 2W, the 2W of d2, so at R = 0 the sum is the one term
+    counts W_n = 2W, the 2W of d2, so at a = 0 the sum is the one term
     2WT + 1 and equals the closed form.
     """
     bands = bandwidth_arrays(s)
@@ -408,7 +412,7 @@ def dof_mode_sum(s: Scenario) -> float:
 
 
 def _pointlike(two_wt: float, t_eff: float) -> DofBreakdown:
-    """The R = 0 (a = 0) breakdown: one spatial mode carrying 2WT + 1
+    """The a = 0 breakdown: one spatial mode carrying 2WT + 1
     degrees of freedom, with two_wt = 2WT and t_eff = T."""
     return DofBreakdown(d1=1.0, d2=two_wt, d3=0.0, total=two_wt + 1.0, t_eff=t_eff)
 
@@ -439,12 +443,13 @@ def dof_closed_form(s: Scenario) -> DofBreakdown:
 
     d1 = (n_max+1)^2 counts spatial modes; d2 = 2 W T_eff (n_min+1)^2 counts
     the full-band modes' time-bandwidth content; d3 bounds the partial-band
-    tail.  Each component is clamped at 0.  At R = 0 (a pointlike region)
-    the bound is exact: d1 = 1, d2 = 2WT, d3 = 0 and t_eff = T.
+    tail.  Each component is clamped at 0.  At a = F0 R / c = 0 (a
+    pointlike region) the bound is exact: d1 = 1, d2 = 2WT, d3 = 0 and
+    t_eff = T.
     """
-    if s.radius_R == 0:
-        return _pointlike(2.0 * s.half_bandwidth_W * s.obs_time_T, s.obs_time_T)
     p = NormalizedParams.from_scenario(s)
+    if p.a == 0:
+        return _pointlike(2.0 * s.half_bandwidth_W * s.obs_time_T, s.obs_time_T)
     t_eff = effective_time(s)
     wt2 = 2.0 * s.half_bandwidth_W * t_eff
     return _breakdown(p.a, p.b, p.rho, t_eff, wt2)
@@ -476,7 +481,7 @@ def dof_asymptotic(s: Scenario) -> DofBreakdown:
     """High-SNR DoF bound: the threshold equals the peak SNR (rho = 1).
 
     Drops every noise-threshold term from the closed form.  Valid for all
-    R >= 0: R = 0 returns exactly 2WT + 1, and T = 0 keeps the pure
+    R >= 0: a = 0 returns exactly 2WT + 1, and T = 0 keeps the pure
     spatial-plus-transit content.
     """
     return dof_closed_form(replace(s, threshold_gamma=s.snr_alpha_max))

@@ -1,12 +1,12 @@
 """Per-mode time-domain machinery: bandpass sampling and reconstruction.
 
 A spatial mode's time signal occupies a frequency band of width w_n around a
-midpoint w_0n.  This module synthesizes the time signal from a band spectrum,
-extracts Fourier-series coefficients (which equal scaled time samples),
-evaluates the modulated-sinc interpolation basis and its orthogonality
-integrals, reconstructs signals from sample trains, and measures the support
-of Legendre-kernel convolutions (the time-spreading mechanism that produces
-the effective observation window).
+midpoint w_0n.  This module extracts Fourier-series coefficients of a band
+spectrum (which equal scaled time samples), evaluates the modulated-sinc
+interpolation basis and its orthogonality integrals, reconstructs signals
+from sample trains, and measures the support of Legendre-kernel
+convolutions (the time-spreading mechanism that produces the effective
+observation window).
 
 Spectra are callables of angular frequency omega; bands are stated in hertz.
 """
@@ -24,7 +24,6 @@ from .specfun import legendre_p
 __all__ = [
     "ModeBand",
     "SampleTrain",
-    "mode_time_signal",
     "fourier_coefficients",
     "phi_basis",
     "phi_inner",
@@ -43,66 +42,48 @@ _MIN_WINDOW_UNITS = 50.0
 
 @dataclass(frozen=True)
 class ModeBand:
-    """Frequency band of one spatial mode: width w_n, midpoint w_0n, hertz."""
+    """Frequency band [lo, hi] of one spatial mode, hertz: width w_n,
+    midpoint w_0n."""
 
-    w_n: float
-    w_0n: float
-    band: tuple[float, float]
+    lo: float
+    hi: float
 
     def __post_init__(self) -> None:
-        lo, hi = (float(self.band[0]), float(self.band[1]))
-        object.__setattr__(self, "band", (lo, hi))
-        object.__setattr__(self, "w_n", float(self.w_n))
-        object.__setattr__(self, "w_0n", float(self.w_0n))
-        if not all(map(math.isfinite, (self.w_n, self.w_0n, lo, hi))):
-            raise DomainError("band parameters must be finite")
-        if self.w_n < 0 or hi < lo:
-            raise DomainError(f"band must have nonnegative width, got {self.band}")
-        scale = max(abs(lo), abs(hi), 1e-300)
-        if abs((hi - lo) - self.w_n) > 1e-9 * max(scale, self.w_n):
-            raise DomainError(
-                f"w_n={self.w_n} does not match band width {hi - lo}"
-            )
-        if abs(0.5 * (lo + hi) - self.w_0n) > 1e-9 * max(scale, 1.0):
-            raise DomainError(
-                f"w_0n={self.w_0n} is not the band midpoint {0.5 * (lo + hi)}"
-            )
+        lo, hi = float(self.lo), float(self.hi)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        if not all(map(math.isfinite, (lo, hi, self.w_n, self.w_0n))):
+            raise DomainError(f"band [{lo}, {hi}] needs a finite width and midpoint")
+        if hi < lo:
+            raise DomainError(f"band must have nonnegative width, got [{lo}, {hi}]")
 
-    @classmethod
-    def from_edges(cls, lo: float, hi: float) -> "ModeBand":
-        """Band from its edge frequencies in hertz."""
-        return cls(w_n=hi - lo, w_0n=0.5 * (lo + hi), band=(lo, hi))
+    @property
+    def w_n(self) -> float:
+        """Band width hi - lo, hertz."""
+        return self.hi - self.lo
+
+    @property
+    def w_0n(self) -> float:
+        """Band midpoint (lo + hi) / 2, hertz."""
+        return 0.5 * (self.lo + self.hi)
 
 
 @dataclass(frozen=True)
 class SampleTrain:
-    """Uniform samples psi(l / w_n) of one mode's time signal.
-
-    values[k] corresponds to rate index ell_lo + k; spacing is 1/w_n seconds.
-    The Fourier-series coefficients of the band spectrum are the scaled
-    samples c_l = spacing * values[k].
-    """
+    """Uniform samples psi(l / w_n) of one mode's time signal: values[k]
+    belongs to rate index ell_lo + k."""
 
     values: np.ndarray
     ell_lo: int
-    ell_hi: int
-    spacing: float
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=complex)
+        if arr.ndim != 1 or arr.size == 0:
+            raise DomainError(
+                f"sample values must be a nonempty 1-D array, got shape {arr.shape}"
+            )
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        if self.ell_hi < self.ell_lo:
-            raise DomainError(
-                f"empty rate-index range [{self.ell_lo}, {self.ell_hi}]"
-            )
-        if arr.ndim != 1 or arr.size != self.ell_hi - self.ell_lo + 1:
-            raise DomainError(
-                f"expected {self.ell_hi - self.ell_lo + 1} values for range "
-                f"[{self.ell_lo}, {self.ell_hi}], got shape {arr.shape}"
-            )
-        if not self.spacing > 0 or not math.isfinite(self.spacing):
-            raise DomainError(f"spacing must be positive, got {self.spacing}")
 
     def __len__(self) -> int:
         return self.values.size
@@ -110,17 +91,7 @@ class SampleTrain:
     @property
     def ells(self) -> np.ndarray:
         """Rate indices as an integer array."""
-        return np.arange(self.ell_lo, self.ell_hi + 1)
-
-    @property
-    def times(self) -> np.ndarray:
-        """Sample instants ell * spacing in seconds."""
-        return self.ells * self.spacing
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """Fourier-series coefficients c_l = values / w_n."""
-        return self.values * self.spacing
+        return np.arange(self.ell_lo, self.ell_lo + self.values.size)
 
 
 def _panel_nodes(
@@ -174,33 +145,6 @@ def _band_integral(
             )
 
 
-def mode_time_signal(
-    spectrum: Callable[[np.ndarray], np.ndarray], band: ModeBand, t
-):
-    """Time signal (1/2pi) integral of spectrum(omega) e^{i omega t} over the
-    band, by adaptive panel quadrature to 1e-9 relative tolerance.
-
-    Parameters
-    ----------
-    spectrum : callable
-        Band spectrum as a function of angular frequency (rad/s); must accept
-        numpy arrays.
-    band : ModeBand
-        Band edges in hertz; the angular domain is 2*pi*band.
-    t : float or array_like
-        Evaluation time(s) in seconds.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    if band.w_n == 0:
-        out = np.zeros(t_arr.shape, dtype=complex)
-        return complex(out[0]) if scalar else out
-    omega_lo, omega_hi = _TWO_PI * band.band[0], _TWO_PI * band.band[1]
-    out = _band_integral(spectrum, omega_lo, omega_hi, t_arr) / _TWO_PI
-    return complex(out[0]) if scalar else out
-
-
 def fourier_coefficients(
     spectrum: Callable[[np.ndarray], np.ndarray],
     band: ModeBand,
@@ -209,9 +153,10 @@ def fourier_coefficients(
     """Fourier-series coefficients of the band spectrum as a SampleTrain.
 
     Computes c_l = (1/(2 pi w_n)) integral of spectrum(omega) e^{i omega l /
-    w_n} over the band, by the adaptive quadrature of mode_time_signal, and
-    stores the train in field units w_n * c_l: by the sampling identity
-    c_l = (1/w_n) psi(l/w_n) these are the time samples psi(l/w_n).
+    w_n} over the band, by adaptive panel quadrature to 1e-9 relative
+    tolerance, and stores the train in field units w_n * c_l: by the
+    sampling identity c_l = (1/w_n) psi(l/w_n) these are the time samples
+    psi(l/w_n).
     """
     ell_lo, ell_hi = int(ell_range[0]), int(ell_range[1])
     if ell_hi < ell_lo:
@@ -220,15 +165,13 @@ def fourier_coefficients(
         # A point band has no sampling rate: its time signal is identically
         # zero and the sample spacing 1/w_n is undefined.
         raise DomainError("cannot build a sample train for a zero-width band")
-    spacing = 1.0 / band.w_n
     ells = np.arange(ell_lo, ell_hi + 1)
-    omega_lo, omega_hi = _TWO_PI * band.band[0], _TWO_PI * band.band[1]
+    omega_lo, omega_hi = _TWO_PI * band.lo, _TWO_PI * band.hi
     coeffs = (
-        _band_integral(spectrum, omega_lo, omega_hi, ells * spacing)
+        _band_integral(spectrum, omega_lo, omega_hi, ells * (1.0 / band.w_n))
         / (_TWO_PI * band.w_n)
     )
-    values = band.w_n * coeffs
-    return SampleTrain(values=values, ell_lo=ell_lo, ell_hi=ell_hi, spacing=spacing)
+    return SampleTrain(values=band.w_n * coeffs, ell_lo=ell_lo)
 
 
 def phi_basis(ell, t, band: ModeBand):
@@ -298,8 +241,6 @@ def reconstruct(samples: SampleTrain, band: ModeBand, t):
     are recovered with <= 1% relative L2 error over the interior 80% of the
     observation window.
     """
-    if len(samples) == 0:
-        raise DomainError("cannot reconstruct from an empty sample train")
     t_arr = np.asarray(t, dtype=float)
     out = samples.values @ phi_basis(samples.ells[:, None], np.atleast_1d(t_arr), band)
     return complex(out[0]) if t_arr.ndim == 0 else out

@@ -23,7 +23,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .dofcore import Scenario, critical_frequency, effective_time, truncation_indices
+from .dofcore import (
+    Scenario,
+    _is_pointlike,
+    critical_frequency,
+    effective_time,
+    truncation_indices,
+)
 from .errors import DomainError, ResolutionError, require_index
 from .sampling import ModeBand, SampleTrain, reconstruct
 from .specfun import (
@@ -139,16 +145,16 @@ class SphericalGrid:
 class ModeSpectrum:
     """Mode-domain field Psi_nm(r, omega): coeffs[(n*n + n + m), freq_index].
 
-    The plane-wave excitation alpha_nm is recoverable by dividing out
-    j_n(omega r / c) wherever it is nonzero.  `bessel` holds those values,
-    bessel[n, freq_index], when the spectrum was built from them
-    (theoretical_modes), and is None for a measured spectrum.
+    `alpha` holds the plane-wave excitation alpha_nm(omega), with Psi_nm =
+    i^n alpha_nm j_n(omega r / c), in the layout of coeffs, when the
+    spectrum was built from it (theoretical_modes), and is None for a
+    measured spectrum.
     """
 
     radius: float
     freqs: np.ndarray
     coeffs: np.ndarray
-    bessel: np.ndarray | None = None
+    alpha: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         freqs = np.asarray(self.freqs, dtype=float)
@@ -169,74 +175,50 @@ class ModeSpectrum:
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "radius", float(self.radius))
-        if self.bessel is not None:
-            bessel = np.asarray(self.bessel, dtype=float)
-            if bessel.shape != (side, freqs.size):
+        if self.alpha is not None:
+            alpha = np.asarray(self.alpha, dtype=complex)
+            if alpha.shape != coeffs.shape:
                 raise DomainError(
-                    f"bessel must have shape ({side}, {freqs.size}), got {bessel.shape}"
+                    f"alpha must have the shape of coeffs, {coeffs.shape}, got "
+                    f"{alpha.shape}"
                 )
-            bessel.setflags(write=False)
-            object.__setattr__(self, "bessel", bessel)
+            alpha.setflags(write=False)
+            object.__setattr__(self, "alpha", alpha)
 
     @property
     def max_degree(self) -> int:
         return math.isqrt(self.coeffs.shape[0]) - 1
 
-    def excitation_power(self) -> np.ndarray:
-        """|alpha_nm(omega)|^2 = |Psi_nm / j_n(omega r / c)|^2 per mode and
-        frequency, and 0 where |j_n| <= 1e-14, where Psi_nm carries no
-        recoverable excitation.
-
-        Needs the Bessel table, so only a spectrum from theoretical_modes
-        has it.
-        """
-        if self.bessel is None:
-            raise DomainError(
-                "excitation power needs the Bessel table of theoretical_modes"
-            )
-        rows = self.bessel[flat_degrees(self.max_degree), :]
-        # Quotients by the masked rows may overflow; np.where drops them.
-        with np.errstate(all="ignore"):
-            return np.where(np.abs(rows) > 1e-14, np.abs(self.coeffs / rows) ** 2, 0.0)
-
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """White-noise description: per-mode noise power sigma0_sq, peak signal
-    spectrum power alpha_max_sq, and the generator seed.
+    """White noise of per-mode power sigma0_sq from the generator seed.
 
     sigma0_sq = 0 is the noiseless degenerate case: add_noise is the
     identity and SNR is undefined.
     """
 
     sigma0_sq: float
-    alpha_max_sq: float
     seed: int
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sigma0_sq) and self.sigma0_sq >= 0):
             raise DomainError(f"sigma0_sq must be >= 0, got {self.sigma0_sq!r}")
-        if not (math.isfinite(self.alpha_max_sq) and self.alpha_max_sq > 0):
-            raise DomainError(f"alpha_max_sq must be > 0, got {self.alpha_max_sq!r}")
         object.__setattr__(self, "seed", require_index("seed", self.seed, 2**64 - 1))
 
     @classmethod
     def calibrated(
         cls, signal: ModeSpectrum, snr_alpha_max: float, seed: int
     ) -> "NoiseModel":
-        """Noise that puts the peak excitation power of `signal` (a
-        theoretical_modes spectrum) at the peak SNR snr_alpha_max."""
-        alpha_max_sq = float(np.max(signal.excitation_power()))
-        return cls(
-            sigma0_sq=alpha_max_sq / snr_alpha_max, alpha_max_sq=alpha_max_sq, seed=seed
-        )
-
-    @property
-    def snr_alpha_max(self) -> float:
-        """Peak SNR alpha_max_sq / sigma0_sq."""
-        if self.sigma0_sq == 0:
-            raise DomainError("snr_alpha_max is undefined for sigma0_sq = 0")
-        return self.alpha_max_sq / self.sigma0_sq
+        """Noise that puts the peak excitation power max |alpha_nm|^2 of
+        `signal` (a theoretical_modes spectrum) at the peak SNR
+        snr_alpha_max."""
+        if signal.alpha is None:
+            raise DomainError(
+                "calibrated noise needs the excitation alpha of theoretical_modes"
+            )
+        alpha_max_sq = float(np.max(np.abs(signal.alpha) ** 2))
+        return cls(sigma0_sq=alpha_max_sq / snr_alpha_max, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -361,9 +343,9 @@ def theoretical_modes(
 ) -> ModeSpectrum:
     """Jacobi-Anger mode coefficients of a plane-wave superposition.
 
-    alpha_nm(omega) = sum over sources of 4 pi i^n A(omega) conj(Y_nm(y));
-    Psi_nm = alpha_nm j_n(omega R / c).  The returned spectrum keeps the
-    j_n(omega R / c) table, so excitation_power needs no second evaluation.
+    alpha_nm(omega) = sum over sources of 4 pi A(omega) conj(Y_nm(y));
+    Psi_nm = i^n alpha_nm j_n(omega R / c).  The returned spectrum keeps
+    alpha, which NoiseModel.calibrated reads.
     """
     N = require_index("analysis degree", N)
     if not (math.isfinite(radius) and radius > 0):
@@ -384,7 +366,7 @@ def theoretical_modes(
     # i^n from a table stays exact where complex powers round off.
     phase = np.array([1j**k for k in range(4)])[n % 4]
     coeffs = phase[:, None] * alpha * bessel[n]
-    return ModeSpectrum(radius=radius, freqs=freqs, coeffs=coeffs, bessel=bessel)
+    return ModeSpectrum(radius=radius, freqs=freqs, coeffs=coeffs, alpha=alpha)
 
 
 def analyze_modes(
@@ -455,7 +437,7 @@ def add_noise(field: np.ndarray, grid: SphericalGrid, noise: NoiseModel) -> np.n
 def mode_snr(signal: ModeSpectrum, noise: NoiseModel) -> np.ndarray:
     """Per-mode SNR curves |Psi_nm(omega)|^2 / sigma0_sq.
 
-    Since Psi_nm = alpha_nm j_n(omega R / c), this equals
+    Since Psi_nm = i^n alpha_nm j_n(omega R / c), this equals
     |alpha_nm|^2 |j_n|^2 / sigma0_sq, the deterministic-source form of the
     mode-domain SNR.
     """
@@ -561,7 +543,7 @@ def _reconstruction_error(band: ModeBand, t_eff: float, seed: int) -> float:
 
     ells = np.arange(0, int(math.floor(wt)) + 1)
     values = baseband(ells.astype(float)) * np.exp(2j * np.pi * w0 * ells / w)
-    train = SampleTrain(values=values, ell_lo=0, ell_hi=int(ells[-1]), spacing=1.0 / w)
+    train = SampleTrain(values=values, ell_lo=0)
     t = np.linspace(0.1 * t_eff, 0.9 * t_eff, _RECONSTRUCTION_TIMES)
     truth = baseband(w * t) * np.exp(2j * np.pi * w0 * t)
     recon = reconstruct(train, band, t)
@@ -608,19 +590,19 @@ def simulate(
     noise variance over `trials` noisy analyses (5/sqrt(trials)), one-sided
     detection cutoffs (one grid step) and sampling reconstruction (1e-2).
 
-    Raises DomainError for R = 0, a band F0 +- W of zero width in floating
-    point (W = 0 included), sources < 1, freq_points < 2, trials < 1, a seed
-    outside [0, 2**64 - 1 - trials] (the noise trials use seeds up to
-    seed + trials), or an R so small that F_{n_max} overflows, and
-    ResolutionError for n_max above the largest Bessel order sph_bessel_j
-    accepts, a degree below the required one, a field of more than
-    FIELD_ELEMENT_LIMIT node x frequency entries or a reconstruction check
-    of more than FIELD_ELEMENT_LIMIT sample x instant entries; both before
-    any quadrature is built.
+    Raises DomainError for a = F0 R / c = 0 (R = 0 included), a band F0 +- W
+    of zero width in floating point (W = 0 included), sources < 1,
+    freq_points < 2, trials < 1, a seed outside [0, 2**64 - 1 - trials] (the
+    noise trials use seeds up to seed + trials), or an R so small that
+    F_{n_max} overflows, and ResolutionError for n_max above the largest
+    Bessel order sph_bessel_j accepts, a degree below the required one, a
+    field of more than FIELD_ELEMENT_LIMIT node x frequency entries or a
+    reconstruction check of more than FIELD_ELEMENT_LIMIT sample x instant
+    entries; both before any quadrature is built.
     """
     band_lo, band_hi = scenario.band
-    if scenario.radius_R == 0:
-        raise DomainError("simulation requires radius_R > 0")
+    if _is_pointlike(scenario):
+        raise DomainError("simulation requires a = F0 R / c > 0")
     if not band_lo < band_hi:
         raise DomainError(
             "simulation requires a nonzero bandwidth (half_bandwidth_W > 0, b > 0) "
@@ -684,11 +666,13 @@ def simulate(
     analyzed = analyze_modes(field, grid, n_max, freqs)
     theo_scale = float(np.max(np.abs(theo.coeffs)))
     jacobi_err = float(np.max(np.abs(analyzed.coeffs - theo.coeffs))) / theo_scale
+    noise = NoiseModel.calibrated(theo, scenario.snr_alpha_max, seed)
+    # Free the theoretical spectrum before the larger n_field analysis, which
+    # sets simulate's peak memory.
+    del theo
 
     analyzed_full = analyze_modes(field, grid, n_field, freqs)
     parseval_err = parseval_check(field, grid, analyzed_full)
-
-    noise = NoiseModel.calibrated(theo, scenario.snr_alpha_max, seed)
 
     # Noise-variance property: Monte Carlo on one frequency column; per-trial
     # seeds derive from the base seed so trials decorrelate deterministically.
@@ -708,9 +692,7 @@ def simulate(
     cutoffs = mode_cutoffs(scenario, mode_snr(analyzed, noise), freqs)
     one_sided = all(cutoff.one_sided(freq_step) for cutoff in cutoffs)
 
-    recon_err = _reconstruction_error(
-        ModeBand.from_edges(band_lo, band_hi), t_eff, seed + 10_000
-    )
+    recon_err = _reconstruction_error(ModeBand(band_lo, band_hi), t_eff, seed + 10_000)
 
     return SimulationResult(
         freq_step=freq_step,

@@ -283,7 +283,7 @@ def test_criterion_08_noise_projection_statistics() -> None:
     sigma0_sq = 0.25
     rule = make_quadrature(8)
     grid = SphericalGrid(radius=1.0, rule=rule)
-    noise = NoiseModel(sigma0_sq=sigma0_sq, alpha_max_sq=1.0, seed=7)
+    noise = NoiseModel(sigma0_sq=sigma0_sq, seed=7)
     silent = np.zeros((len(rule), trials), dtype=complex)
     noisy = add_noise(silent, grid, noise)
     spectrum = analyze_modes(noisy, grid, 5, np.arange(trials, dtype=float))
@@ -322,8 +322,7 @@ def test_criterion_09_cutoff_one_sidedness() -> None:
     spectrum = analyze_modes(field, grid, n_max, freqs)
     y_src = harmonic_matrix(n_max, np.array([src.theta]), np.array([src.phi]))
     alpha_max_sq = float(np.max(np.abs(4.0 * math.pi * y_src) ** 2))
-    noise = NoiseModel(sigma0_sq=alpha_max_sq / s.snr_alpha_max,
-                       alpha_max_sq=alpha_max_sq, seed=1)
+    noise = NoiseModel(sigma0_sq=alpha_max_sq / s.snr_alpha_max, seed=1)
     snr = mode_snr(spectrum, noise)
     detected = 0
     violations = []
@@ -352,7 +351,7 @@ def test_criterion_10_basis_orthogonality() -> None:
     pairs = []
     for n in (3, 10):  # one full-band mode, one cutoff-narrowed mode
         entry = profile.per_mode[n]
-        pairs.append(ModeBand.from_edges(entry.band_lo, entry.band_hi))
+        pairs.append(ModeBand(entry.band_lo, entry.band_hi))
     assert (pairs[0].w_n, pairs[0].w_0n) != (pairs[1].w_n, pairs[1].w_0n)
     worst = 0.0
     for band in pairs:
@@ -378,7 +377,7 @@ def _raised_cosine(x: np.ndarray) -> np.ndarray:
 
 def test_criterion_11_sampling_reconstruction() -> None:
     t0 = time.perf_counter()
-    band = ModeBand.from_edges(10.0, 11.0)
+    band = ModeBand(10.0, 11.0)
     w, w0 = band.w_n, band.w_0n
 
     # Coefficient/sample identity against the analytic transform of a
@@ -420,11 +419,9 @@ def test_criterion_11_sampling_reconstruction() -> None:
         return float(np.sqrt(np.mean(np.abs(rec - truth) ** 2)
                              / np.mean(np.abs(truth) ** 2)))
 
-    err_full = rel_l2(SampleTrain(values=values, ell_lo=0,
-                                  ell_hi=n_samples - 1, spacing=1.0 / w))
+    err_full = rel_l2(SampleTrain(values=values, ell_lo=0))
     n_half = n_samples // 2
-    err_half = rel_l2(SampleTrain(values=values[:n_half], ell_lo=0,
-                                  ell_hi=n_half - 1, spacing=1.0 / w))
+    err_half = rel_l2(SampleTrain(values=values[:n_half], ell_lo=0))
     elapsed = time.perf_counter() - t0
     ok = (identity_err <= 1e-8 and err_full <= 0.01 and err_half > 0.05
           and elapsed < 10.0)

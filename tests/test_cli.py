@@ -45,7 +45,18 @@ from modecap.cli import (
     _serialize_report,
     main,
 )
-from modecap.dofcore import NormalizedParams, dof_normalized
+from modecap.dofcore import (
+    NormalizedParams,
+    Scenario,
+    bandwidth_arrays,
+    critical_frequency,
+    dof_asymptotic,
+    dof_closed_form,
+    dof_mode_sum,
+    dof_normalized,
+    dof_normalized_breakdown,
+    truncation_indices,
+)
 from modecap.errors import DomainError
 from modecap.wavefield import FIELD_ELEMENT_LIMIT
 
@@ -93,6 +104,36 @@ def test_compute_pointlike_scenario_report(tmp_path: Path) -> None:
     assert report["dof"]["total"] == pytest.approx(13.0)
     assert len(report["mode_table"]) == 1
     assert report["mode_table"][0]["eff_bandwidth_Wn"] == pytest.approx(4.0)
+
+
+def test_radius_whose_a_underflows_is_pointlike_on_every_route(
+        tmp_path: Path, capsys) -> None:
+    # a = F0 R / c = 0.5 * 5e-324 rounds to 0, so this is the a = 0 point on
+    # every route, not a 5e-324 m sphere with modes up to n = 5.
+    point = {"radius_R": 5e-324, "mid_freq_F0": 0.5, "half_bandwidth_W": 0.25,
+             "obs_time_T": 1.0, "wave_speed_c": 1.0, "snr_alpha_max": 1e4}
+    s = Scenario(**point)
+    p = NormalizedParams.from_scenario(s)
+    assert p.a == 0.0
+    assert truncation_indices(s) == truncation_indices(p) == (0, 0)
+    for bd in (dof_closed_form(s), dof_asymptotic(s), dof_normalized_breakdown(p)):
+        assert (bd.d1, bd.d2, bd.d3, bd.total) == (1.0, 0.5, 0.0, 1.5)
+    assert dof_mode_sum(s) == 1.5
+    bands = bandwidth_arrays(s)
+    assert (bands.n_min, bands.n_max, bands.eff_bandwidth_Wn.tolist()) == (0, 0, [0.5])
+    with pytest.raises(DomainError, match="pointlike"):
+        critical_frequency(s, 1)
+
+    cfg = _write(tmp_path, "cfg.json", {"scenario": point})
+    out = tmp_path / "report.json"
+    assert main(["compute", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert (report["n_min"], report["n_max"], report["dof"]["total"]) == (0, 0, 1.5)
+    assert len(report["mode_table"]) == 1
+    sim = _write(tmp_path, "sim.json", {"scenario": point, "simulation": {"trials": 2}})
+    capsys.readouterr()
+    assert main(["simulate", "--config", sim, "--out", str(out)]) == EXIT_DOMAIN
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_compute_csv_format(tmp_path: Path, capsys) -> None:

@@ -188,8 +188,7 @@ _INTEGER_ARGUMENTS = {
         _SNR, _FREQS, 1.0, k),
     "legendre_support_check": lambda k: sampling.legendre_support_check(
         lambda x: np.ones_like(x), 1e-3, 0.3, k, 3e8),
-    "NoiseModel": lambda k: wavefield.NoiseModel(
-        sigma0_sq=1.0, alpha_max_sq=1.0, seed=k),
+    "NoiseModel": lambda k: wavefield.NoiseModel(sigma0_sq=1.0, seed=k),
 }
 
 

@@ -18,8 +18,8 @@ from modecap.dofcore import NormalizedParams, Scenario, critical_frequency, \
     truncation_indices
 from modecap.errors import DomainError, ResolutionError
 from modecap.sampling import legendre_support_check
-from modecap.specfun import QuadratureRule, harmonic_matrix, make_quadrature, \
-    sph_bessel_j
+from modecap.specfun import QuadratureRule, flat_degrees, harmonic_matrix, \
+    make_quadrature, sph_bessel_j
 from modecap.wavefield import (
     FIELD_ELEMENT_LIMIT,
     ModeSpectrum,
@@ -272,27 +272,24 @@ def test_mode_spectrum_validation() -> None:
     with pytest.raises(DomainError):
         ModeSpectrum(radius=1.0, freqs=freqs,
                      coeffs=np.zeros((9, 2), dtype=complex),
-                     bessel=np.ones((2, 2)))
-    with pytest.raises(DomainError):
-        good.excitation_power()  # a spectrum without its Bessel table
+                     alpha=np.ones((2, 2)))
 
 
-def test_excitation_power_divides_out_the_bessel_table() -> None:
+def test_theoretical_modes_keep_the_excitation_alpha() -> None:
     src = PlaneWaveSource(theta=0.7, phi=1.9, amplitude=0.5 - 2.0j)
-    # At f = 0 every j_n with n >= 1 vanishes, so those entries read 0.
+    # At f = 0 every j_n with n >= 1 vanishes, but alpha does not.
     freqs = np.array([0.0, 0.4, 1.3])
     n_cap = 6
     spectrum = theoretical_modes([src], 1.0, freqs, n_cap, wave_speed_c=1.0)
-    z = 2.0 * math.pi * freqs
-    assert np.array_equal(
-        spectrum.bessel, np.stack([sph_bessel_j(n, z) for n in range(n_cap + 1)]))
-    y = harmonic_matrix(n_cap, np.array([0.7]), np.array([1.9]))[:, 0]
-    alpha_sq = np.abs(4.0 * math.pi * y * (0.5 - 2.0j)) ** 2
-    power = spectrum.excitation_power()
-    assert power.shape == ((n_cap + 1) ** 2, 3)
-    assert np.allclose(power[:, 1:], alpha_sq[:, None], rtol=1e-12, atol=0.0)
-    assert power[0, 0] == pytest.approx(alpha_sq[0], rel=1e-12)
-    assert np.all(power[1:, 0] == 0.0)
+    y_conj = harmonic_matrix(n_cap, np.array([0.7]), np.array([1.9])).conj()
+    alpha = 4.0 * np.pi * y_conj * np.full(3, 0.5 - 2.0j)[None, :]
+    assert np.array_equal(spectrum.alpha, alpha)
+    n = flat_degrees(n_cap)
+    bessel = np.stack([sph_bessel_j(k, 2.0 * math.pi * freqs) for k in n])
+    i_to_n = np.array([1, 1j, -1, -1j])[n % 4]
+    assert np.array_equal(spectrum.coeffs, i_to_n[:, None] * alpha * bessel)
+    noise = NoiseModel.calibrated(spectrum, 50.0, seed=4)
+    assert noise.sigma0_sq == float(np.max(np.abs(alpha) ** 2)) / 50.0
 
 
 def test_calibrated_noise_puts_the_peak_excitation_at_the_snr() -> None:
@@ -300,11 +297,10 @@ def test_calibrated_noise_puts_the_peak_excitation_at_the_snr() -> None:
     spectrum = theoretical_modes([src], 1.0, np.array([0.4, 1.3]), 4,
                                  wave_speed_c=1.0)
     noise = NoiseModel.calibrated(spectrum, 50.0, seed=4)
-    assert noise.alpha_max_sq == float(np.max(spectrum.excitation_power()))
-    assert noise.sigma0_sq == noise.alpha_max_sq / 50.0
+    assert noise.sigma0_sq == float(np.max(np.abs(spectrum.alpha) ** 2)) / 50.0
     assert noise.seed == 4
     analyzed = ModeSpectrum(radius=1.0, freqs=spectrum.freqs, coeffs=spectrum.coeffs)
-    with pytest.raises(DomainError, match="Bessel table"):
+    with pytest.raises(DomainError, match="excitation alpha"):
         NoiseModel.calibrated(analyzed, 50.0, seed=4)
 
 
@@ -312,12 +308,9 @@ def test_noise_is_deterministic_per_seed() -> None:
     rule = make_quadrature(5)
     grid = SphericalGrid(radius=1.0, rule=rule)
     field = np.zeros((len(rule), 4), dtype=complex)
-    a = add_noise(field, grid, NoiseModel(sigma0_sq=0.5, alpha_max_sq=1.0,
-                                          seed=11))
-    b = add_noise(field, grid, NoiseModel(sigma0_sq=0.5, alpha_max_sq=1.0,
-                                          seed=11))
-    c = add_noise(field, grid, NoiseModel(sigma0_sq=0.5, alpha_max_sq=1.0,
-                                          seed=12))
+    a = add_noise(field, grid, NoiseModel(sigma0_sq=0.5, seed=11))
+    b = add_noise(field, grid, NoiseModel(sigma0_sq=0.5, seed=11))
+    c = add_noise(field, grid, NoiseModel(sigma0_sq=0.5, seed=12))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -326,8 +319,7 @@ def test_noiseless_model_returns_field_unchanged() -> None:
     rule = make_quadrature(4)
     grid = SphericalGrid(radius=1.0, rule=rule)
     field = np.full((len(rule), 2), 1.5 - 0.5j)
-    out = add_noise(field, grid, NoiseModel(sigma0_sq=0.0, alpha_max_sq=1.0,
-                                            seed=3))
+    out = add_noise(field, grid, NoiseModel(sigma0_sq=0.0, seed=3))
     assert np.array_equal(out, field)
     assert out is not field
 
@@ -337,7 +329,7 @@ def test_projected_noise_variance_and_whiteness() -> None:
     sigma0_sq = 0.25
     rule = make_quadrature(8)
     grid = SphericalGrid(radius=1.0, rule=rule)
-    noise = NoiseModel(sigma0_sq=sigma0_sq, alpha_max_sq=1.0, seed=7)
+    noise = NoiseModel(sigma0_sq=sigma0_sq, seed=7)
     silent = np.zeros((len(rule), trials), dtype=complex)
     spectrum = analyze_modes(add_noise(silent, grid, noise), grid, 5,
                              np.arange(trials, dtype=float))
@@ -350,27 +342,25 @@ def test_projected_noise_variance_and_whiteness() -> None:
 
 
 def test_noise_model_validation() -> None:
-    with pytest.raises(DomainError):
-        NoiseModel(sigma0_sq=-0.1, alpha_max_sq=1.0, seed=0)
-    with pytest.raises(DomainError):
-        NoiseModel(sigma0_sq=0.1, alpha_max_sq=0.0, seed=0)
-    quiet = NoiseModel(sigma0_sq=0.0, alpha_max_sq=1.0, seed=0)
-    with pytest.raises(DomainError):
-        quiet.snr_alpha_max
-    loud = NoiseModel(sigma0_sq=0.5, alpha_max_sq=2.0, seed=0)
-    assert loud.snr_alpha_max == pytest.approx(4.0, rel=1e-15)
+    for sigma0_sq in (-0.1, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            NoiseModel(sigma0_sq=sigma0_sq, seed=0)
+    for seed in (-1, 2**64, 1.0):
+        with pytest.raises(DomainError):
+            NoiseModel(sigma0_sq=0.1, seed=seed)
+    quiet = NoiseModel(sigma0_sq=0.0, seed=2**64 - 1)
+    assert (quiet.sigma0_sq, quiet.seed) == (0.0, 2**64 - 1)
 
 
 def test_mode_snr_scales_with_noise_floor() -> None:
     freqs = np.array([1.0])
     coeffs = np.array([[2.0 + 0.0j], [0.0j], [1.0j], [0.0j]])
     spectrum = ModeSpectrum(radius=1.0, freqs=freqs, coeffs=coeffs)
-    snr = mode_snr(spectrum, NoiseModel(sigma0_sq=0.5, alpha_max_sq=4.0,
-                                        seed=0))
+    snr = mode_snr(spectrum, NoiseModel(sigma0_sq=0.5, seed=0))
     assert snr[0, 0] == pytest.approx(8.0, rel=1e-15)
     assert snr[2, 0] == pytest.approx(2.0, rel=1e-15)
     with pytest.raises(DomainError):
-        mode_snr(spectrum, NoiseModel(sigma0_sq=0.0, alpha_max_sq=1.0, seed=0))
+        mode_snr(spectrum, NoiseModel(sigma0_sq=0.0, seed=0))
 
 
 def test_empirical_cutoff_scans_orders_within_the_mode() -> None:
@@ -417,8 +407,7 @@ def test_empirical_cutoffs_stay_above_analytic_cutoffs() -> None:
     spectrum = analyze_modes(field, grid, n_max, freqs)
     y_src = harmonic_matrix(n_max, np.array([src.theta]), np.array([src.phi]))
     alpha_max_sq = float(np.max(np.abs(4.0 * math.pi * y_src) ** 2))
-    noise = NoiseModel(sigma0_sq=alpha_max_sq / s.snr_alpha_max,
-                       alpha_max_sq=alpha_max_sq, seed=1)
+    noise = NoiseModel(sigma0_sq=alpha_max_sq / s.snr_alpha_max, seed=1)
     snr = mode_snr(spectrum, noise)
     detected = 0
     for n in range(1, n_max + 1):
