@@ -29,6 +29,40 @@ def _flat(omega: np.ndarray) -> np.ndarray:
     return np.ones_like(omega)
 
 
+def _flat_signal(band: ModeBand, t: np.ndarray, ell_range: tuple[int, int]):
+    """The flat-spectrum time signal, rebuilt from its sample train."""
+    train = fourier_coefficients(_flat, band, ell_range)
+    return reconstruct(train, band, t)
+
+
+def test_flat_spectrum_gives_modulated_sinc() -> None:
+    band = ModeBand(9.5, 10.5)
+    t = np.linspace(-4.0, 4.0, 401)
+    got = _flat_signal(band, t, (-6, 6))
+    ref = np.sinc(t) * np.exp(2j * np.pi * 10.0 * t)
+    assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def test_wider_band_scales_amplitude_and_rate() -> None:
+    band = ModeBand(100.0, 103.0)  # w_n = 3
+    t = np.linspace(-1.0, 1.0, 201)
+    got = _flat_signal(band, t, (-5, 5))
+    ref = 3.0 * np.sinc(3.0 * t) * np.exp(2j * np.pi * 101.5 * t)
+    assert np.max(np.abs(got - ref)) < 1e-10 * 3.0
+
+
+def test_cos_squared_spectrum_gives_raised_cosine_kernel() -> None:
+    band = ModeBand(10.0, 11.0)
+    spectrum = lambda omega: np.cos(
+        np.pi * (omega / (2.0 * np.pi) - band.w_0n)) ** 2
+    train = fourier_coefficients(spectrum, band, (-6, 6))
+    t = train.ells / band.w_n
+    # Half the raised-cosine kernel, sampled: 1/2 at l = 0, 1/4 at l = +-1.
+    kernel = np.sinc(t) + 0.5 * np.sinc(t + 1.0) + 0.5 * np.sinc(t - 1.0)
+    ref = 0.5 * kernel * np.exp(2j * np.pi * band.w_0n * t)
+    assert np.max(np.abs(train.values - ref)) < 1e-12
+
+
 def test_mode_band_validation() -> None:
     for lo, hi in ((10.25, 9.75), (math.nan, 10.0), (10.0, math.inf),
                    (-1e308, 1e308), (1e308, 1.5e308)):
