@@ -102,7 +102,6 @@ __all__ = [
     "legendre_support_check",
     # wavefield
     "PlaneWaveSource",
-    "SphericalGrid",
     "ModeSpectrum",
     "NoiseModel",
     "ModeCutoff",

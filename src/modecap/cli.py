@@ -76,10 +76,6 @@ SWEEP_POINT_LIMIT = 1_000_000
 MAX_SOURCES = 256
 MAX_TRIALS = 4096
 
-# Most sweep threads MODECAP_THREADS may ask for.  The sweep starts one OS
-# thread per chunk, so an unbounded value could start one per grid point.
-MAX_THREADS = 64
-
 
 def _round12(x: float) -> float:
     """Round to the 12 significant digits that get printed."""
@@ -230,21 +226,6 @@ def _build_simulation(cfg: dict, seed_override: int | None) -> dict[str, int]:
     if not 0 <= out["seed"] < 2**63:
         raise ConfigError("simulation.seed must be a nonnegative 63-bit integer")
     return out
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("MODECAP_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"MODECAP_THREADS must be an integer, got {raw!r}") from exc
-    if not 1 <= value <= MAX_THREADS:
-        raise ConfigError(
-            f"MODECAP_THREADS must be between 1 and {MAX_THREADS}, got {value}"
-        )
-    return value
 
 
 def _write_output(text: str, out_path: str) -> None:
@@ -495,7 +476,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # One contiguous, in-order chunk per thread: a future per point costs
     # more in the pool's locks than the closed form itself.  The first
     # failing chunk holds the first failing point, so errors stay in grid order.
-    threads = _thread_count()
+    threads = min(8, os.cpu_count() or 1)
     size = math.ceil(len(points) / threads)
     chunks = [points[i:i + size] for i in range(0, len(points), size)]
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -325,42 +325,30 @@ def truncation_indices(s: Scenario | NormalizedParams) -> tuple[int, int]:
     return _indices(p.a, p.b, p.rho)
 
 
-def bandwidth_arrays(s: Scenario, n_cap: int | None = None) -> ModeBandArrays:
-    """Per-mode effective bandwidths W_n and usable bands, as NumPy columns.
+def bandwidth_arrays(s: Scenario) -> ModeBandArrays:
+    """Per-mode effective bandwidths W_n and usable bands of the modes
+    n = 0..n_max, as NumPy columns.
 
     Branches over the mode index n:
       * n <= n_min: full band, W_n = 2W exactly over [F0-W, F0+W] (not the
         difference of the band edges, which cancels when W << F0);
       * n_min < n <= n_max: W_n = max(0, F0+W-F_n) over [max(F0-W, F_n), F0+W]
-        (degenerating to the empty band at F0+W when the clamp bites);
-      * n > n_max: W_n = 0 (rows included only when n_cap asks for them).
+        (degenerating to the empty band at F0+W when the clamp bites).
 
     Every element equals, bit for bit, the Python scalar arithmetic of
     critical_frequency and of the per-mode max/min clamps.  At a = 0,
-    n_min = n_max = 0, so the table is the single full-band row of mode 0;
-    rows above it that n_cap asks for hold the R -> 0 limit of F_n (0 or inf)
-    and W_n = 0.
-
-    Parameters
-    ----------
-    s : Scenario.
-    n_cap : int, optional
-        Highest mode index to tabulate; defaults to n_max.
+    n_min = n_max = 0, so the table is the single full-band row of mode 0.
     """
     import numpy as np
 
     n_min, n_max = truncation_indices(s)
-    if n_cap is None:
-        n_cap = n_max
-    else:
-        n_cap = require_index("n_cap", n_cap)
     lo, hi = s.band
-    n = np.arange(n_cap + 1)
+    n = np.arange(n_max + 1)
     fn = _critical_frequencies(s, n)
     fn[0] = 0.0
     # fn holds no NaN and no -0.0, so clip is Python's min(max(lo, fn), hi).
     clamped = np.clip(fn, lo, hi)
-    band_lo = np.where(n <= n_min, lo, np.where(n <= n_max, clamped, hi))
+    band_lo = np.where(n <= n_min, lo, clamped)
     band_hi = np.full(n.shape, hi)
     eff = band_hi - band_lo
     eff[: n_min + 1] = 2.0 * s.half_bandwidth_W
@@ -376,9 +364,9 @@ def bandwidth_arrays(s: Scenario, n_cap: int | None = None) -> ModeBandArrays:
     )
 
 
-def bandwidth_profile(s: Scenario, n_cap: int | None = None) -> ModeBandwidthProfile:
+def bandwidth_profile(s: Scenario) -> ModeBandwidthProfile:
     """bandwidth_arrays as a tuple of ModeEntry rows (see there)."""
-    cols = bandwidth_arrays(s, n_cap)
+    cols = bandwidth_arrays(s)
     per_mode = tuple(
         map(
             ModeEntry,

@@ -122,19 +122,14 @@ class QuadratureRule:
 
 
 def _bessel_series_small(n: int, z: np.ndarray) -> np.ndarray:
-    """Two-term ascending series in log space, for 0 < z < _SERIES_CUTOFF.
+    """Two-term ascending series, for 0 < z < _SERIES_CUTOFF.
 
     j_n(z) = (z/2)^n sqrt(pi)/(2 Gamma(n+3/2)) (1 - z^2/(2(2n+3)) + O(z^4));
-    the omitted term is below 1e-14 relative at the cutoff, and the log-space
-    leading factor underflows cleanly to zero exactly when the true value
-    does.
+    the omitted term is below 1e-14 relative at the cutoff.  The leading
+    factor is sph_bessel_j_bound, which underflows cleanly to zero exactly
+    when the true value does.
     """
-    log_lead = 0.5 * math.log(math.pi) - math.log(2.0) - gammaln(n + 1.5)
-    # z/2 may round to zero in the subnormal range; log -> -inf -> exp -> 0,
-    # which is the correct underflowed value.
-    with np.errstate(divide="ignore"):
-        lead = np.exp(log_lead + n * np.log(z / 2.0))
-    return lead * (1.0 - z * z / (2.0 * (2 * n + 3)))
+    return sph_bessel_j_bound(n, z) * (1.0 - z * z / (2.0 * (2 * n + 3)))
 
 
 def sph_bessel_j(n: int, z):

@@ -1,11 +1,13 @@
 """Brute-force wavefield verification engine.
 
-Synthesizes band-limited plane-wave fields on a spherical observation
-surface, expands them in spherical harmonics (both analytically through the
-Jacobi-Anger expansion and numerically through quadrature projection),
-injects reproducible circularly-symmetric white Gaussian noise, and measures
-per-mode SNR curves so the closed-form critical frequencies can be checked
-against detection thresholds empirically.
+Synthesizes band-limited plane-wave fields at the nodes of a quadrature rule
+on a sphere of given radius, expands them in spherical harmonics (both
+analytically through the Jacobi-Anger expansion and numerically through
+quadrature projection on the same rule), injects reproducible
+circularly-symmetric white Gaussian noise, and measures per-mode SNR curves
+so the closed-form critical frequencies can be checked against detection
+thresholds empirically.  Only synthesis and the Jacobi-Anger expansion read
+the radius; analysis and noise read the rule alone.
 
 Noise is generated per node with variance sigma0_sq / w_q (w_q the node's
 quadrature weight); the projected mode-domain noise then has variance exactly
@@ -43,7 +45,6 @@ from .specfun import (
 
 __all__ = [
     "PlaneWaveSource",
-    "SphericalGrid",
     "ModeSpectrum",
     "NoiseModel",
     "ModeCutoff",
@@ -124,24 +125,6 @@ class PlaneWaveSource:
 
 
 @dataclass(frozen=True)
-class SphericalGrid:
-    """Observation surface: sphere radius plus a quadrature rule.
-
-    For alias-free analysis up to degree N of a field with harmonic content
-    up to degree N_field, the rule must satisfy max_degree >= N + N_field.
-    """
-
-    radius: float
-    rule: QuadratureRule
-
-    def __post_init__(self) -> None:
-        radius = float(self.radius)
-        if not (math.isfinite(radius) and radius > 0):
-            raise DomainError(f"grid radius must be finite and > 0, got {radius!r}")
-        object.__setattr__(self, "radius", radius)
-
-
-@dataclass(frozen=True)
 class ModeSpectrum:
     """Mode-domain field Psi_nm(r, omega): coeffs[(n*n + n + m), freq_index].
 
@@ -151,30 +134,22 @@ class ModeSpectrum:
     measured spectrum.
     """
 
-    radius: float
-    freqs: np.ndarray
     coeffs: np.ndarray
     alpha: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        freqs = np.asarray(self.freqs, dtype=float)
         coeffs = np.asarray(self.coeffs, dtype=complex)
-        if freqs.ndim != 1:
-            raise DomainError("freqs must be a 1-D grid")
-        if coeffs.ndim != 2 or coeffs.shape[1] != freqs.size:
+        if coeffs.ndim != 2:
             raise DomainError(
-                f"coeffs must have shape ((N+1)^2, {freqs.size}), got {coeffs.shape}"
+                f"coeffs must have shape ((N+1)^2, freqs), got {coeffs.shape}"
             )
         side = math.isqrt(coeffs.shape[0])
         if side * side != coeffs.shape[0]:
             raise DomainError(
                 f"coeffs first dimension {coeffs.shape[0]} is not a perfect square"
             )
-        freqs.setflags(write=False)
         coeffs.setflags(write=False)
-        object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "radius", float(self.radius))
         if self.alpha is not None:
             alpha = np.asarray(self.alpha, dtype=complex)
             if alpha.shape != coeffs.shape:
@@ -184,10 +159,6 @@ class ModeSpectrum:
                 )
             alpha.setflags(write=False)
             object.__setattr__(self, "alpha", alpha)
-
-    @property
-    def max_degree(self) -> int:
-        return math.isqrt(self.coeffs.shape[0]) - 1
 
 
 @dataclass(frozen=True)
@@ -269,6 +240,11 @@ def _check_freqs(freqs) -> np.ndarray:
     return freqs
 
 
+def _check_radius(radius: float) -> None:
+    if not (math.isfinite(radius) and radius > 0):
+        raise DomainError(f"radius must be finite and > 0, got {radius!r}")
+
+
 def _check_wave_speed(wave_speed_c: float) -> None:
     if not (math.isfinite(wave_speed_c) and wave_speed_c > 0):
         raise DomainError(f"wave speed must be finite and > 0, got {wave_speed_c!r}")
@@ -276,12 +252,14 @@ def _check_wave_speed(wave_speed_c: float) -> None:
 
 def synthesize_field(
     sources: Sequence[PlaneWaveSource],
-    grid: SphericalGrid,
+    rule: QuadratureRule,
+    radius: float,
     freqs,
     *,
     wave_speed_c: float = _SPEED_OF_LIGHT,
 ) -> np.ndarray:
-    """Superpose plane waves on the grid: sum of A(omega) e^{i k R x.y}.
+    """Superpose plane waves on the rule's nodes on the sphere of the given
+    radius: sum of A(omega) e^{i k R x.y}.
 
     Returns a complex array of shape (nodes, frequencies).
 
@@ -307,13 +285,14 @@ def synthesize_field(
     """
     if len(sources) == 0:
         raise DomainError("synthesize_field requires at least one source")
+    _check_radius(radius)
     freqs = _check_freqs(freqs)
     _check_wave_speed(wave_speed_c)
-    kr = 2.0 * np.pi * grid.radius * freqs / wave_speed_c
-    rings, azimuths = grid.rule.ring_shape
+    kr = 2.0 * np.pi * radius * freqs / wave_speed_c
+    rings, azimuths = rule.ring_shape
     half = azimuths // 2
-    theta = grid.rule.theta[::azimuths]
-    phi = grid.rule.phi[:half]
+    theta = rule.theta[::azimuths]
+    phi = rule.phi[:half]
     sin_theta = np.sin(theta)
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     field = np.zeros((rings, azimuths, freqs.size), dtype=complex)
@@ -348,8 +327,7 @@ def theoretical_modes(
     alpha, which NoiseModel.calibrated reads.
     """
     N = require_index("analysis degree", N)
-    if not (math.isfinite(radius) and radius > 0):
-        raise DomainError(f"radius must be finite and > 0, got {radius!r}")
+    _check_radius(radius)
     freqs = _check_freqs(freqs)
     _check_wave_speed(wave_speed_c)
     z = 2.0 * np.pi * freqs * radius / wave_speed_c
@@ -366,13 +344,12 @@ def theoretical_modes(
     # i^n from a table stays exact where complex powers round off.
     phase = np.array([1j**k for k in range(4)])[n % 4]
     coeffs = phase[:, None] * alpha * bessel[n]
-    return ModeSpectrum(radius=radius, freqs=freqs, coeffs=coeffs, alpha=alpha)
+    return ModeSpectrum(coeffs=coeffs, alpha=alpha)
 
 
-def analyze_modes(
-    field: np.ndarray, grid: SphericalGrid, N: int, freqs
-) -> ModeSpectrum:
-    """Project a sampled field onto Y_nm by quadrature, up to degree N.
+def analyze_modes(field: np.ndarray, rule: QuadratureRule, N: int) -> ModeSpectrum:
+    """Project a field sampled on the rule's nodes, of shape (nodes, F) with
+    F >= 1 frequencies, onto Y_nm by quadrature, up to degree N.
 
     The rule is a product of rings and uniform azimuths, so the projection
     splits (the fast spherical-harmonic transform of Driscoll & Healy 1994):
@@ -381,39 +358,40 @@ def analyze_modes(
     weighted conj(Y_nm(theta_j, 0)), n = |m|..N.  No (N+1)^2 x nodes basis
     is formed.
 
-    Raises ResolutionError when N exceeds the rule's max_degree (the
-    projection would alias); callers must additionally budget max_degree >=
-    N + field content degree for exactness.
+    Raises DomainError for a field of any other shape, and ResolutionError
+    when N exceeds the rule's max_degree (the projection would alias);
+    callers must additionally budget max_degree >= N + field content degree
+    for exactness.
     """
     N = require_index("analysis degree", N)
-    freqs = _check_freqs(freqs)
     field = np.asarray(field, dtype=complex)
-    if field.shape != (len(grid.rule), freqs.size):
+    if field.ndim != 2 or field.shape[0] != len(rule) or field.shape[1] == 0:
         raise DomainError(
-            f"field shape {field.shape} does not match (nodes, freqs) = "
-            f"({len(grid.rule)}, {freqs.size})"
+            f"field shape {field.shape} is not (nodes, freqs) = ({len(rule)}, F) "
+            "with F >= 1"
         )
-    if N > grid.rule.max_degree:
+    if N > rule.max_degree:
         raise ResolutionError(
             f"analysis degree {N} exceeds the rule's max_degree "
-            f"{grid.rule.max_degree}; the projection would alias"
+            f"{rule.max_degree}; the projection would alias"
         )
-    rings, azimuths = grid.rule.ring_shape
-    bins = np.fft.fft(field.reshape(rings, azimuths, freqs.size), axis=1)
+    rings, azimuths = rule.ring_shape
+    freq_count = field.shape[1]
+    bins = np.fft.fft(field.reshape(rings, azimuths, freq_count), axis=1)
     # harmonic_matrix returns a fresh array, so weight it in place.
-    polar = harmonic_matrix(N, grid.rule.theta[::azimuths], np.zeros(rings))
+    polar = harmonic_matrix(N, rule.theta[::azimuths], np.zeros(rings))
     np.conjugate(polar, out=polar)
-    polar *= grid.rule.weights[::azimuths]
-    coeffs = np.empty(((N + 1) ** 2, freqs.size), dtype=complex)
+    polar *= rule.weights[::azimuths]
+    coeffs = np.empty(((N + 1) ** 2, freq_count), dtype=complex)
     degrees = np.arange(N + 1)
     for m in range(-N, N + 1):
         n = degrees[abs(m) :]
         rows = n * n + n + m
         coeffs[rows] = polar[rows] @ bins[:, m % azimuths]
-    return ModeSpectrum(radius=grid.radius, freqs=freqs, coeffs=coeffs)
+    return ModeSpectrum(coeffs=coeffs)
 
 
-def add_noise(field: np.ndarray, grid: SphericalGrid, noise: NoiseModel) -> np.ndarray:
+def add_noise(field: np.ndarray, rule: QuadratureRule, noise: NoiseModel) -> np.ndarray:
     """Add circularly-symmetric complex Gaussian noise per node and frequency.
 
     Node q gets variance sigma0_sq / w_q, which makes every projected mode
@@ -421,14 +399,14 @@ def add_noise(field: np.ndarray, grid: SphericalGrid, noise: NoiseModel) -> np.n
     modes.  Counter-based generator: bitwise reproducible for a fixed seed.
     """
     field = np.asarray(field, dtype=complex)
-    if field.shape[0] != len(grid.rule):
+    if field.shape[0] != len(rule):
         raise DomainError(
-            f"field has {field.shape[0]} rows but the grid has {len(grid.rule)} nodes"
+            f"field has {field.shape[0]} rows but the rule has {len(rule)} nodes"
         )
     if noise.sigma0_sq == 0:
         return field.copy()
     rng = np.random.Generator(np.random.Philox(noise.seed))
-    std = np.sqrt(noise.sigma0_sq / (2.0 * grid.rule.weights))
+    std = np.sqrt(noise.sigma0_sq / (2.0 * rule.weights))
     shape = field.shape
     eta = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return field + std.reshape((-1,) + (1,) * (field.ndim - 1)) * eta
@@ -477,7 +455,7 @@ def empirical_critical_frequency(
 
 
 def parseval_check(
-    field: np.ndarray, grid: SphericalGrid, spectrum: ModeSpectrum
+    field: np.ndarray, rule: QuadratureRule, spectrum: ModeSpectrum
 ) -> float:
     """Worst per-frequency relative gap between node-domain power and
     mode-domain power.
@@ -487,13 +465,13 @@ def parseval_check(
     is identically zero contribute zero (both powers vanish).
     """
     field = np.asarray(field, dtype=complex)
-    if field.shape[0] != len(grid.rule):
+    if field.shape[0] != len(rule):
         raise DomainError(
-            f"field has {field.shape[0]} rows but the grid has {len(grid.rule)} nodes"
+            f"field has {field.shape[0]} rows but the rule has {len(rule)} nodes"
         )
-    if field.shape[1] != spectrum.freqs.size:
+    if field.shape[1] != spectrum.coeffs.shape[1]:
         raise DomainError("field and spectrum frequency grids differ in length")
-    node_power = grid.rule.weights @ (np.abs(field) ** 2)
+    node_power = rule.weights @ (np.abs(field) ** 2)
     mode_power = np.sum(np.abs(spectrum.coeffs) ** 2, axis=0)
     gap = np.abs(node_power - mode_power)
     out = np.zeros_like(gap)
@@ -656,14 +634,14 @@ def simulate(
             f"{FIELD_ELEMENT_LIMIT} entries"
         )
 
-    grid = SphericalGrid(radius=scenario.radius_R, rule=make_quadrature(quad_degree))
+    rule = make_quadrature(quad_degree)
     freqs = np.linspace(band_lo, band_hi, freq_points)
     freq_step = float(freqs[1] - freqs[0])
     waves = _random_sources(sources, freqs, seed)
 
-    field = synthesize_field(waves, grid, freqs, wave_speed_c=c)
+    field = synthesize_field(waves, rule, scenario.radius_R, freqs, wave_speed_c=c)
     theo = theoretical_modes(waves, scenario.radius_R, freqs, n_max, wave_speed_c=c)
-    analyzed = analyze_modes(field, grid, n_max, freqs)
+    analyzed = analyze_modes(field, rule, n_max)
     theo_scale = float(np.max(np.abs(theo.coeffs)))
     jacobi_err = float(np.max(np.abs(analyzed.coeffs - theo.coeffs))) / theo_scale
     noise = NoiseModel.calibrated(theo, scenario.snr_alpha_max, seed)
@@ -671,8 +649,8 @@ def simulate(
     # sets simulate's peak memory.
     del theo
 
-    analyzed_full = analyze_modes(field, grid, n_field, freqs)
-    parseval_err = parseval_check(field, grid, analyzed_full)
+    analyzed_full = analyze_modes(field, rule, n_field)
+    parseval_err = parseval_check(field, rule, analyzed_full)
 
     # Noise-variance property: Monte Carlo on one frequency column; per-trial
     # seeds derive from the base seed so trials decorrelate deterministically.
@@ -681,8 +659,8 @@ def simulate(
     base = analyzed.coeffs[:, [mid]]
     acc = np.zeros(base.shape[0], dtype=float)
     for trial in range(trials):
-        noisy = add_noise(column, grid, replace(noise, seed=seed + 1 + trial))
-        nu = analyze_modes(noisy, grid, n_max, freqs[[mid]]).coeffs - base
+        noisy = add_noise(column, rule, replace(noise, seed=seed + 1 + trial))
+        nu = analyze_modes(noisy, rule, n_max).coeffs - base
         acc += np.abs(nu[:, 0]) ** 2
     sigma0_sq = noise.sigma0_sq
     noise_var_err = float(np.max(np.abs(acc / trials - sigma0_sq) / sigma0_sq))

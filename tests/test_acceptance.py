@@ -36,7 +36,6 @@ from modecap.specfun import harmonic_matrix, make_quadrature, sph_bessel_j, \
 from modecap.wavefield import (
     NoiseModel,
     PlaneWaveSource,
-    SphericalGrid,
     add_noise,
     analyze_modes,
     empirical_critical_frequency,
@@ -259,10 +258,9 @@ def test_criterion_07_planewave_round_trip() -> None:
         freq = k_r / (2.0 * math.pi)  # radius 1, unit wave speed
         n_cap = math.ceil(k_r) + 5
         rule = make_quadrature(n_cap + math.ceil(k_r) + 20)
-        grid = SphericalGrid(radius=1.0, rule=rule)
         freqs = np.array([freq])
-        field = synthesize_field(sources, grid, freqs, wave_speed_c=1.0)
-        analyzed = analyze_modes(field, grid, n_cap, freqs)
+        field = synthesize_field(sources, rule, 1.0, freqs, wave_speed_c=1.0)
+        analyzed = analyze_modes(field, rule, n_cap)
         theory = theoretical_modes(sources, 1.0, freqs, n_cap, wave_speed_c=1.0)
         gap = np.linalg.norm(analyzed.coeffs - theory.coeffs)
         ref = np.linalg.norm(theory.coeffs)
@@ -282,11 +280,10 @@ def test_criterion_08_noise_projection_statistics() -> None:
     trials = 10_000
     sigma0_sq = 0.25
     rule = make_quadrature(8)
-    grid = SphericalGrid(radius=1.0, rule=rule)
     noise = NoiseModel(sigma0_sq=sigma0_sq, seed=7)
     silent = np.zeros((len(rule), trials), dtype=complex)
-    noisy = add_noise(silent, grid, noise)
-    spectrum = analyze_modes(noisy, grid, 5, np.arange(trials, dtype=float))
+    noisy = add_noise(silent, rule, noise)
+    spectrum = analyze_modes(noisy, rule, 5)
     nu = spectrum.coeffs  # one row per (n, m) with n <= 5, one column per trial
     variances = np.mean(np.abs(nu) ** 2, axis=1)
     var_err = float(np.max(np.abs(variances - sigma0_sq)) / sigma0_sq)
@@ -316,10 +313,10 @@ def test_criterion_09_cutoff_one_sidedness() -> None:
     delta_f = 2.0 * half_w / 512.0
     k_max = 2.0 * math.pi * freqs[-1] * s.radius_R / s.wave_speed_c
     rule = make_quadrature(n_max + math.ceil(k_max) + 20)
-    grid = SphericalGrid(radius=s.radius_R, rule=rule)
     src = PlaneWaveSource(theta=0.7, phi=1.9, amplitude=1.0 + 0.0j)
-    field = synthesize_field([src], grid, freqs, wave_speed_c=s.wave_speed_c)
-    spectrum = analyze_modes(field, grid, n_max, freqs)
+    field = synthesize_field([src], rule, s.radius_R, freqs,
+                             wave_speed_c=s.wave_speed_c)
+    spectrum = analyze_modes(field, rule, n_max)
     y_src = harmonic_matrix(n_max, np.array([src.theta]), np.array([src.phi]))
     alpha_max_sq = float(np.max(np.abs(4.0 * math.pi * y_src) ** 2))
     noise = NoiseModel(sigma0_sq=alpha_max_sq / s.snr_alpha_max, seed=1)

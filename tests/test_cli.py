@@ -35,7 +35,6 @@ from modecap.cli import (
     EXIT_OK,
     EXIT_RESOLUTION,
     MAX_SOURCES,
-    MAX_THREADS,
     MAX_TRIALS,
     MODE_TABLE_LIMIT,
     _build_simulation,
@@ -200,42 +199,29 @@ def test_sweep_row_equals_the_compute_row(tmp_path: Path, point: dict) -> None:
 
 def test_sweep_thread_count_does_not_change_output(
         tmp_path: Path, monkeypatch) -> None:
-    # Seven points: no thread count from 2 to 6 divides them and 8 and
-    # MAX_THREADS exceed them, so the chunks are uneven or hold one point each.
+    # The pool has min(8, cpus) threads.  Seven points: no thread count from
+    # 2 to 6 divides them and 8 exceeds them, so the chunks are uneven or
+    # hold one point each.
     cfg = _write(tmp_path, "cfg.json", {"sweep": {
         "a": [0.5, 1.0, 1.5, 4.0, 20.0, 0.05, 9.0], "b": [0.1], "d": [1.0],
         "rho": [50.0]}})
     for fmt in ("csv", "json"):
         outputs = []
-        for threads in ("1", "2", "3", "8", str(MAX_THREADS)):
-            monkeypatch.setenv("MODECAP_THREADS", threads)
-            out = tmp_path / f"t{threads}.{fmt}"
+        for cpus in (1, 2, 3, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            out = tmp_path / f"t{cpus}.{fmt}"
             assert main(["sweep", "--config", cfg, "--format", fmt,
                          "--out", str(out)]) == EXIT_OK
             outputs.append(out.read_bytes())
         assert all(data == outputs[0] for data in outputs)
     assert len(json.loads(outputs[0])["rows"]) == 7
+    # The package reads no environment variable: a former thread setting
+    # is ignored.
     monkeypatch.setenv("MODECAP_THREADS", "zero")
-    assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
-
-
-def test_thread_count_above_the_ceiling_exits_2(
-        tmp_path: Path, monkeypatch, capsys) -> None:
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was created")
-
-    # The check comes before any pool, so a pool here fails the test
-    # instead of starting threads.
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setenv("MODECAP_THREADS", str(MAX_THREADS + 1))
-    cfg = _write(tmp_path, "cfg.json", {"sweep": {
-        "a": [1.0], "b": [0.5], "d": [1.0], "rho": [100.0]}})
-    out = tmp_path / "out.csv"
-    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert err == (f"config error: MODECAP_THREADS must be between 1 and "
-                   f"{MAX_THREADS}, got {MAX_THREADS + 1}\n")
+    out = tmp_path / "env.json"
+    assert main(["sweep", "--config", cfg, "--format", "json",
+                 "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == outputs[0]
 
 
 def test_sweep_grid_above_the_point_limit_exits_5(
@@ -277,9 +263,9 @@ def test_sweep_error_is_independent_of_thread_count(
         "a": [1.0], "b": [0.5], "d": [1.0, 2.0, 3.0, 1e308, 5.0, 6.0, 7.0],
         "rho": [100.0]}})
     errors = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("MODECAP_THREADS", threads)
-        out = tmp_path / f"t{threads}.csv"
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        out = tmp_path / f"t{cpus}.csv"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_DOMAIN
         assert not out.exists()
         errors.append(capsys.readouterr().err)
@@ -477,11 +463,9 @@ def test_simulate_report_matches_the_dense_projection(
     fast_out, dense_out = tmp_path / "fast.json", tmp_path / "dense.json"
     assert main(["simulate", "--config", cfg, "--out", str(fast_out)]) == EXIT_OK
 
-    def dense(field, grid, N, freqs):
-        rule = grid.rule
+    def dense(field, rule, N):
         basis = specfun.harmonic_matrix(N, rule.theta, rule.phi).conj() * rule.weights
-        return wavefield.ModeSpectrum(radius=grid.radius, freqs=freqs,
-                                      coeffs=basis @ field)
+        return wavefield.ModeSpectrum(coeffs=basis @ field)
 
     monkeypatch.setattr(wavefield, "analyze_modes", dense)
     assert main(["simulate", "--config", cfg, "--out", str(dense_out)]) == EXIT_OK
@@ -502,9 +486,8 @@ def test_simulate_report_matches_the_direct_synthesis(
     ring_out, direct_out = tmp_path / "ring.json", tmp_path / "direct.json"
     assert main(["simulate", "--config", cfg, "--out", str(ring_out)]) == EXIT_OK
 
-    def direct(sources, grid, freqs, *, wave_speed_c):
+    def direct(sources, rule, radius, freqs, *, wave_speed_c):
         k = 2.0 * np.pi * freqs / wave_speed_c
-        rule = grid.rule
         st = np.sin(rule.theta)
         nodes = np.column_stack(
             (st * np.cos(rule.phi), st * np.sin(rule.phi), np.cos(rule.theta)))
@@ -512,7 +495,7 @@ def test_simulate_report_matches_the_direct_synthesis(
         for src in sources:
             projection = nodes @ src.unit_vector()
             field += src.spectrum_on(freqs)[None, :] * np.exp(
-                1j * grid.radius * projection[:, None] * k[None, :])
+                1j * radius * projection[:, None] * k[None, :])
         return field
 
     monkeypatch.setattr(wavefield, "synthesize_field", direct)

@@ -171,15 +171,6 @@ def test_bandwidth_profile_structure() -> None:
         assert cur <= prev + 1e-12
 
 
-def test_bandwidth_profile_cap_extends_with_empty_bands() -> None:
-    s = _PINNED.to_scenario()
-    profile = bandwidth_profile(s, n_cap=16)
-    assert len(profile.per_mode) == 17
-    for entry in profile.per_mode[14:]:
-        assert entry.eff_bandwidth_Wn == 0.0
-        assert entry.band_lo == entry.band_hi
-
-
 def test_zero_bandwidth_profile_is_all_point_bands() -> None:
     s = NormalizedParams(a=1.0, b=0.0, d=1.0, rho=1.0).to_scenario()
     profile = bandwidth_profile(s)
@@ -187,7 +178,7 @@ def test_zero_bandwidth_profile_is_all_point_bands() -> None:
     assert all(e.eff_bandwidth_Wn == 0.0 for e in profile.per_mode)
 
 
-def _scalar_profile(s: Scenario, n_cap: int) -> list[tuple]:
+def _scalar_profile(s: Scenario) -> list[tuple]:
     """The per-mode Python loop bandwidth_profile ran before its array path,
     with critical_frequency's scalar arithmetic written out; full-band rows
     count W_n = 2W exactly."""
@@ -195,17 +186,15 @@ def _scalar_profile(s: Scenario, n_cap: int) -> list[tuple]:
     half_log = 0.5 * math.log(s.snr_ratio)
     lo, hi = s.band
     rows = []
-    for n in range(n_cap + 1):
+    for n in range(n_max + 1):
         if n == 0:
             fn = 0.0
         else:
             fn = max(0.0, (n - half_log) * s.wave_speed_c / (EPI * s.radius_R))
         if n <= n_min:
             band_lo, band_hi = lo, hi
-        elif n <= n_max:
-            band_lo, band_hi = min(max(lo, fn), hi), hi
         else:
-            band_lo, band_hi = hi, hi
+            band_lo, band_hi = min(max(lo, fn), hi), hi
         w_n = 2.0 * s.half_bandwidth_W if n <= n_min else band_hi - band_lo
         rows.append((n, fn, band_lo, band_hi, w_n, 0.5 * (band_lo + band_hi)))
     return rows
@@ -217,18 +206,17 @@ def _bits(rows) -> list[tuple]:
             for row in rows]
 
 
-def _assert_columns_match_scalar_path(s: Scenario, n_cap: int | None) -> None:
-    cols = bandwidth_arrays(s, n_cap)
+def _assert_columns_match_scalar_path(s: Scenario) -> None:
+    cols = bandwidth_arrays(s)
     assert (cols.n_min, cols.n_max) == truncation_indices(s)
-    top = cols.n_max if n_cap is None else n_cap
     columns = zip(*(getattr(cols, f).tolist() for f in (
         "n", "critical_freq_Fn", "band_lo", "band_hi", "eff_bandwidth_Wn",
         "mid_band_W0n")))
-    expected = _bits(_scalar_profile(s, top))
+    expected = _bits(_scalar_profile(s))
     assert _bits(columns) == expected
-    assert [critical_frequency(s, n).hex() for n in range(top + 1)] == [
+    assert [critical_frequency(s, n).hex() for n in range(cols.n_max + 1)] == [
         row[1] for row in expected]
-    profile = bandwidth_profile(s, n_cap)
+    profile = bandwidth_profile(s)
     assert _bits(
         (e.n, e.critical_freq_Fn, e.band_lo, e.band_hi, e.eff_bandwidth_Wn,
          e.mid_band_W0n) for e in profile.per_mode) == expected
@@ -242,10 +230,9 @@ def _assert_columns_match_scalar_path(s: Scenario, n_cap: int | None) -> None:
     log_rho=st.floats(-14.0, 18.0),
     log_f0=st.floats(-3.0, 25.0),
     log_c=st.floats(-3.0, 20.0),
-    extra=st.one_of(st.none(), st.integers(-3, 6)),
 )
 def test_bandwidth_arrays_equal_the_scalar_path_bit_for_bit(
-        a, b, log_rho, log_f0, log_c, extra) -> None:
+        a, b, log_rho, log_f0, log_c) -> None:
     # log_rho spans rho < 1 and half_log above every low n (up to 9).
     f0, c = math.exp(log_f0), math.exp(log_c)
     radius = a * c / f0
@@ -253,10 +240,8 @@ def test_bandwidth_arrays_equal_the_scalar_path_bit_for_bit(
     s = Scenario(radius_R=radius, mid_freq_F0=f0, half_bandwidth_W=b * f0,
                  obs_time_T=1.0, wave_speed_c=c,
                  snr_alpha_max=math.exp(log_rho))
-    n_max = truncation_indices(s)[1]
-    assume(n_max <= 2000)
-    n_cap = None if extra is None else max(0, n_max + extra)
-    _assert_columns_match_scalar_path(s, n_cap)
+    assume(truncation_indices(s)[1] <= 2000)
+    _assert_columns_match_scalar_path(s)
 
 
 @settings(deadline=None, max_examples=300, derandomize=True)
@@ -281,7 +266,7 @@ def test_mode_sum_equals_the_per_mode_loop_bit_for_bit(
     t_eff = effective_time(s)
     # The sum bandwidth_profile's rows gave, left to right.
     expected = float(sum((2 * row[0] + 1) * (row[4] * t_eff + 1.0)
-                         for row in _scalar_profile(s, n_max)))
+                         for row in _scalar_profile(s)))
     assert dof_mode_sum(s).hex() == expected.hex()
 
 
@@ -294,8 +279,7 @@ def test_bandwidth_arrays_at_the_float_range_edges() -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for s in (tiny, huge):
-            for n_cap in (None, 0, 20):
-                _assert_columns_match_scalar_path(s, n_cap)
+            _assert_columns_match_scalar_path(s)
         assert math.isinf(bandwidth_arrays(tiny).critical_freq_Fn[1])
         assert not bandwidth_arrays(huge).critical_freq_Fn.any()
 

@@ -166,8 +166,8 @@ def test_lazy_names_follow_the_module_binding(monkeypatch) -> None:
 _SCENARIO = dofcore.NormalizedParams(a=1.0, b=0.5, d=1.0, rho=10.0).to_scenario()
 _FREQS = np.linspace(0.5, 1.5, 5)
 _SOURCES = [wavefield.PlaneWaveSource(theta=1.1, phi=0.4, amplitude=1.0)]
-_GRID = wavefield.SphericalGrid(radius=1.0, rule=specfun.make_quadrature(8))
-_FIELD = wavefield.synthesize_field(_SOURCES, _GRID, _FREQS, wave_speed_c=1.0)
+_RULE = specfun.make_quadrature(8)
+_FIELD = wavefield.synthesize_field(_SOURCES, _RULE, 1.0, _FREQS, wave_speed_c=1.0)
 _SNR = np.abs(wavefield.theoretical_modes(
     _SOURCES, 1.0, _FREQS, 4, wave_speed_c=1.0).coeffs) ** 2 * 100.0
 
@@ -180,10 +180,9 @@ _INTEGER_ARGUMENTS = {
     "sph_bessel_j_bound": lambda k: specfun.sph_bessel_j_bound(k, [0.0, 0.5, 7.0]),
     "legendre_p": lambda k: specfun.legendre_p(k, [-1.0, 0.2, 1.0]),
     "critical_frequency": lambda k: dofcore.critical_frequency(_SCENARIO, k),
-    "bandwidth_arrays": lambda k: dofcore.bandwidth_arrays(_SCENARIO, n_cap=k),
     "theoretical_modes": lambda k: wavefield.theoretical_modes(
         _SOURCES, 1.0, _FREQS, k, wave_speed_c=1.0),
-    "analyze_modes": lambda k: wavefield.analyze_modes(_FIELD, _GRID, k, _FREQS),
+    "analyze_modes": lambda k: wavefield.analyze_modes(_FIELD, _RULE, k),
     "empirical_critical_frequency": lambda k: wavefield.empirical_critical_frequency(
         _SNR, _FREQS, 1.0, k),
     "legendre_support_check": lambda k: sampling.legendre_support_check(
@@ -239,3 +238,20 @@ def test_every_imported_name_is_used() -> None:
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+def test_no_module_reads_the_environment() -> None:
+    # Every setting comes from a config file or a flag, where it is checked
+    # and documented; an environment variable would be a hidden one.
+    names = {"environ", "environb", "getenv", "getenvb"}
+    readers = {}
+    for path in sorted(Path(modecap.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and n.attr in names}
+        found |= {a.name for n in ast.walk(tree)
+                  if isinstance(n, ast.ImportFrom) and n.module == "os"
+                  for a in n.names if a.name in names}
+        if found:
+            readers[path.name] = sorted(found)
+    assert readers == {}

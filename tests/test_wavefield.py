@@ -25,7 +25,6 @@ from modecap.wavefield import (
     ModeSpectrum,
     NoiseModel,
     PlaneWaveSource,
-    SphericalGrid,
     add_noise,
     analyze_modes,
     empirical_critical_frequency,
@@ -55,9 +54,8 @@ def test_analysis_matches_direct_expansion() -> None:
     freqs = np.array([k_r / (2.0 * math.pi)])
     n_cap = 10
     rule = make_quadrature(n_cap + math.ceil(k_r) + 20)
-    grid = SphericalGrid(radius=1.0, rule=rule)
-    field = synthesize_field(sources, grid, freqs, wave_speed_c=1.0)
-    analyzed = analyze_modes(field, grid, n_cap, freqs)
+    field = synthesize_field(sources, rule, 1.0, freqs, wave_speed_c=1.0)
+    analyzed = analyze_modes(field, rule, n_cap)
     theory = theoretical_modes(sources, 1.0, freqs, n_cap, wave_speed_c=1.0)
     gap = np.linalg.norm(analyzed.coeffs - theory.coeffs)
     assert gap / np.linalg.norm(theory.coeffs) < 1e-10
@@ -65,13 +63,12 @@ def test_analysis_matches_direct_expansion() -> None:
 
 def test_antipodal_pair_synthesizes_a_real_field() -> None:
     rule = make_quadrature(12)
-    grid = SphericalGrid(radius=0.5, rule=rule)
     sources = [
         PlaneWaveSource(theta=0.8, phi=1.1, amplitude=1.0 + 0.0j),
         PlaneWaveSource(theta=math.pi - 0.8, phi=1.1 + math.pi,
                         amplitude=1.0 + 0.0j),
     ]
-    field = synthesize_field(sources, grid, np.array([2.0]), wave_speed_c=1.0)
+    field = synthesize_field(sources, rule, 0.5, np.array([2.0]), wave_speed_c=1.0)
     assert np.max(np.abs(field.imag)) < 1e-12 * np.max(np.abs(field))
 
 
@@ -90,30 +87,30 @@ def test_plane_wave_source_geometry_and_spectra() -> None:
 
 def test_synthesize_rejects_empty_and_bad_inputs() -> None:
     rule = make_quadrature(4)
-    grid = SphericalGrid(radius=1.0, rule=rule)
     with pytest.raises(DomainError):
-        synthesize_field([], grid, np.array([1.0]), wave_speed_c=1.0)
+        synthesize_field([], rule, 1.0, np.array([1.0]), wave_speed_c=1.0)
     src = PlaneWaveSource(theta=0.0, phi=0.0)
     with pytest.raises(DomainError):
-        synthesize_field([src], grid, np.array([-1.0]), wave_speed_c=1.0)
-    with pytest.raises(DomainError):
-        SphericalGrid(radius=0.0, rule=rule)
+        synthesize_field([src], rule, 1.0, np.array([-1.0]), wave_speed_c=1.0)
+    for radius in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="radius must be finite and > 0"):
+            synthesize_field([src], rule, radius, np.array([1.0]), wave_speed_c=1.0)
 
 
-def _direct_synthesis(sources, grid, freqs, wave_speed_c):
+def _direct_synthesis(sources, rule, radius, freqs, wave_speed_c):
     """Node-by-node sum of A(omega) e^{i k R x.y}: the reference for the
     ring-by-ring synthesis."""
     k = 2.0 * np.pi * freqs / wave_speed_c
-    st = np.sin(grid.rule.theta)
+    st = np.sin(rule.theta)
     nodes = np.column_stack(
-        (st * np.cos(grid.rule.phi), st * np.sin(grid.rule.phi), np.cos(grid.rule.theta))
+        (st * np.cos(rule.phi), st * np.sin(rule.phi), np.cos(rule.theta))
     )
-    field = np.zeros((len(grid.rule), freqs.size), dtype=complex)
+    field = np.zeros((len(rule), freqs.size), dtype=complex)
     for src in sources:
         amp = src.spectrum_on(freqs)
         projection = nodes @ src.unit_vector()
         field += amp[None, :] * np.exp(
-            1j * grid.radius * projection[:, None] * k[None, :]
+            1j * radius * projection[:, None] * k[None, :]
         )
     return field
 
@@ -142,21 +139,20 @@ def test_synthesis_equals_the_direct_node_sum(rule: QuadratureRule) -> None:
         PlaneWaveSource(theta=1.1, phi=on_grid, amplitude=shaped[::-1]),
         PlaneWaveSource(theta=2.2, phi=4.0, amplitude=np.linspace(0.0, 1.0, freqs.size)),
     ]
-    grid = SphericalGrid(radius=1.0, rule=rule)
-    fast = synthesize_field(sources, grid, freqs, wave_speed_c=1.0)
-    direct = _direct_synthesis(sources, grid, freqs, 1.0)
+    fast = synthesize_field(sources, rule, 1.0, freqs, wave_speed_c=1.0)
+    direct = _direct_synthesis(sources, rule, 1.0, freqs, 1.0)
     assert fast.shape == direct.shape == (len(rule), freqs.size)
     assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
-def _one_ring_at_a_time(sources, grid, freqs, wave_speed_c):
+def _one_ring_at_a_time(sources, rule, radius, freqs, wave_speed_c):
     """The synthesis arithmetic before mirror rings shared an exponential:
     one exponential per ring, from that ring's own sin(theta)."""
-    kr = 2.0 * np.pi * grid.radius * freqs / wave_speed_c
-    rings, azimuths = grid.rule.ring_shape
+    kr = 2.0 * np.pi * radius * freqs / wave_speed_c
+    rings, azimuths = rule.ring_shape
     half = azimuths // 2
-    theta = grid.rule.theta[::azimuths]
-    phi = grid.rule.phi[:half]
+    theta = rule.theta[::azimuths]
+    phi = rule.phi[:half]
     field = np.zeros((rings, azimuths, freqs.size), dtype=complex)
     for src in sources:
         ux, uy, uz = src.unit_vector()
@@ -176,31 +172,31 @@ def _one_ring_at_a_time(sources, grid, freqs, wave_speed_c):
 def test_synthesis_moves_only_the_mirror_rings(degree: int) -> None:
     # Rings j <= (T-1)/2 (the equator ring included when T is odd) keep the
     # one-ring-at-a-time bits; ring T-1-j reuses ring j's exponential.
-    grid = SphericalGrid(radius=1.0, rule=make_quadrature(degree))
+    rule = make_quadrature(degree)
     freqs = np.linspace(0.0, 11.0, 33)
     rng = np.random.default_rng(degree)
     shaped = rng.standard_normal(freqs.size) + 1j * rng.standard_normal(freqs.size)
     sources = [PlaneWaveSource(theta=0.3, phi=1.0, amplitude=shaped),
                PlaneWaveSource(theta=2.0, phi=4.0, amplitude=0.5 - 2.0j),
                PlaneWaveSource(theta=math.pi / 2, phi=0.2, amplitude=1.0)]
-    rings, azimuths = grid.rule.ring_shape
-    fast = synthesize_field(sources, grid, freqs, wave_speed_c=1.0)
+    rings, azimuths = rule.ring_shape
+    fast = synthesize_field(sources, rule, 1.0, freqs, wave_speed_c=1.0)
     fast = fast.reshape(rings, azimuths, freqs.size)
-    old = _one_ring_at_a_time(sources, grid, freqs, 1.0)
+    old = _one_ring_at_a_time(sources, rule, 1.0, freqs, 1.0)
     kept = (rings + 1) // 2
     assert fast[:kept].tobytes() == old[:kept].tobytes()
     assert np.max(np.abs(fast - old)) <= 1e-13 * np.max(np.abs(old))
 
 
 def test_synthesis_allocates_little_beyond_its_field() -> None:
-    grid = SphericalGrid(radius=1.0, rule=make_quadrature(46))
+    rule = make_quadrature(46)
     freqs = np.linspace(0.0, 11.0, 257)
     sources = [PlaneWaveSource(theta=t, phi=p, amplitude=1.0 + 0.5j)
                for t, p in ((0.3, 1.0), (2.0, 4.0), (1.1, 0.2))]
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        field = synthesize_field(sources, grid, freqs, wave_speed_c=1.0)
+        field = synthesize_field(sources, rule, 1.0, freqs, wave_speed_c=1.0)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -210,11 +206,11 @@ def test_synthesis_allocates_little_beyond_its_field() -> None:
 
 @pytest.mark.parametrize("speed", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_non_finite_or_non_positive_wave_speed_is_a_domain_error(speed) -> None:
-    grid = SphericalGrid(radius=1.0, rule=make_quadrature(4))
+    rule = make_quadrature(4)
     src = PlaneWaveSource(theta=0.5, phi=0.5)
     freqs = np.array([0.0, 1.0])
     calls = [
-        lambda: synthesize_field([src], grid, freqs, wave_speed_c=speed),
+        lambda: synthesize_field([src], rule, 1.0, freqs, wave_speed_c=speed),
         lambda: theoretical_modes([src], 1.0, freqs, 3, wave_speed_c=speed),
         lambda: legendre_support_check(lambda t: np.ones_like(t), 1.0, 1.0, 2,
                                        wave_speed_c=speed),
@@ -228,12 +224,13 @@ def test_non_finite_or_non_positive_wave_speed_is_a_domain_error(speed) -> None:
 
 def test_analyze_rejects_insufficient_quadrature() -> None:
     rule = make_quadrature(6)
-    grid = SphericalGrid(radius=1.0, rule=rule)
     field = np.zeros((len(rule), 1), dtype=complex)
     with pytest.raises(ResolutionError):
-        analyze_modes(field, grid, 7, np.array([1.0]))
-    with pytest.raises(DomainError):
-        analyze_modes(field[:-1], grid, 3, np.array([1.0]))
+        analyze_modes(field, rule, 7)
+    # Too few rows, a 1-D field and a field with no frequency column.
+    for bad in (field[:-1], field[:, 0], field[:, :0]):
+        with pytest.raises(DomainError, match="is not \\(nodes, freqs\\)"):
+            analyze_modes(bad, rule, 3)
 
 
 def _dense_projection(field, rule, N):
@@ -244,14 +241,12 @@ def _dense_projection(field, rule, N):
 def test_analysis_equals_the_dense_quadrature_projection(degree: int) -> None:
     rng = np.random.default_rng(degree)
     rule = make_quadrature(degree)
-    grid = SphericalGrid(radius=2.0, rule=rule)
     for columns in (1, 7):
         shape = (len(rule), columns)
         field = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        freqs = np.arange(columns, dtype=float)
         # N = max_degree puts bins m and -m mod P closest together.
         for N in (0, 2, degree):
-            fast = analyze_modes(field, grid, N, freqs).coeffs
+            fast = analyze_modes(field, rule, N).coeffs
             dense = _dense_projection(field, rule, N)
             assert fast.shape == dense.shape == ((N + 1) ** 2, columns)
             scale = np.max(np.abs(dense))
@@ -259,19 +254,14 @@ def test_analysis_equals_the_dense_quadrature_projection(degree: int) -> None:
 
 
 def test_mode_spectrum_validation() -> None:
-    freqs = np.array([1.0, 2.0])
-    good = ModeSpectrum(radius=1.0, freqs=freqs,
-                        coeffs=np.zeros((9, 2), dtype=complex))
-    assert good.max_degree == 2
+    good = ModeSpectrum(coeffs=np.zeros((9, 2), dtype=complex))
+    assert good.coeffs.shape == (9, 2) and good.alpha is None
     with pytest.raises(DomainError):
-        ModeSpectrum(radius=1.0, freqs=freqs,
-                     coeffs=np.zeros((8, 2), dtype=complex))
+        ModeSpectrum(coeffs=np.zeros((8, 2), dtype=complex))
     with pytest.raises(DomainError):
-        ModeSpectrum(radius=1.0, freqs=freqs,
-                     coeffs=np.zeros((9, 3), dtype=complex))
+        ModeSpectrum(coeffs=np.zeros(9, dtype=complex))
     with pytest.raises(DomainError):
-        ModeSpectrum(radius=1.0, freqs=freqs,
-                     coeffs=np.zeros((9, 2), dtype=complex),
+        ModeSpectrum(coeffs=np.zeros((9, 2), dtype=complex),
                      alpha=np.ones((2, 2)))
 
 
@@ -299,27 +289,25 @@ def test_calibrated_noise_puts_the_peak_excitation_at_the_snr() -> None:
     noise = NoiseModel.calibrated(spectrum, 50.0, seed=4)
     assert noise.sigma0_sq == float(np.max(np.abs(spectrum.alpha) ** 2)) / 50.0
     assert noise.seed == 4
-    analyzed = ModeSpectrum(radius=1.0, freqs=spectrum.freqs, coeffs=spectrum.coeffs)
+    analyzed = ModeSpectrum(coeffs=spectrum.coeffs)
     with pytest.raises(DomainError, match="excitation alpha"):
         NoiseModel.calibrated(analyzed, 50.0, seed=4)
 
 
 def test_noise_is_deterministic_per_seed() -> None:
     rule = make_quadrature(5)
-    grid = SphericalGrid(radius=1.0, rule=rule)
     field = np.zeros((len(rule), 4), dtype=complex)
-    a = add_noise(field, grid, NoiseModel(sigma0_sq=0.5, seed=11))
-    b = add_noise(field, grid, NoiseModel(sigma0_sq=0.5, seed=11))
-    c = add_noise(field, grid, NoiseModel(sigma0_sq=0.5, seed=12))
+    a = add_noise(field, rule, NoiseModel(sigma0_sq=0.5, seed=11))
+    b = add_noise(field, rule, NoiseModel(sigma0_sq=0.5, seed=11))
+    c = add_noise(field, rule, NoiseModel(sigma0_sq=0.5, seed=12))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_noiseless_model_returns_field_unchanged() -> None:
     rule = make_quadrature(4)
-    grid = SphericalGrid(radius=1.0, rule=rule)
     field = np.full((len(rule), 2), 1.5 - 0.5j)
-    out = add_noise(field, grid, NoiseModel(sigma0_sq=0.0, seed=3))
+    out = add_noise(field, rule, NoiseModel(sigma0_sq=0.0, seed=3))
     assert np.array_equal(out, field)
     assert out is not field
 
@@ -328,11 +316,9 @@ def test_projected_noise_variance_and_whiteness() -> None:
     trials = 2000
     sigma0_sq = 0.25
     rule = make_quadrature(8)
-    grid = SphericalGrid(radius=1.0, rule=rule)
     noise = NoiseModel(sigma0_sq=sigma0_sq, seed=7)
     silent = np.zeros((len(rule), trials), dtype=complex)
-    spectrum = analyze_modes(add_noise(silent, grid, noise), grid, 5,
-                             np.arange(trials, dtype=float))
+    spectrum = analyze_modes(add_noise(silent, rule, noise), rule, 5)
     nu = spectrum.coeffs
     variances = np.mean(np.abs(nu) ** 2, axis=1)
     assert np.max(np.abs(variances - sigma0_sq)) / sigma0_sq < 0.08
@@ -353,9 +339,8 @@ def test_noise_model_validation() -> None:
 
 
 def test_mode_snr_scales_with_noise_floor() -> None:
-    freqs = np.array([1.0])
     coeffs = np.array([[2.0 + 0.0j], [0.0j], [1.0j], [0.0j]])
-    spectrum = ModeSpectrum(radius=1.0, freqs=freqs, coeffs=coeffs)
+    spectrum = ModeSpectrum(coeffs=coeffs)
     snr = mode_snr(spectrum, NoiseModel(sigma0_sq=0.5, seed=0))
     assert snr[0, 0] == pytest.approx(8.0, rel=1e-15)
     assert snr[2, 0] == pytest.approx(2.0, rel=1e-15)
@@ -381,12 +366,11 @@ def test_parseval_identity_and_truncation_sensitivity() -> None:
     k_r = 6.0
     freqs = np.array([k_r / (2.0 * math.pi)])
     rule = make_quadrature(40)
-    grid = SphericalGrid(radius=1.0, rule=rule)
-    field = synthesize_field(sources, grid, freqs, wave_speed_c=1.0)
-    complete = analyze_modes(field, grid, 32, freqs)
-    assert parseval_check(field, grid, complete) < 1e-10
-    truncated = analyze_modes(field, grid, 3, freqs)
-    assert parseval_check(field, grid, truncated) > 1e-3
+    field = synthesize_field(sources, rule, 1.0, freqs, wave_speed_c=1.0)
+    complete = analyze_modes(field, rule, 32)
+    assert parseval_check(field, rule, complete) < 1e-10
+    truncated = analyze_modes(field, rule, 3)
+    assert parseval_check(field, rule, truncated) > 1e-3
 
 
 def test_empirical_cutoffs_stay_above_analytic_cutoffs() -> None:
@@ -401,10 +385,10 @@ def test_empirical_cutoffs_stay_above_analytic_cutoffs() -> None:
     delta_f = 2.0 * half_w / 512.0
     k_max = 2.0 * math.pi * freqs[-1] * s.radius_R / s.wave_speed_c
     rule = make_quadrature(n_max + math.ceil(k_max) + 20)
-    grid = SphericalGrid(radius=s.radius_R, rule=rule)
     src = PlaneWaveSource(theta=0.7, phi=1.9, amplitude=1.0 + 0.0j)
-    field = synthesize_field([src], grid, freqs, wave_speed_c=s.wave_speed_c)
-    spectrum = analyze_modes(field, grid, n_max, freqs)
+    field = synthesize_field([src], rule, s.radius_R, freqs,
+                             wave_speed_c=s.wave_speed_c)
+    spectrum = analyze_modes(field, rule, n_max)
     y_src = harmonic_matrix(n_max, np.array([src.theta]), np.array([src.phi]))
     alpha_max_sq = float(np.max(np.abs(4.0 * math.pi * y_src) ** 2))
     noise = NoiseModel(sigma0_sq=alpha_max_sq / s.snr_alpha_max, seed=1)
