@@ -27,7 +27,6 @@ from .dofcore import (
     dof_asymptotic,
     dof_closed_form,
     dof_mode_sum,
-    dof_normalized,
     dof_normalized_breakdown,
     effective_time,
     truncation_indices,
@@ -81,7 +80,6 @@ __all__ = [
     "bandwidth_profile",
     "dof_mode_sum",
     "dof_closed_form",
-    "dof_normalized",
     "dof_normalized_breakdown",
     "dof_asymptotic",
     # specfun

@@ -34,7 +34,6 @@ __all__ = [
     "bandwidth_profile",
     "dof_mode_sum",
     "dof_closed_form",
-    "dof_normalized",
     "dof_normalized_breakdown",
     "dof_asymptotic",
 ]
@@ -454,15 +453,6 @@ def dof_normalized_breakdown(p: NormalizedParams) -> DofBreakdown:
     t_eff = p.d + 2.0 * p.a
     wt2 = 2.0 * p.b * (2.0 * p.a + p.d)
     return _breakdown(p.a, p.b, p.rho, t_eff, wt2)
-
-
-def dof_normalized(p: NormalizedParams) -> float:
-    """Closed-form DoF bound evaluated on dimensionless parameters.
-
-    Agrees with dof_closed_form on any Scenario realizing p to 1e-9
-    relative; at a = 0 it reduces to 2 b d + 1, i.e. 2WT + 1.
-    """
-    return dof_normalized_breakdown(p).total
 
 
 def dof_asymptotic(s: Scenario) -> DofBreakdown:

@@ -7,7 +7,9 @@ quadrature projection on the same rule), injects reproducible
 circularly-symmetric white Gaussian noise, and measures per-mode SNR curves
 so the closed-form critical frequencies can be checked against detection
 thresholds empirically.  Only synthesis and the Jacobi-Anger expansion read
-the radius; analysis and noise read the rule alone.
+the radius; analysis and noise read the rule alone.  The analysis is a
+semi-naive transform: a DFT over each ring's azimuths pruned to the kept
+orders |m| <= N, then one sum over the rings per order.
 
 Noise is generated per node with variance sigma0_sq / w_q (w_q the node's
 quadrature weight); the projected mode-domain noise then has variance exactly
@@ -280,8 +282,8 @@ def synthesize_field(
     of an odd ring count T is its own mirror.  The ring angles and the first
     P/2 azimuths come from the rule; both pairings hold to the 1e-12 rad to
     which QuadratureRule checks its layout (the uniform azimuths are what
-    the FFT analysis relies on as well).  Temporaries are bounded by one
-    ring, not the whole field.
+    the azimuthal DFT of analyze_modes relies on as well).  Temporaries are
+    bounded by one ring, not the whole field.
     """
     if len(sources) == 0:
         raise DomainError("synthesize_field requires at least one source")
@@ -352,11 +354,27 @@ def analyze_modes(field: np.ndarray, rule: QuadratureRule, N: int) -> ModeSpectr
     F >= 1 frequencies, onto Y_nm by quadrature, up to degree N.
 
     The rule is a product of rings and uniform azimuths, so the projection
-    splits (the fast spherical-harmonic transform of Driscoll & Healy 1994):
-    an FFT over each ring's azimuths gives bin m mod P = sum_k f e^{-i m phi_k},
-    and each order m then sums those bins over the rings against the
-    weighted conj(Y_nm(theta_j, 0)), n = |m|..N.  No (N+1)^2 x nodes basis
+    splits (the semi-naive spherical-harmonic transform of Driscoll & Healy
+    1994 and Healy et al. 2003): a DFT over each ring's P azimuths gives
+    bin m = sum_k f e^{-i m phi_k} for the kept orders m = -N..N only, and
+    each order m then sums those bins over the rings against the weighted
+    conj(Y_nm(theta_j, 0)), n = |m|..N.  The DFT is one batched product with
+    a (2N+1) x P table whose entries are the P roots of unity indexed by
+    m k mod P, so no (N+1)^2 x nodes basis and no (rings, P, F) bins array
     is formed.
+
+    The pruned DFT costs 8 (2N+1) P real flops per ring and frequency
+    against an FFT's O(P log P), so it wins while N is small against P.
+    On a 2-core EPYC with NumPy 2.4 and OpenBLAS the whole analysis took,
+    against a full-ring FFT: 12 against 50 ms at degree 46, N = 16 and 257
+    frequencies (simulate-wide's shape, where the prime factor 47 of
+    P = 94 slows the FFT); 75 against 132 ms at degree 90, N = 41; within
+    5% either way for one frequency column; 0.84 against 1.07 s at degree
+    400, N = 100.  It lost at the quadrature cap, degree
+    512 with N = 256 and 18 frequencies (7.3 against 6.6 s).  The azimuthal
+    step alone lost at degree 250 with N = 125 and 250 (1.15x and 2.3x),
+    at degree 400 with N = 200 (1.7x) and at degree 512 with N = 256
+    (3.4x); there the shared polar work hides most of the difference.
 
     Raises DomainError for a field of any other shape, and ResolutionError
     when N exceeds the rule's max_degree (the projection would alias);
@@ -377,7 +395,10 @@ def analyze_modes(field: np.ndarray, rule: QuadratureRule, N: int) -> ModeSpectr
         )
     rings, azimuths = rule.ring_shape
     freq_count = field.shape[1]
-    bins = np.fft.fft(field.reshape(rings, azimuths, freq_count), axis=1)
+    k = np.arange(azimuths)
+    roots = np.exp(-2j * np.pi * k / azimuths)
+    table = roots[np.multiply.outer(np.arange(-N, N + 1), k) % azimuths]
+    bins = np.matmul(table, field.reshape(rings, azimuths, freq_count))
     # harmonic_matrix returns a fresh array, so weight it in place.
     polar = harmonic_matrix(N, rule.theta[::azimuths], np.zeros(rings))
     np.conjugate(polar, out=polar)
@@ -387,7 +408,7 @@ def analyze_modes(field: np.ndarray, rule: QuadratureRule, N: int) -> ModeSpectr
     for m in range(-N, N + 1):
         n = degrees[abs(m) :]
         rows = n * n + n + m
-        coeffs[rows] = polar[rows] @ bins[:, m % azimuths]
+        coeffs[rows] = polar[rows] @ bins[:, m + N]
     return ModeSpectrum(coeffs=coeffs)
 
 

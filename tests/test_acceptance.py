@@ -25,7 +25,6 @@ from modecap.dofcore import (
     dof_asymptotic,
     dof_closed_form,
     dof_mode_sum,
-    dof_normalized,
     dof_normalized_breakdown,
     truncation_indices,
 )
@@ -139,9 +138,9 @@ def test_criterion_04_parameter_trends() -> None:
         for j, b in enumerate(b_vals):
             for k, d in enumerate(d_vals):
                 for l, rho in enumerate(r_vals):
-                    grid[i, j, k, l] = dof_normalized(
+                    grid[i, j, k, l] = dof_normalized_breakdown(
                         NormalizedParams(a=float(a), b=float(b), d=d, rho=rho)
-                    )
+                    ).total
     # Allow only float-roundoff slack when testing monotonicity.
     slack = 1e-9 * (1.0 + np.abs(grid))
 
@@ -186,10 +185,10 @@ def test_criterion_04_parameter_trends() -> None:
         for b in b_vals:
             for d in d_vals:
                 for rho in r_vals:
-                    base = dof_normalized(
-                        NormalizedParams(a=float(a), b=float(b), d=d, rho=rho))
-                    doubled = dof_normalized(
-                        NormalizedParams(a=float(2 * a), b=float(b), d=d, rho=rho))
+                    base = dof_normalized_breakdown(
+                        NormalizedParams(a=float(a), b=float(b), d=d, rho=rho)).total
+                    doubled = dof_normalized_breakdown(
+                        NormalizedParams(a=float(2 * a), b=float(b), d=d, rho=rho)).total
                     n_pairs += 1
                     ratio = doubled / base
                     if ratio > 4.5:

@@ -52,7 +52,6 @@ from modecap.dofcore import (
     dof_asymptotic,
     dof_closed_form,
     dof_mode_sum,
-    dof_normalized,
     dof_normalized_breakdown,
     truncation_indices,
 )
@@ -162,7 +161,9 @@ def test_sweep_orders_rows_and_is_deterministic(tmp_path: Path) -> None:
         ["0.5", "0.25", "1", "1"],
         ["0.5", "0.25", "1", "2"],
     ]
-    expected = dof_normalized(NormalizedParams(a=0.5, b=0.25, d=1.0, rho=2.0))
+    expected = dof_normalized_breakdown(
+        NormalizedParams(a=0.5, b=0.25, d=1.0, rho=2.0)
+    ).total
     assert float(lines[4].split(",")[10]) == pytest.approx(expected, rel=1e-11)
 
 
@@ -875,8 +876,8 @@ _SIM_SCENARIO = {"scenario": {"radius_R": 0.15, "mid_freq_F0": 1e9,
                               "half_bandwidth_W": 2.5e8, "obs_time_T": 1.2e-7,
                               "snr_alpha_max": 100.0}}
 
-# The two round-off residuals of a simulate report move with the BLAS and
-# FFT in use, so a simulate report is hashed with their values blanked.
+# The two round-off residuals of a simulate report move with the BLAS in
+# use, so a simulate report is hashed with their values blanked.
 _RESIDUALS = re.compile(
     r'("name": "(?:jacobi_anger_consistency|parseval)",\n'
     r'(?:\s*"\w+": [^\n]*,\n){2}\s*"value": )[^\n]*')

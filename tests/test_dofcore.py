@@ -25,7 +25,6 @@ from modecap.dofcore import (
     dof_asymptotic,
     dof_closed_form,
     dof_mode_sum,
-    dof_normalized,
     dof_normalized_breakdown,
     effective_time,
     truncation_indices,
@@ -63,7 +62,8 @@ def test_pinned_point_mode_sum_and_indices() -> None:
 
 
 def test_second_point_both_routes() -> None:
-    assert dof_normalized(_SECOND) == pytest.approx(_SECOND_CLOSED, rel=1e-12)
+    total = dof_normalized_breakdown(_SECOND).total
+    assert total == pytest.approx(_SECOND_CLOSED, rel=1e-12)
     s = _SECOND.to_scenario()
     assert truncation_indices(s) == (6, 10)
     assert dof_mode_sum(s) == pytest.approx(_SECOND_SUMMED, rel=1e-12)
@@ -72,13 +72,14 @@ def test_second_point_both_routes() -> None:
 def test_zero_duration_window_still_counts_transit_time() -> None:
     # d = 0 leaves t_eff = 2a, so the bound stays above the spatial term.
     p = NormalizedParams(a=1.0, b=0.5, d=0.0, rho=1.0)
-    assert dof_normalized(p) == pytest.approx(415.16430365785756, rel=1e-12)
+    total = dof_normalized_breakdown(p).total
+    assert total == pytest.approx(415.16430365785756, rel=1e-12)
 
 
 def test_narrowband_collapse_is_exact() -> None:
     for a, expected in ((0.5, 36.0), (1.0, 100.0), (2.0, 361.0)):
         p = NormalizedParams(a=a, b=0.0, d=1.0, rho=1.0)
-        assert dof_normalized(p) == expected
+        assert dof_normalized_breakdown(p).total == expected
         s = p.to_scenario()
         assert dof_closed_form(s).total == expected
         assert dof_mode_sum(s) == expected
@@ -113,7 +114,6 @@ def test_normalized_breakdown_at_a_zero_is_pointlike() -> None:
     p = NormalizedParams(a=0.0, b=0.5, d=2.0, rho=100.0)
     out = dof_normalized_breakdown(p)
     assert (out.d1, out.d2, out.d3, out.total, out.t_eff) == (1.0, 2.0, 0.0, 3.0, 2.0)
-    assert dof_normalized(p) == out.total
 
 
 def test_asymptotic_levels_the_detection_threshold() -> None:
@@ -376,7 +376,7 @@ def test_mode_sum_can_exceed_closed_form_below_unit_snr_ratio() -> None:
 def test_normalized_and_dimensional_routes_agree(
         a: float, b: float, d: float, rho: float, f0: float, c: float) -> None:
     p = NormalizedParams(a=a, b=b, d=d, rho=rho)
-    direct = dof_normalized(p)
+    direct = dof_normalized_breakdown(p).total
     s = p.to_scenario(mid_freq_F0=f0, wave_speed_c=c)
     # An a > 0 whose radius underflows to R = 0 is a different point.
     assume(a == 0.0 or s.radius_R > 0.0)
@@ -404,8 +404,8 @@ def test_growing_fractional_bandwidth_can_shrink_the_bound() -> None:
     # boundary revokes a full-band mode granted at the lower b, so the total
     # drops.  The trend check in the acceptance suite reports this same
     # behavior as a failed monotonicity criterion.
-    lo = dof_normalized(NormalizedParams(a=0.4, b=0.80, d=2.0, rho=2.0))
-    hi = dof_normalized(NormalizedParams(a=0.4, b=0.85, d=2.0, rho=2.0))
+    lo = dof_normalized_breakdown(NormalizedParams(a=0.4, b=0.80, d=2.0, rho=2.0)).total
+    hi = dof_normalized_breakdown(NormalizedParams(a=0.4, b=0.85, d=2.0, rho=2.0)).total
     assert lo == pytest.approx(195.61000584110516, rel=1e-12)
     assert hi == pytest.approx(182.28552139381162, rel=1e-12)
     assert hi < lo

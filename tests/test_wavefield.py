@@ -204,6 +204,22 @@ def test_synthesis_allocates_little_beyond_its_field() -> None:
     assert peak <= 1.25 * field.nbytes
 
 
+def test_analysis_allocates_no_field_sized_temporary() -> None:
+    rule = make_quadrature(46)
+    rng = np.random.default_rng(46)
+    shape = (len(rule), 257)
+    field = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        analyze_modes(field, rule, 16)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # Only the 33 kept orders of each ring's 94 azimuths are ever binned.
+    assert peak < 0.5 * field.nbytes
+
+
 @pytest.mark.parametrize("speed", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_non_finite_or_non_positive_wave_speed_is_a_domain_error(speed) -> None:
     rule = make_quadrature(4)
@@ -237,15 +253,25 @@ def _dense_projection(field, rule, N):
     return (harmonic_matrix(N, rule.theta, rule.phi).conj() * rule.weights) @ field
 
 
-@pytest.mark.parametrize("degree", [3, 12])
-def test_analysis_equals_the_dense_quadrature_projection(degree: int) -> None:
+@pytest.mark.parametrize(
+    ("degree", "column_counts", "analysis_degrees"),
+    [
+        # N = max_degree reaches order P/2 - 1, the highest the rule resolves.
+        pytest.param(3, (1, 7), (0, 2, 3), id="3"),
+        pytest.param(12, (1, 7), (0, 2, 12), id="12"),
+        # simulate-wide's rule and its n_max and n_field analyses.
+        pytest.param(46, (1, 5), (16, 30), id="46"),
+    ],
+)
+def test_analysis_equals_the_dense_quadrature_projection(
+    degree: int, column_counts: tuple[int, ...], analysis_degrees: tuple[int, ...]
+) -> None:
     rng = np.random.default_rng(degree)
     rule = make_quadrature(degree)
-    for columns in (1, 7):
+    for columns in column_counts:
         shape = (len(rule), columns)
         field = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        # N = max_degree puts bins m and -m mod P closest together.
-        for N in (0, 2, degree):
+        for N in analysis_degrees:
             fast = analyze_modes(field, rule, N).coeffs
             dense = _dense_projection(field, rule, N)
             assert fast.shape == dense.shape == ((N + 1) ** 2, columns)
