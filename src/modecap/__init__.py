@@ -114,4 +114,5 @@ __all__ = [
     "parseval_check",
     "mode_cutoffs",
     "simulate",
+    "verify_invariants",
 ]

@@ -8,8 +8,8 @@ Subcommands:
             wavefield.simulate, the brute-force pipeline (synthesize ->
             noise -> analyze -> SNR -> empirical cutoffs, with Parseval and
             reconstruction checks), with pass/fail per property;
-  verify    run the cross-module invariant suite and exit nonzero on any
-            failing property.
+  verify    print the records of wavefield.verify_invariants, the
+            cross-module invariant suite, and exit 1 on any failing property.
 
 Configs are JSON files holding exactly one of a "scenario" block (SI units)
 or a "normalized" block (a, b, d, rho), plus optional "sweep" grids and a
@@ -25,7 +25,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .dofcore import (
@@ -33,19 +33,17 @@ from .dofcore import (
     NormalizedParams,
     Scenario,
     bandwidth_arrays,
-    dof_asymptotic,
     dof_closed_form,
-    dof_mode_sum,
     dof_normalized_breakdown,
     truncation_indices,
 )
 from .errors import ConfigError, DomainError, ModecapError, ResolutionError
 
 # NumPy and the SciPy-backed layers (sampling, specfun, wavefield) are
-# imported by the code that uses them: NumPy by the JSON row writer, the mode
-# table and the verify checks, the layers by simulate and verify.  So
-# compute --format csv and sweep --format csv run on the standard library,
-# errors and dofcore alone.
+# imported by the code that uses them: NumPy by the JSON row writer and the
+# mode table, wavefield, which loads the other layers, by simulate and
+# verify.  So compute --format csv and sweep --format csv run on the
+# standard library, errors and dofcore alone.
 
 __all__ = ["main", "cmd_compute", "cmd_sweep", "cmd_simulate", "cmd_verify"]
 
@@ -224,7 +222,8 @@ def _build_simulation(cfg: dict, seed_override: int | None) -> dict[str, int]:
             f"got {out['trials']}"
         )
     if not 0 <= out["seed"] < 2**63:
-        raise ConfigError("simulation.seed must be a nonnegative 63-bit integer")
+        source = "simulation.seed" if seed_override is None else "--seed"
+        raise ConfigError(f"{source} must be a nonnegative 63-bit integer")
     return out
 
 
@@ -528,147 +527,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # verify
 
 
-def _verify_bessel_bound() -> tuple[bool, str]:
-    import numpy as np
-
-    from . import specfun
-
-    z = np.linspace(0.0, 40.0, 321)
-    worst = 0.0
-    for n in list(range(9)) + [20, 50]:
-        j = np.abs(specfun.sph_bessel_j(n, z))
-        bound = specfun.sph_bessel_j_bound(n, z)
-        if np.any(j > bound * (1 + 1e-12) + 1e-300):
-            return False, f"envelope violated at n={n}"
-        if n >= 1 and np.any(np.diff(bound) < 0):
-            return False, f"envelope not increasing at n={n}"
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(bound > 0, j / bound, 0.0)
-        worst = max(worst, float(np.max(ratio)))
-    return True, f"max |j_n|/bound = {worst:.6f} over n<=50, z<=40"
-
-
-def _verify_harmonic_gram() -> tuple[bool, str]:
-    import numpy as np
-
-    from . import specfun
-
-    rule = specfun.make_quadrature(10)
-    y = specfun.harmonic_matrix(10, rule.theta, rule.phi)
-    gram = (y * rule.weights) @ y.conj().T
-    err = float(np.max(np.abs(gram - np.eye(y.shape[0]))))
-    return err <= 1e-12, f"max |Gram - I| = {err:.3e}"
-
-
-def _verify_phi_orthogonality() -> tuple[bool, str]:
-    from . import sampling
-
-    band = sampling.ModeBand(10.0, 13.0)
-    w = band.w_n
-    worst = 0.0
-    for ell, ellp in [(0, 0), (0, 1), (0, 3), (5, 5), (2, 7)]:
-        value = sampling.phi_inner(ell, ellp, band, 50.0 / w)
-        target = 1.0 / w if ell == ellp else 0.0
-        worst = max(worst, abs(value - target) * w)
-    return worst <= 1e-6, f"max scaled deviation = {worst:.3e}"
-
-
-def _verify_legendre_support() -> tuple[bool, str]:
-    import numpy as np
-
-    from . import sampling
-
-    obs_t, r, c = 1e-3, 0.3, 3e8
-    dt = (r / c) / 256.0
-    expected = obs_t + 2.0 * r / c
-    worst = 0.0
-    for n in (0, 1, 3):
-        measured = sampling.legendre_support_check(
-            lambda x: np.ones_like(x), obs_t, r, n, c
-        )
-        worst = max(worst, abs(measured - expected))
-    return worst <= dt * (1 + 1e-6), f"max |support error| = {worst:.3e} s (step {dt:.3e})"
-
-
-def _verify_dof_ordering() -> tuple[bool, str]:
-    worst = 0.0
-    for a in (0.25, 0.7, 1.0, 2.5):
-        for b in (0.05, 0.3, 0.65, 1.0):
-            for d in (0.0, 1.0, 10.0):
-                for rho in (1.0, 10.0, 1e3):
-                    s = NormalizedParams(a=a, b=b, d=d, rho=rho).to_scenario()
-                    ratio = dof_mode_sum(s) / dof_closed_form(s).total
-                    worst = max(worst, ratio)
-    return worst <= 1.0 + 1e-12, f"max mode_sum/closed_form = {worst:.12f}"
-
-
-def _verify_dof_consistency() -> tuple[bool, str]:
-    worst = 0.0
-    for a in (0.3, 1.0, 2.0):
-        for b in (0.0, 0.4, 1.0):
-            for d in (0.0, 2.0):
-                for rho in (0.5, 1.0, 20.0):
-                    p = NormalizedParams(a=a, b=b, d=d, rho=rho)
-                    s = p.to_scenario(mid_freq_F0=3.7e8, wave_speed_c=2.2e8)
-                    closed = dof_closed_form(s).total
-                    normalized = dof_normalized_breakdown(p).total
-                    worst = max(worst, abs(closed - normalized) / closed)
-                    leveled = dof_closed_form(
-                        replace(s, threshold_gamma=s.snr_alpha_max)
-                    ).total
-                    gap = abs(leveled - dof_asymptotic(s).total) / leveled
-                    worst = max(worst, gap)
-    return worst <= 1e-9, f"max relative inconsistency = {worst:.3e}"
-
-
-def _verify_detectability() -> tuple[bool, str]:
-    import numpy as np
-
+def cmd_verify(args: argparse.Namespace) -> int:
     from . import wavefield
 
-    scenario = Scenario(
-        radius_R=0.5,
-        mid_freq_F0=1.0,
-        half_bandwidth_W=0.25,
-        obs_time_T=2.0,
-        wave_speed_c=1.0,
-        threshold_gamma=1.0,
-        snr_alpha_max=1e4,
-    )
-    _, n_max = truncation_indices(scenario)
-    c = scenario.wave_speed_c
-    freqs = np.linspace(scenario.band[0], scenario.band[1], 129)
-    sources = [wavefield.PlaneWaveSource(theta=1.1, phi=0.4, amplitude=1.0)]
-    theo = wavefield.theoretical_modes(
-        sources, scenario.radius_R, freqs, n_max, wave_speed_c=c
-    )
-    noise = wavefield.NoiseModel.calibrated(theo, scenario.snr_alpha_max, seed=1)
-    step = float(freqs[1] - freqs[0])
-    for cut in wavefield.mode_cutoffs(scenario, wavefield.mode_snr(theo, noise), freqs):
-        if not cut.one_sided(step):
-            return False, (
-                f"mode {cut.n} detected at {cut.empirical_Fn:.6g} < F_n - step = "
-                f"{cut.analytic_Fn - step:.6g}"
-            )
-    return True, f"empirical cutoffs one-sided for n = 1..{n_max}"
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    checks: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
-        ("bessel_envelope_bound", _verify_bessel_bound),
-        ("harmonic_gram_identity", _verify_harmonic_gram),
-        ("phi_orthogonality", _verify_phi_orthogonality),
-        ("legendre_support_additivity", _verify_legendre_support),
-        ("dof_ordering", _verify_dof_ordering),
-        ("dof_consistency", _verify_dof_consistency),
-        ("detectability_one_sided", _verify_detectability),
+    properties = wavefield.verify_invariants()
+    lines = [
+        f"{'PASS' if p.passed else 'FAIL'} {p.name}: value "
+        f"{json.dumps(_rounded(p.value))}, tolerance {float(p.tolerance)!r}"
+        for p in properties
     ]
-    lines = []
-    all_ok = True
-    for name, check in checks:
-        ok, detail = check()
-        all_ok = all_ok and ok
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    all_ok = all(p.passed for p in properties)
     lines.append("verify: " + ("all properties hold" if all_ok else "FAILURES present"))
     _write_output("\n".join(lines) + "\n", args.out)
     return EXIT_OK if all_ok else 1

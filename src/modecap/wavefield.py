@@ -17,10 +17,13 @@ sigma0_sq and is exactly white across (n, m), because both follow from the
 quadrature rule's harmonic-product exactness.
 
 simulate runs the whole check for one scenario and returns a
-SimulationResult with its five checked properties.
+SimulationResult with its five checked properties; verify_invariants checks
+seven cross-module invariants on fixed grids.  Both report CheckedProperty
+records.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -28,14 +31,25 @@ from typing import Sequence
 import numpy as np
 
 from .dofcore import (
+    NormalizedParams,
     Scenario,
     _is_pointlike,
     critical_frequency,
+    dof_asymptotic,
+    dof_closed_form,
+    dof_mode_sum,
+    dof_normalized_breakdown,
     effective_time,
     truncation_indices,
 )
 from .errors import DomainError, ResolutionError, require_index
-from .sampling import ModeBand, SampleTrain, reconstruct
+from .sampling import (
+    ModeBand,
+    SampleTrain,
+    legendre_support_check,
+    phi_inner,
+    reconstruct,
+)
 from .specfun import (
     _MAX_BESSEL_ORDER,
     QuadratureRule,
@@ -43,6 +57,7 @@ from .specfun import (
     harmonic_matrix,
     make_quadrature,
     sph_bessel_j,
+    sph_bessel_j_bound,
 )
 
 __all__ = [
@@ -61,6 +76,7 @@ __all__ = [
     "parseval_check",
     "mode_cutoffs",
     "simulate",
+    "verify_invariants",
 ]
 
 _SPEED_OF_LIGHT = 299792458.0
@@ -211,8 +227,9 @@ class ModeCutoff:
 
 @dataclass(frozen=True)
 class CheckedProperty:
-    """A property simulate checks: its measured value, the tolerance it is
-    held to, and whether it held."""
+    """A property simulate or verify_invariants checks: its measured value,
+    the tolerance it is held to, and whether it held.  A numeric value
+    passes when value <= tolerance; a bool value is the verdict itself."""
 
     name: str
     value: float | bool
@@ -571,6 +588,19 @@ def _bounded(name: str, value: float, tolerance: float) -> CheckedProperty:
     return CheckedProperty(name, value, tolerance, value <= tolerance)
 
 
+def _detectability(
+    scenario: Scenario, signal: ModeSpectrum, noise: NoiseModel, freqs: np.ndarray
+) -> tuple[tuple[ModeCutoff, ...], CheckedProperty]:
+    """Each mode's cutoff from the SNR of `signal` under `noise` on the grid
+    freqs, and the property that none is detected more than one grid step
+    below its F_n."""
+    step = float(freqs[1] - freqs[0])
+    cutoffs = mode_cutoffs(scenario, mode_snr(signal, noise), freqs)
+    one_sided = all(cutoff.one_sided(step) for cutoff in cutoffs)
+    record = CheckedProperty("detectability_one_sided", one_sided, step, one_sided)
+    return cutoffs, record
+
+
 def simulate(
     scenario: Scenario,
     *,
@@ -688,8 +718,7 @@ def simulate(
 
     # Detectability: SNR curves from the analyzed (noiseless) spectrum; the
     # noise model enters through sigma0_sq.
-    cutoffs = mode_cutoffs(scenario, mode_snr(analyzed, noise), freqs)
-    one_sided = all(cutoff.one_sided(freq_step) for cutoff in cutoffs)
+    cutoffs, detectability = _detectability(scenario, analyzed, noise, freqs)
 
     recon_err = _reconstruction_error(ModeBand(band_lo, band_hi), t_eff, seed + 10_000)
 
@@ -703,7 +732,136 @@ def simulate(
             _bounded("jacobi_anger_consistency", jacobi_err, 1e-8),
             _bounded("parseval", parseval_err, 1e-8),
             _bounded("mode_noise_variance", noise_var_err, 5.0 / math.sqrt(trials)),
-            CheckedProperty("detectability_one_sided", one_sided, freq_step, one_sided),
+            detectability,
             _bounded("reconstruction", recon_err, 1e-2),
         ),
+    )
+
+
+def _bessel_envelope_bound() -> CheckedProperty:
+    """Largest |j_n(z)| / (sph_bessel_j_bound(n, z) + 1e-300) over n = 0..8,
+    20, 50 and 321 points z in [0, 40]; inf if the bound of some n >= 1
+    decreases in z.  The 1e-300 floor keeps z = 0, where the bound of every
+    n >= 1 is zero, finite."""
+    z = np.linspace(0.0, 40.0, 321)
+    worst = 0.0
+    for n in [*range(9), 20, 50]:
+        bound = sph_bessel_j_bound(n, z)
+        ratio = float(np.max(np.abs(sph_bessel_j(n, z)) / (bound + 1e-300)))
+        decreasing = n >= 1 and np.any(np.diff(bound) < 0)
+        worst = max(worst, math.inf if decreasing else ratio)
+    return _bounded("bessel_envelope_bound", worst, 1 + 1e-12)
+
+
+def _harmonic_gram_identity() -> CheckedProperty:
+    """max |Gram - I| of the degree-10 harmonics under the degree-10 rule."""
+    rule = make_quadrature(10)
+    y = harmonic_matrix(10, rule.theta, rule.phi)
+    gram = (y * rule.weights) @ y.conj().T
+    err = float(np.max(np.abs(gram - np.eye(y.shape[0]))))
+    return _bounded("harmonic_gram_identity", err, 1e-12)
+
+
+def _phi_orthogonality() -> CheckedProperty:
+    """Largest w_n |phi_inner - delta / w_n| over five index pairs of the
+    band [10, 13] Hz."""
+    band = ModeBand(10.0, 13.0)
+    w = band.w_n
+    worst = max(
+        abs(phi_inner(ell, ellp, band, 50.0 / w) - (ell == ellp) / w) * w
+        for ell, ellp in [(0, 0), (0, 1), (0, 3), (5, 5), (2, 7)]
+    )
+    return _bounded("phi_orthogonality", worst, 1e-6)
+
+
+def _legendre_support_additivity() -> CheckedProperty:
+    """Largest distance of the measured convolution support of a 1 ms signal
+    from T + 2r/c at r = 0.3 m, n = 0, 1, 3, held to one grid step."""
+    obs_t, r, c = 1e-3, 0.3, 3e8
+    expected = obs_t + 2.0 * r / c
+    worst = max(
+        abs(legendre_support_check(np.ones_like, obs_t, r, n, c) - expected)
+        for n in (0, 1, 3)
+    )
+    return _bounded("legendre_support_additivity", worst, r / c / 256.0 * (1 + 1e-6))
+
+
+def _dof_ordering() -> CheckedProperty:
+    """Largest ratio of the exact mode sum to the closed form over a grid of
+    normalized points."""
+    worst = 0.0
+    for a, b, d, rho in itertools.product(
+        (0.25, 0.7, 1.0, 2.5), (0.05, 0.3, 0.65, 1.0), (0.0, 1.0, 10.0),
+        (1.0, 10.0, 1e3),
+    ):
+        s = NormalizedParams(a=a, b=b, d=d, rho=rho).to_scenario()
+        worst = max(worst, dof_mode_sum(s) / dof_closed_form(s).total)
+    return _bounded("dof_ordering", worst, 1 + 1e-12)
+
+
+def _dof_consistency() -> CheckedProperty:
+    """Largest relative gap, over a grid of normalized points realized at
+    F0 = 370 MHz and c = 2.2e8 m/s, between the SI and the normalized
+    closed form, and between the closed form at gamma = snr_alpha_max and
+    the asymptotic form."""
+    worst = 0.0
+    for a, b, d, rho in itertools.product(
+        (0.3, 1.0, 2.0), (0.0, 0.4, 1.0), (0.0, 2.0), (0.5, 1.0, 20.0)
+    ):
+        p = NormalizedParams(a=a, b=b, d=d, rho=rho)
+        s = p.to_scenario(mid_freq_F0=3.7e8, wave_speed_c=2.2e8)
+        closed = dof_closed_form(s).total
+        leveled = dof_closed_form(replace(s, threshold_gamma=s.snr_alpha_max)).total
+        worst = max(
+            worst,
+            abs(closed - dof_normalized_breakdown(p).total) / closed,
+            abs(leveled - dof_asymptotic(s).total) / leveled,
+        )
+    return _bounded("dof_consistency", worst, 1e-9)
+
+
+def _detectability_one_sided() -> CheckedProperty:
+    """Detectability of the Jacobi-Anger modes of one plane wave on a
+    129-point grid, with noise calibrated to snr_alpha_max = 1e4."""
+    scenario = Scenario(
+        radius_R=0.5,
+        mid_freq_F0=1.0,
+        half_bandwidth_W=0.25,
+        obs_time_T=2.0,
+        wave_speed_c=1.0,
+        threshold_gamma=1.0,
+        snr_alpha_max=1e4,
+    )
+    freqs = np.linspace(*scenario.band, 129)
+    theo = theoretical_modes(
+        [PlaneWaveSource(theta=1.1, phi=0.4, amplitude=1.0)], scenario.radius_R, freqs,
+        truncation_indices(scenario)[1], wave_speed_c=scenario.wave_speed_c,
+    )
+    noise = NoiseModel.calibrated(theo, scenario.snr_alpha_max, seed=1)
+    return _detectability(scenario, theo, noise, freqs)[1]
+
+
+def verify_invariants() -> tuple[CheckedProperty, ...]:
+    """Seven cross-module invariants, each checked on a fixed grid, in this
+    order:
+
+    - bessel_envelope_bound: |j_n| lies under its increasing envelope;
+    - harmonic_gram_identity: the quadrature makes the harmonics orthonormal;
+    - phi_orthogonality: the interpolation basis is orthogonal with norm
+      1/w_n;
+    - legendre_support_additivity: the Legendre-kernel convolution of a
+      T-long signal spans T + 2r/c;
+    - dof_ordering: the exact mode sum never exceeds the closed form;
+    - dof_consistency: the SI, normalized and asymptotic closed forms agree;
+    - detectability_one_sided: no mode is detected more than one grid step
+      below its F_n.
+    """
+    return (
+        _bessel_envelope_bound(),
+        _harmonic_gram_identity(),
+        _phi_orthogonality(),
+        _legendre_support_additivity(),
+        _dof_ordering(),
+        _dof_consistency(),
+        _detectability_one_sided(),
     )

@@ -570,6 +570,13 @@ def test_simulate_source_and_trial_caps_exit_2(
             err = capsys.readouterr().err
             assert err.count("\n") == 1
             assert f"simulation.{key}" in err and str(cap) in err
+    # A --seed outside the range is named as the flag, not as the config's
+    # own valid simulation.seed.
+    cfg = _write(tmp_path, "cfg.json", _SIM_CONFIG)
+    for seed in ("-1", str(2**63)):
+        assert main(["simulate", "--config", cfg, "--seed", seed]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: --seed must be a nonnegative 63-bit integer\n")
 
 
 def test_simulate_above_the_bessel_order_cap_exits_5(
@@ -679,19 +686,50 @@ def test_verify_reports_every_property(capsys) -> None:
     assert lines[-1].endswith("all properties hold")
 
 
-# sha256 of the verify text measured before its noise calibration and its
-# orthogonality panels were shared with simulate and the band integrator.
-# The Gram residual moves with the BLAS in use, so it is blanked.
-_VERIFY_SIZE = 488
-_VERIFY_SHA256 = "a5bf3f58635c9d280ca716260fd1ec94b79bdbbcaa238e08f8b37d50cce8d0ef"
+def test_verify_exits_1_on_a_failing_property(monkeypatch, capsys) -> None:
+    records = (wavefield.CheckedProperty("held", 0.5, 1.0, True),
+               wavefield.CheckedProperty("broken", 2.0, 1.0, False))
+    monkeypatch.setattr(wavefield, "verify_invariants", lambda: records)
+    assert main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL ")] == [
+        "FAIL broken: value 2.0, tolerance 1.0"]
+    assert lines[-1] == "verify: FAILURES present"
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_each_property_passes_exactly_when_its_value_meets_its_tolerance(
+        command: str) -> None:
+    # The rule perfbench/oracle.py applies to simulate reports.
+    if command == "simulate":
+        scenario = NormalizedParams(**_SIM_CONFIG["normalized"]).to_scenario()
+        sim = _build_simulation(_SIM_CONFIG, None)
+        properties = wavefield.simulate(scenario, **sim).properties
+    else:
+        properties = wavefield.verify_invariants()
+    assert len(properties) == {"simulate": 5, "verify": 7}[command]
+    for prop in properties:
+        if isinstance(prop.value, bool):
+            assert prop.passed is prop.value, prop.name
+        else:
+            assert prop.passed == (prop.value <= prop.tolerance), prop.name
+
+
+# sha256 of the verify text as it was when verify first printed each
+# record's value and tolerance.  The Gram and orthogonality residuals are
+# BLAS matrix and dot products whose last digits move with the BLAS in use,
+# so their values are blanked.
+_VERIFY_SIZE = 480
+_VERIFY_SHA256 = "a13a618a432726a26e0744138f740f303031d020fd0287d3c8375544af63aa78"
 
 
 def test_verify_bytes_match_the_golden_hash(tmp_path: Path) -> None:
     out = tmp_path / "verify.txt"
     assert main(["verify", "--out", str(out)]) == EXIT_OK
-    text, count = re.subn(r"(max \|Gram - I\| = )\S+", r"\1null",
-                          out.read_text())
-    assert count == 1
+    text, count = re.subn(
+        r"((?:harmonic_gram_identity|phi_orthogonality): value )[^,]+", r"\1null",
+        out.read_text())
+    assert count == 2
     data = text.encode()
     assert len(data) == _VERIFY_SIZE
     assert hashlib.sha256(data).hexdigest() == _VERIFY_SHA256

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 import modecap
-from modecap import dofcore, errors, sampling, specfun, wavefield
+from modecap import cli, dofcore, errors, sampling, specfun, wavefield
 
 _HEAVY_LAYERS = ("modecap.sampling", "modecap.specfun", "modecap.wavefield")
 _LAYERS = ("dofcore", "sampling", "specfun", "wavefield")
@@ -238,6 +238,26 @@ def test_every_imported_name_is_used() -> None:
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+def test_cli_reaches_the_numeric_layers_only_through_wavefield() -> None:
+    # The arithmetic lives in the library; the command line front end parses
+    # configs, calls simulate or verify_invariants and writes reports.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    owner = {node: func.name for func in tree.body
+             if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [f"{node.module or ''}.{a.name}" for a in node.names]
+        else:
+            continue
+        found.update((owner.get(node), layer) for module in modules
+                     for layer in module.split(".")
+                     if layer in ("sampling", "specfun", "wavefield"))
+    assert found == {("cmd_simulate", "wavefield"), ("cmd_verify", "wavefield")}
 
 
 def test_no_module_reads_the_environment() -> None:
