@@ -33,10 +33,10 @@ from .dofcore import (
 )
 from .errors import ConfigError, DomainError, ModecapError, ResolutionError
 
-# Loading NumPy or SciPy costs more than the closed form costs to run, so
-# importing the package loads neither: dofcore imports NumPy only inside its
-# array functions, and the simulate/verify layers, which import SciPy, load
-# with their names on first access (PEP 562).  specfun comes first: the
+# Loading NumPy costs more than the closed form costs to run, so importing
+# the package does not: dofcore imports NumPy only inside its array
+# functions, and the simulate/verify layers, which import it at the top,
+# load with their names on first access (PEP 562).  specfun comes first: the
 # other two import it anyway.
 _LAZY_LAYERS = ("specfun", "sampling", "wavefield")
 

@@ -39,7 +39,7 @@ from .dofcore import (
 )
 from .errors import ConfigError, DomainError, ModecapError, ResolutionError
 
-# NumPy and the SciPy-backed layers (sampling, specfun, wavefield) are
+# NumPy and the numeric layers (sampling, specfun, wavefield) are
 # imported by the code that uses them: NumPy by the JSON row writer and the
 # mode table, wavefield, which loads the other layers, by simulate and
 # verify.  So compute --format csv and sweep --format csv run on the
@@ -202,8 +202,6 @@ def _build_simulation(cfg: dict, seed_override: int | None) -> dict[str, int]:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"simulation.{key} must be an integer, got {value!r}")
         out[key] = value
-    if seed_override is not None:
-        out["seed"] = seed_override
     if out["quad_degree"] < 0:
         raise ConfigError(
             "simulation.quad_degree must be >= 0 (0 or \"auto\" picks the degree), "
@@ -221,9 +219,12 @@ def _build_simulation(cfg: dict, seed_override: int | None) -> dict[str, int]:
             f"simulation.trials must be between 2 and {MAX_TRIALS}, "
             f"got {out['trials']}"
         )
-    if not 0 <= out["seed"] < 2**63:
-        source = "simulation.seed" if seed_override is None else "--seed"
-        raise ConfigError(f"{source} must be a nonnegative 63-bit integer")
+    # The config's own seed is checked even when --seed replaces it.
+    for source, seed in (("simulation.seed", out["seed"]), ("--seed", seed_override)):
+        if seed is not None and not 0 <= seed < 2**63:
+            raise ConfigError(f"{source} must be a nonnegative 63-bit integer")
+    if seed_override is not None:
+        out["seed"] = seed_override
     return out
 
 

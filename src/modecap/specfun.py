@@ -1,12 +1,13 @@
 """Special functions and spherical quadrature underpinning the other modules.
 
-Validated wrappers over SciPy: spherical Bessel functions of the first kind
-(scipy.special.spherical_jn, with an ascending series near zero where SciPy
-underflows), their log-space envelope bound, the orthonormal complex
-spherical-harmonic basis matrix (built separably: one all-degree recurrence,
-scipy.special.sph_harm_y_all, over the distinct polar angles, O(N^2) per
-angle and bit-equal to a broadcast scipy.special.sph_harm_y, times a table
-of e^{i m phi} over the distinct azimuths), plus Legendre polynomials by
+NumPy and the standard library only.  Spherical Bessel functions of the
+first kind, every order 0..N at once (closed forms for j_0 and j_1, upward
+recurrence below the argument, Miller's downward recurrence at and above it,
+an ascending series near zero), their log-space envelope bound, the
+orthonormal complex spherical-harmonic basis matrix (built separably: the
+normalized associated-Legendre recurrence of Holmes & Featherstone 2002
+over the distinct polar angles, O(N^2) per angle, times a table of
+e^{i m phi} over the distinct azimuths), plus Legendre polynomials by
 recurrence and Gauss-Legendre x uniform-azimuth product quadrature on the
 unit sphere.
 
@@ -23,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, sph_harm_y_all, spherical_jn
 
 from .errors import DomainError, ResolutionError, require_index
 
@@ -40,8 +40,8 @@ __all__ = [
 _MAX_BESSEL_ORDER = 200
 _MAX_QUAD_DEGREE = 512
 # Below this argument the two-term ascending series is already exact to
-# double precision, while spherical_jn underflows to 0 for tiny z (it gives
-# 0.0 at n=1, z=1.3e-220, where the true value is 4.5e-221).
+# double precision for every order n >= 1.  It also covers arguments so
+# small that (2n+1)/z, a coefficient of the downward recurrence, overflows.
 _SERIES_CUTOFF = 1e-3
 
 
@@ -132,11 +132,102 @@ def _bessel_series_small(n: int, z: np.ndarray) -> np.ndarray:
     return sph_bessel_j_bound(n, z) * (1.0 - z * z / (2.0 * (2 * n + 3)))
 
 
+def _miller_start(max_order: int, z: np.ndarray) -> int:
+    """Start order of the downward recurrence for orders <= max_order at z.
+
+    Zhang & Jin's MSTA2 (Computation of Special Functions, 1996) for 15
+    digits: the order n where their envelope
+    envj(n) = log10(sqrt(2 pi n)) - n log10(e z / (2n)) reaches 15, or
+    envj(max_order) + 7.5 when j_max_order is already below 10^-7.5, plus
+    10.  The root lies above max_order, and envj is convex and increasing
+    from max_order + 1 >= z + 1 on, so Newton's method from there
+    overshoots once and then falls to the root.  The ratio form of the
+    recurrence cannot overflow, so the largest start over z serves every
+    point.
+    """
+
+    def envj(n):
+        return 0.5 * np.log10(6.28 * n) - n * np.log10(1.36 * z / n)
+
+    top = envj(float(max_order))
+    target = np.where(top <= 7.5, 15.0, top + 7.5)
+    n = np.full(z.shape, max_order + 1.0)
+    for _ in range(100):
+        slope = np.log10(n / (1.36 * z)) + (1.0 + 0.5 / n) / math.log(10.0)
+        step = (envj(n) - target) / slope
+        n -= step
+        if np.all(np.abs(step) < 0.5):
+            break
+    return int(np.ceil(n.max())) + 10
+
+
+def _sph_bessel_table(max_order: int, z) -> np.ndarray:
+    """j_0(z) .. j_max_order(z): shape (max_order+1,) + shape(z), row n for
+    order n.  Validates like sph_bessel_j.
+
+    j_0 = sin(z)/z and j_1 = (j_0 - cos z)/z in closed form.  Orders n < z
+    by the upward recurrence j_{n+1} = (2n+1)/z j_n - j_{n-1}, which is
+    stable there (the split scipy.special.spherical_jn makes).  Orders
+    n >= z by Miller's downward recurrence, stable where j_n decays: it runs
+    on the ratios r_n = j_n / j_{n-1} = 1 / ((2n+1)/z - r_{n+1}) from
+    _miller_start down to the first order k >= z, and the ratios are
+    multiplied out from j_{k-1}, the last order below z (j_0 when z <= 1).
+    As ratios the pass never overflows, and an order underflows to zero
+    only where its true value does.  Orders n >= 1 at 0 < z <
+    _SERIES_CUTOFF use the ascending series.
+    """
+    max_order = require_index("order", max_order, _MAX_BESSEL_ORDER)
+    z_arr = np.asarray(z, dtype=float)
+    if np.any(~np.isfinite(z_arr)) or np.any(z_arr < 0):
+        raise DomainError("argument must be finite and >= 0")
+    z = z_arr.ravel()
+    out = np.zeros((max_order + 1, z.size))
+    positive = z > 0.0
+    safe = np.where(positive, z, 1.0)
+    out[0] = np.where(positive, np.sin(safe) / safe, 1.0)
+
+    up = np.flatnonzero(z > 1.0)
+    z_up = z[up]
+    j_prev = out[0, up]
+    j = (j_prev - np.cos(z_up)) / z_up
+    top = min(max_order, math.ceil(z_up.max()) - 1) if up.size else 0
+    for n in range(1, top + 1):
+        # A point's rows stop at its last order below z; the zeros after
+        # that keep the recurrence off its growing branch.
+        j = np.where(n < z_up, j, 0.0)
+        out[n, up] = j
+        j_prev, j = j, (2 * n + 1) / z_up * j - j_prev
+
+    down = np.flatnonzero((z >= _SERIES_CUTOFF) & (z <= max_order))
+    if down.size:
+        z_down = z[down]
+        first = np.ceil(z_down).astype(int)
+        factors = np.ones((max_order + 1, down.size))
+        ratio = np.zeros(down.size)
+        for n in range(_miller_start(max_order, z_down), first.min() - 1, -1):
+            # Orders below a point's first keep the factor 1.
+            ratio = np.divide(1.0, (2 * n + 1) / z_down - ratio,
+                              out=np.ones(down.size), where=n >= first)
+            if n <= max_order:
+                factors[n] = ratio
+        factors[first - 1, np.arange(down.size)] = out[first - 1, down]
+        rows = np.cumprod(factors, axis=0)
+        above = np.arange(max_order + 1)[:, None] >= first
+        out[:, down] = np.where(above, rows, out[:, down])
+
+    tiny = positive & (z < _SERIES_CUTOFF)
+    if np.any(tiny):
+        for n in range(1, max_order + 1):
+            out[n, tiny] = _bessel_series_small(n, z[tiny])
+    return out.reshape((max_order + 1,) + z_arr.shape)
+
+
 def sph_bessel_j(n: int, z):
     """Spherical Bessel function of the first kind j_n(z).
 
-    scipy.special.spherical_jn, except that orders n >= 1 at
-    0 < z < 1e-3 use the ascending series (SciPy underflows there).
+    Row n of the all-orders evaluation _sph_bessel_table: upward recurrence
+    for orders below z, Miller's downward recurrence at and above it, and
+    the ascending series for orders n >= 1 at 0 < z < 1e-3.
 
     Parameters
     ----------
@@ -148,26 +239,26 @@ def sph_bessel_j(n: int, z):
     Returns
     -------
     float or np.ndarray
-        j_n(z).  Measured against 60-digit mpmath: relative error at most
-        2e-13 over 1,244 random points with n <= 200 away from the zeros
-        of j_n.  Near a zero the relative error grows as the value
-        vanishes (7e-13 at distance 1e-3 from a zero, 8e-11 at 1e-5, for
-        n in {0, 1, 2, 5, 8, 20, 46}) while the absolute error stays
-        below 1e-15 / z.
-    """
-    n = require_index("order", n, _MAX_BESSEL_ORDER)
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(~np.isfinite(z_arr)) or np.any(z_arr < 0):
-        raise DomainError("argument must be finite and >= 0")
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
+        j_n(z).  Measured against 60-digit mpmath on 12,000 seeded points
+        (n <= 200; z from 1e-8 to 1e6, a quarter each in the series range,
+        at most n, from n/2 to 2n, and from n to 1e6):
 
-    out = spherical_jn(n, z_arr)
-    # j_0 = sin(z)/z needs no series: it tends to 1, not to 0.
-    tiny = (z_arr > 0.0) & (z_arr < _SERIES_CUTOFF)
-    if n > 0 and np.any(tiny):
-        out[tiny] = _bessel_series_small(n, z_arr[tiny])
-    return float(out[0]) if scalar else out
+        - away from the zeros of j_n, where |j_n(z)| >= 1e-2 M_n(z) with
+          M_n = sqrt(j_n^2 + y_n^2) the local amplitude (about 1/z for
+          z >> n), the relative error is at most 1.2e-13: 1.4e-14 on the
+          downward branch, 5.8e-14 on the upward one, and 1.2e-13 in the
+          series range, where exp of a large negative logarithm rounds;
+        - near a zero the relative error grows as the value vanishes, while
+          the absolute error stays below 1e-15 M_n(z) (8.6e-16 measured);
+        - below the smallest normal double, 2.2e-308, the absolute error is
+          at most 1e-321 (2.5e-322 measured); scipy.special.spherical_jn
+          gave 0 there for true values up to 1.5e-308.
+
+        The contract is 2e-13 relative away from the zeros, and the
+        absolute forms above.
+    """
+    table = _sph_bessel_table(n, z)
+    return float(table[-1]) if table.ndim == 1 else table[-1]
 
 
 def sph_bessel_j_bound(n: int, z):
@@ -183,7 +274,16 @@ def sph_bessel_j_bound(n: int, z):
     scalar = z_arr.ndim == 0
     z_arr = np.atleast_1d(z_arr)
 
-    log_pref = 0.5 * math.log(math.pi) - math.log(2.0) - gammaln(n + 1.5)
+    try:
+        order = float(n)
+    except OverflowError:
+        raise DomainError(f"order {n} is too large to convert to a float") from None
+    try:
+        log_gamma = math.lgamma(order + 1.5)
+    except OverflowError:
+        # Gamma(n + 3/2) exceeds the float range from n = 2.5e305 on.
+        log_gamma = math.inf
+    log_pref = 0.5 * math.log(math.pi) - math.log(2.0) - log_gamma
     out = np.empty_like(z_arr)
     zero = z_arr == 0.0
     out[zero] = math.exp(log_pref) if n == 0 else 0.0
@@ -222,13 +322,23 @@ def harmonic_matrix(max_degree: int, theta: np.ndarray, phi: np.ndarray) -> np.n
     Rows follow the flat ordering n*n + n + m.  The harmonics are
     orthonormal on the unit sphere and include the Condon-Shortley phase
     (Y_1^1(pi/2, 0) = -sqrt(3/(8 pi))).  Evaluated separably as
-    Y_nm(theta, phi) = Y_nm(theta, 0) e^{i m phi}: one sph_harm_y_all call
-    runs the Legendre recurrence once per distinct polar angle and yields
-    every degree and order on the way, and the azimuthal factor is taken once
-    per distinct phi and order m = -N..N.  A product rule with T polar rings
-    therefore costs O(N^2 T) instead of the O(N^3 T) of one recurrence per
-    (mode, ring).  The result equals the direct broadcast
-    sph_harm_y(n, m, theta, phi) bit for bit.
+    Y_nm(theta, phi) = Y_nm(theta, 0) e^{i m phi}.  The polar factor comes
+    from the fully normalized associated-Legendre recurrence (Holmes &
+    Featherstone 2002, J. Geodesy 76), once per distinct polar angle: the
+    sectoral Y_mm = -sqrt((2m+1)/(2m)) sin(theta) Y_{m-1,m-1} by one
+    cumulative product, Y_{m+1,m} = sqrt(2m+3) cos(theta) Y_mm, then
+    Y_nm = a_nm cos(theta) Y_{n-1,m} - b_nm Y_{n-2,m} for every order at
+    once, and Y_{n,-m}(theta, 0) = (-1)^m Y_nm(theta, 0).  The azimuthal
+    factor is taken once per distinct phi and order m = -N..N.  A product
+    rule with T polar rings therefore costs O(N^2 T) instead of the
+    O(N^3 T) of one recurrence per (mode, ring).
+
+    Accuracy, relative to the table's largest magnitude: within 2e-14 of
+    both 60-digit mpmath and scipy.special.sph_harm_y.  Measured at degrees
+    8 to 256 on Gauss-Legendre rings, random points and both poles: 6.7e-15
+    from mpmath (sph_harm_y: 1.0e-14) and 1.3e-14 from sph_harm_y.  Most of
+    it is the rounding of cos(theta), which P_n amplifies by up to
+    n(n+1)/2 near the poles in any method.
 
     Raises DomainError unless max_degree is an integer >= 0 (bool is not)
     and every theta and phi is finite.
@@ -242,16 +352,47 @@ def harmonic_matrix(max_degree: int, theta: np.ndarray, phi: np.ndarray) -> np.n
     theta_u, theta_at = np.unique(theta, return_inverse=True)
     phi_u, phi_at = np.unique(phi, return_inverse=True)
     n = flat_degrees(max_degree)
-    m = np.arange(n.size) - n * (n + 1)
-    # sph_harm_y_all holds order m at index m mod (2N+1) of its second axis.
-    polar = sph_harm_y_all(max_degree, max_degree, theta_u, 0.0)
-    out = polar[n[:, None], m[:, None] % (2 * max_degree + 1), theta_at.ravel()]
+    m = np.abs(np.arange(n.size) - n * (n + 1))
+    polar = _polar_table(max_degree, theta_u)[(n * (n + 1) // 2 + m)[:, None], theta_at.ravel()]
     orders = np.arange(-max_degree, max_degree + 1)
     azimuth = np.exp(1j * orders[:, None] * phi_u[None, :])[:, phi_at.ravel()]
+    # Y_{n,-m}(theta, phi) = (-1)^m Y_nm(theta, 0) e^{-i m phi}: the sign
+    # rides on the azimuthal factor of each odd negative order.
+    azimuth[(max_degree + 1) % 2 : max_degree : 2] *= -1.0
+    out = np.empty(polar.shape, dtype=complex)
     # Rows n*n .. n*n + 2n hold m = -n..n, one contiguous slice of azimuth.
     for k in range(max_degree + 1):
-        out[k * k : (k + 1) ** 2] *= azimuth[max_degree - k : max_degree + k + 1]
+        rows = slice(k * k, (k + 1) ** 2)
+        np.multiply(polar[rows], azimuth[max_degree - k : max_degree + k + 1], out=out[rows])
     return out
+
+
+def _polar_table(max_degree: int, theta: np.ndarray) -> np.ndarray:
+    """Y_nm(theta, 0) for 0 <= m <= n <= max_degree, row n(n+1)/2 + m."""
+    x, u = np.cos(theta), np.sin(theta)
+    degrees = np.arange(max_degree + 1)
+    diagonal = degrees * (degrees + 3) // 2
+    table = np.empty(((max_degree + 1) * (max_degree + 2) // 2, theta.size))
+
+    steps = np.empty((max_degree + 1, theta.size))
+    steps[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    steps[1:] = -np.sqrt((2 * degrees[1:] + 1) / (2.0 * degrees[1:]))[:, None] * u
+    table[diagonal] = np.cumprod(steps, axis=0)
+    table[diagonal[1:] - 1] = np.sqrt(2 * degrees[:-1] + 3.0)[:, None] * x * table[diagonal[:-1]]
+
+    # a_nm cos(theta) and b_nm for n >= 2, m = 0..n-2, degree after degree.
+    n = np.repeat(degrees[2:], degrees[2:] - 1)
+    m = np.arange(n.size) - (n - 1) * (n - 2) // 2
+    span = (n - m) * (n + m)
+    a_x = np.sqrt((2 * n - 1) * (2 * n + 1) / span)[:, None] * x
+    b = np.sqrt((2 * n + 1) * (n + m - 1) * (n - m - 1) / ((2 * n - 3) * span))[:, None]
+    for k in range(2, max_degree + 1):
+        # Orders m = 0..k-2 of degrees k, k-1 and k-2, and their coefficients.
+        row, coeff = k * (k + 1) // 2, slice((k - 1) * (k - 2) // 2, k * (k - 1) // 2)
+        dst = table[row : row + k - 1]
+        np.multiply(a_x[coeff], table[row - k : row - 1], out=dst)
+        dst -= b[coeff] * table[row - 2 * k + 1 : row - k]
+    return table
 
 
 def make_quadrature(max_degree: int) -> QuadratureRule:

@@ -52,6 +52,7 @@ from .sampling import (
 )
 from .specfun import (
     _MAX_BESSEL_ORDER,
+    _sph_bessel_table,
     QuadratureRule,
     flat_degrees,
     harmonic_matrix,
@@ -350,7 +351,7 @@ def theoretical_modes(
     freqs = _check_freqs(freqs)
     _check_wave_speed(wave_speed_c)
     z = 2.0 * np.pi * freqs * radius / wave_speed_c
-    bessel = np.stack([sph_bessel_j(n, z) for n in range(N + 1)])
+    bessel = _sph_bessel_table(N, z)
 
     alpha = np.zeros(((N + 1) ** 2, freqs.size), dtype=complex)
     for src in sources:

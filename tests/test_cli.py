@@ -430,20 +430,22 @@ def test_simulate_small_run_passes_all_properties(tmp_path: Path) -> None:
 
 def test_simulate_evaluates_each_bessel_row_once(
         tmp_path: Path, monkeypatch) -> None:
-    orders = []
-    original = specfun.sph_bessel_j
+    # Every Bessel row goes through the all-orders table, sph_bessel_j
+    # included; simulate takes the rows 0..n_max from one table.
+    tables = []
+    original = specfun._sph_bessel_table
 
-    def counted(n, z):
-        orders.append(n)
-        return original(n, z)
+    def counted(max_order, z):
+        tables.append(max_order)
+        return original(max_order, z)
 
     # wavefield binds the function by name, so patch both bindings.
-    monkeypatch.setattr(specfun, "sph_bessel_j", counted)
-    monkeypatch.setattr(wavefield, "sph_bessel_j", counted)
+    monkeypatch.setattr(specfun, "_sph_bessel_table", counted)
+    monkeypatch.setattr(wavefield, "_sph_bessel_table", counted)
     cfg = _write(tmp_path, "cfg.json", _SIM_CONFIG)
     out = tmp_path / "sim.json"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    assert sorted(orders) == list(range(json.loads(out.read_text())["n_max"] + 1))
+    assert tables == [json.loads(out.read_text())["n_max"]]
 
 
 def test_simulate_is_deterministic_and_seed_sensitive(tmp_path: Path) -> None:
@@ -577,6 +579,14 @@ def test_simulate_source_and_trial_caps_exit_2(
         assert main(["simulate", "--config", cfg, "--seed", seed]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
             "config error: --seed must be a nonnegative 63-bit integer\n")
+    # A valid --seed does not cover for an invalid simulation.seed.
+    cfg = _write(tmp_path, "cfg.json", {
+        "normalized": {"a": 0.5, "b": 0.25, "d": 120, "rho": 100},
+        "simulation": {"sources": 1, "freq_points": 5, "trials": 2, "seed": -5}})
+    for flags in ([], ["--seed", "3"]):
+        assert main(["simulate", "--config", cfg, *flags]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: simulation.seed must be a nonnegative 63-bit integer\n")
 
 
 def test_simulate_above_the_bessel_order_cap_exits_5(

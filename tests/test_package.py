@@ -3,10 +3,10 @@
 `import modecap`, `import modecap.cli` and the CSV forms of `compute` and
 `sweep` need only the standard library, `errors` and `dofcore`; NumPy loads
 when a JSON report, the mode table, `simulate` or `verify` first needs it.  The
-SciPy-backed layers (`sampling`, `specfun`, `wavefield`) load when
-`simulate`, `verify` or a lazily exported name first needs them.  The
-import checks run in fresh interpreters, because this process has long
-since imported everything.
+numeric layers (`sampling`, `specfun`, `wavefield`) load when `simulate`,
+`verify` or a lazily exported name first needs them, and no module imports
+SciPy, which is a test-only oracle.  The import checks run in fresh
+interpreters, because this process has long since imported everything.
 Every integer argument of the numeric layers passes one check, and every
 name a module imports is used in it.
 """
@@ -40,8 +40,8 @@ _SIMULATE = {
 
 def _fresh(tmp_path: Path, statement: str, config: dict | None = None) -> dict:
     """Run `statement` in a new interpreter; return the exit code it leaves
-    in `code` (if any), the SciPy-backed modules it loaded, and whether it
-    loaded NumPy."""
+    in `code` (if any), the numeric layers and SciPy modules it loaded, and
+    whether it loaded NumPy."""
     cfg = tmp_path / "cfg.json"
     if config is not None:
         cfg.write_text(json.dumps(config))
@@ -99,8 +99,7 @@ def test_simulate_and_verify_load_their_layers_on_first_use(
     result = _fresh(tmp_path, statement, _SIMULATE)
     assert result["code"] == 0
     assert result["numpy"] is True
-    assert set(_HEAVY_LAYERS) <= set(result["heavy"])
-    assert "scipy" in result["heavy"]
+    assert sorted(result["heavy"]) == sorted(_HEAVY_LAYERS)
 
 
 def test_wavefield_does_not_load_the_cli(tmp_path: Path) -> None:
@@ -275,3 +274,19 @@ def test_no_module_reads_the_environment() -> None:
         if found:
             readers[path.name] = sorted(found)
     assert readers == {}
+
+
+def test_no_module_imports_scipy() -> None:
+    # The runtime needs NumPy and the standard library only; SciPy is a
+    # test-only oracle (the `test` extra).
+    importers = {}
+    for path in sorted(Path(modecap.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                   for a in n.names}
+        modules |= {n.module for n in ast.walk(tree)
+                    if isinstance(n, ast.ImportFrom) and n.module}
+        found = sorted(m for m in modules if m.split(".")[0] == "scipy")
+        if found:
+            importers[path.name] = found
+    assert importers == {}

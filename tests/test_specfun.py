@@ -3,13 +3,17 @@
 Reference values are frozen from independent evaluations: the spherical
 Bessel power series summed in 60-digit arithmetic (cross-checked against the
 half-integer cylindrical Bessel route), the log-gamma form of the envelope,
-and closed-form Legendre polynomials.
+and closed-form Legendre polynomials.  The accuracy contracts are checked
+against 60-digit mpmath, and the harmonic basis also against
+scipy.special.sph_harm_y, which the package used to call and which stays a
+test-only reference.
 """
 from __future__ import annotations
 
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +97,55 @@ def test_bessel_special_values_and_shapes() -> None:
     assert matrix.shape == (7, 43)
 
 
+def _bessel_points(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded orders n <= 200 and arguments: a quarter each on the decaying
+    side (1e-3 <= z <= n), around the turning point (z from n/2 to 2n), on
+    the oscillating side (n <= z <= 1e6) and in the series range (z < 1e-3)."""
+    rng = np.random.default_rng(20261019)
+    n = rng.integers(0, 201, count)
+    top = np.log10(np.maximum(n, 1))
+    u = rng.uniform(0.0, 1.0, count)
+    family = np.arange(count) % 4
+    z = np.select(
+        [family == 0, family == 1, family == 2],
+        [10.0 ** (-3.0 + u * (top + 3.0)), np.maximum(n, 1) * (0.5 + 1.5 * u),
+         10.0 ** (top + u * (6.0 - top))],
+        10.0 ** (-8.0 + 5.0 * u))
+    return n, z
+
+
+def _mpmath_jy(n: int, z: float) -> tuple[float, float]:
+    """j_n(z) and y_n(z) from the half-integer cylindrical functions at 60
+    digits, rounded to doubles."""
+    with mpmath.workdps(60):
+        x = mpmath.mpf(z)
+        scale = mpmath.sqrt(mpmath.pi / (2 * x))
+        order = n + mpmath.mpf(1) / 2
+        return float(scale * mpmath.besselj(order, x)), float(scale * mpmath.bessely(order, x))
+
+
+def test_bessel_meets_its_accuracy_contract_against_mpmath() -> None:
+    # The sph_bessel_j docstring: 2e-13 relative away from the zeros of j_n,
+    # 1e-15 of the local amplitude sqrt(j_n^2 + y_n^2) near them, and 1e-321
+    # absolute below the smallest normal double.
+    orders, args = _bessel_points(400)
+    regimes = set()
+    for n, z in zip(orders.tolist(), args.tolist()):
+        j, y = _mpmath_jy(n, z)
+        err = abs(sph_bessel_j(n, z) - j)
+        amplitude = math.hypot(j, y)
+        if z > n and abs(j) < 1e-2 * amplitude:
+            regimes.add("near a zero")
+            assert err <= 1e-15 * amplitude, (n, z)
+        elif abs(j) >= np.finfo(float).tiny:
+            regimes.add("z > n" if z > n else "z <= n")
+            assert err <= 2e-13 * abs(j), (n, z)
+        else:
+            regimes.add("subnormal")
+            assert err <= 1e-321, (n, z)
+    assert regimes == {"near a zero", "z > n", "z <= n", "subnormal"}
+
+
 def test_bessel_three_term_recurrence_closes() -> None:
     z = np.linspace(0.05, 120.0, 977)
     for n in (1, 5, 17, 40, 80):
@@ -113,6 +166,15 @@ def test_bessel_rejects_bad_arguments() -> None:
         sph_bessel_j(2, -0.5)
     with pytest.raises(DomainError):
         sph_bessel_j(2, math.inf)
+
+
+def test_bessel_bound_rejects_an_order_beyond_the_float_range() -> None:
+    with pytest.raises(DomainError, match="too large"):
+        sph_bessel_j_bound(10**400, 1.0)
+    # An order a float holds keeps its value; Gamma(n + 3/2) overflows from
+    # n = 2.5e305 on, so the bound is 0 wherever z/2 <= 1.
+    assert sph_bessel_j_bound(10**306, 1.0) == 0.0
+    assert sph_bessel_j_bound(2**1023, [0.0, 2.0]).tolist() == [0.0, 0.0]
 
 
 @settings(deadline=None, max_examples=200, derandomize=True)
@@ -160,6 +222,11 @@ def test_legendre_bounded_by_one(n: int, x: float) -> None:
     assert abs(legendre_p(n, x)) <= 1.0 + 1e-12
 
 
+# The harmonic_matrix docstring's contract: within 2e-14 of the table's
+# largest magnitude, against sph_harm_y and against mpmath.
+_HARMONIC_TOL = 2e-14
+
+
 def test_flat_layout() -> None:
     # Mode (n, m) sits at row n*n + n + m: orders -n..n of each degree in turn.
     rows = [n * n + n + m for n in range(5) for m in range(-n, n + 1)]
@@ -173,7 +240,9 @@ def test_flat_layout() -> None:
     matrix = harmonic_matrix(4, theta, phi)
     assert matrix.shape == (25, 3)
     for n, m in [(0, 0), (2, -2), (3, 1), (4, -4), (4, 4)]:
-        assert np.array_equal(matrix[n * n + n + m], sph_harm_y(n, m, theta, phi))
+        ref = sph_harm_y(n, m, theta, phi)
+        assert np.max(np.abs(matrix[n * n + n + m] - ref)) <= _HARMONIC_TOL * np.max(
+            np.abs(matrix)), (n, m)
 
 
 def test_harmonic_matrix_known_values() -> None:
@@ -234,8 +303,21 @@ def _pole_points() -> tuple[np.ndarray, np.ndarray]:
 def test_harmonic_matrix_equals_direct_evaluation_exactly(
     max_degree: int, theta: np.ndarray, phi: np.ndarray
 ) -> None:
+    # "Exactly" means within the docstring's rounding contract: the
+    # recurrence is not SciPy's, so its last bits differ from sph_harm_y.  A
+    # seeded sample of entries is also checked against 60-digit mpmath.
     matrix = harmonic_matrix(max_degree, theta, phi)
-    assert np.array_equal(matrix, _direct_harmonic_matrix(max_degree, theta, phi))
+    scale = np.max(np.abs(matrix))
+    direct = _direct_harmonic_matrix(max_degree, theta, phi)
+    assert np.max(np.abs(matrix - direct)) <= _HARMONIC_TOL * scale
+    rng = np.random.default_rng(max_degree)
+    n = flat_degrees(max_degree)
+    for row, col in zip(rng.integers(0, n.size, 40), rng.integers(0, theta.size, 40)):
+        m = row - n[row] * (n[row] + 1)
+        with mpmath.workdps(60):
+            ref = complex(mpmath.spherharm(int(n[row]), int(m), mpmath.mpf(float(theta[col])),
+                                           mpmath.mpf(float(phi[col]))))
+        assert abs(matrix[row, col] - ref) <= _HARMONIC_TOL * scale, (row, col)
 
 
 @pytest.mark.parametrize("degree", [-1, 2.5, True, "3", None])
