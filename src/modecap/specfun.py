@@ -279,18 +279,24 @@ def sph_bessel_j_bound(n: int, z):
     except OverflowError:
         raise DomainError(f"order {n} is too large to convert to a float") from None
     try:
-        log_gamma = math.lgamma(order + 1.5)
+        log_pref = 0.5 * math.log(math.pi) - math.log(2.0) - math.lgamma(order + 1.5)
     except OverflowError:
         # Gamma(n + 3/2) exceeds the float range from n = 2.5e305 on.
-        log_gamma = math.inf
-    log_pref = 0.5 * math.log(math.pi) - math.log(2.0) - log_gamma
+        log_pref = None
     out = np.empty_like(z_arr)
     zero = z_arr == 0.0
     out[zero] = math.exp(log_pref) if n == 0 else 0.0
     nz = ~zero
     # z/2 may round to zero in the subnormal range; log -> -inf -> exp -> 0.
     with np.errstate(over="ignore", divide="ignore"):
-        out[nz] = np.exp(log_pref + n * np.log(z_arr[nz] / 2.0))
+        log_half_z = np.log(z_arr[nz] / 2.0)
+        if log_pref is None:
+            # Per unit order, Stirling's log Gamma(n + 3/2) / n is log n - 1
+            # up to O(log(n) / n), so the exponent has one sign and no
+            # inf - inf: the bound is 0 below z = 2n/e and inf above.
+            out[nz] = np.exp(order * (log_half_z - math.log(order) + 1.0))
+        else:
+            out[nz] = np.exp(log_pref + n * log_half_z)
     return float(out[0]) if scalar else out
 
 

@@ -175,6 +175,10 @@ def test_bessel_bound_rejects_an_order_beyond_the_float_range() -> None:
     # n = 2.5e305 on, so the bound is 0 wherever z/2 <= 1.
     assert sph_bessel_j_bound(10**306, 1.0) == 0.0
     assert sph_bessel_j_bound(2**1023, [0.0, 2.0]).tolist() == [0.0, 0.0]
+    # There n log(z/2) can overflow too; the bound still takes the sign of
+    # log(z/2) - log Gamma(n + 3/2) / n, with no NaN and no warning.
+    assert sph_bessel_j_bound(10**306, 1e300) == 0.0
+    assert sph_bessel_j_bound(10**306, 1.7e308) == math.inf
 
 
 @settings(deadline=None, max_examples=200, derandomize=True)
