@@ -66,8 +66,12 @@ _TOP_KEYS = {"scenario", "normalized", "sweep", "simulation"}
 MODE_TABLE_LIMIT = 1_000_000
 
 # Most points a sweep grid may hold; each is a NormalizedParams and a report
-# row, about 0.9 KB and 19 us apiece in a CSV sweep on a 2-core host.
+# line, about 150 bytes and 16 us apiece in a CSV sweep on a 2-core host.
 SWEEP_POINT_LIMIT = 1_000_000
+
+# Rows a CSV sweep joins into one text piece.  A pool thread holds the lines
+# of one block at a time, never those of its whole chunk.
+_CSV_BLOCK_ROWS = 256
 
 # Most plane-wave sources and noise trials simulate runs; each source is one
 # synthesis pass over the whole field and each trial one noisy analysis.
@@ -228,12 +232,18 @@ def _build_simulation(cfg: dict, seed_override: int | None) -> dict[str, int]:
     return out
 
 
-def _write_output(text: str, out_path: str) -> None:
+def _write_output(pieces: Iterable[str], out_path: str) -> None:
+    """Write the report's text pieces, in order, to out_path ("-" is stdout).
+
+    The report is never joined into one string: each piece is encoded and
+    written on its own.  Callers finish every evaluation first, so a failing
+    point leaves no output file.
+    """
     if out_path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +431,8 @@ def _point_report(
     }
 
 
-# One sweep or compute CSV row, each float printed to 12 significant digits.
-_CSV_ROW = "%.12g,%.12g,%.12g,%.12g,%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g"
+# One sweep or compute CSV line, each float printed to 12 significant digits.
+_CSV_ROW = "%.12g,%.12g,%.12g,%.12g,%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g\n"
 
 
 def _csv_row(
@@ -440,10 +450,10 @@ def cmd_compute(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     scenario, params = _require_point(cfg)
     if args.format == "csv":
-        text = _CSV_HEADER + "\n" + _csv_row(*_evaluate_point(scenario, params)) + "\n"
+        pieces = [_CSV_HEADER + "\n", _csv_row(*_evaluate_point(scenario, params))]
     else:
-        text = _serialize_report(_point_report(cfg, scenario, params))
-    _write_output(text, args.out)
+        pieces = [_serialize_report(_point_report(cfg, scenario, params))]
+    _write_output(pieces, args.out)
     return EXIT_OK
 
 
@@ -468,19 +478,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for rho in grids["rho"]
     ]
 
-    def evaluate(
+    def evaluate_json(
         chunk: list[NormalizedParams],
     ) -> list[tuple[NormalizedParams, int, int, DofBreakdown]]:
         return [(p, *_normalized_point(p)) for p in chunk]
 
+    def evaluate_csv(chunk: list[NormalizedParams]) -> list[str]:
+        # The chunk's report text, in pieces of _CSV_BLOCK_ROWS lines: no
+        # point's result outlives its line.
+        return [
+            "".join([_csv_row(p, *_normalized_point(p))
+                     for p in chunk[i:i + _CSV_BLOCK_ROWS]])
+            for i in range(0, len(chunk), _CSV_BLOCK_ROWS)
+        ]
+
     # One contiguous, in-order chunk per thread: a future per point costs
     # more in the pool's locks than the closed form itself.  The first
-    # failing chunk holds the first failing point, so errors stay in grid order.
+    # failing chunk holds the first failing point, so errors stay in grid
+    # order, and every chunk is done before anything is written.
+    evaluate = evaluate_json if args.format == "json" else evaluate_csv
     threads = min(8, os.cpu_count() or 1)
     size = math.ceil(len(points) / threads)
     chunks = [points[i:i + size] for i in range(0, len(points), size)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = [row for rows in pool.map(evaluate, chunks) for row in rows]
+        results = [item for items in pool.map(evaluate, chunks) for item in items]
 
     if args.format == "json":
         params, n_mins, n_maxs, bds = zip(*results)
@@ -498,12 +519,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             },
             ints={"n_min": n_mins, "n_max": n_maxs},
         )
-        _write_output(_serialize_report({"rows": rows}), args.out)
+        _write_output([_serialize_report({"rows": rows})], args.out)
         return EXIT_OK
 
-    lines = [_CSV_HEADER]
-    lines.extend(_csv_row(p, n_min, n_max, bd) for p, n_min, n_max, bd in results)
-    _write_output("\n".join(lines) + "\n", args.out)
+    _write_output([_CSV_HEADER + "\n", *results], args.out)
     return EXIT_OK
 
 
@@ -520,7 +539,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     result = wavefield.simulate(scenario, **sim)
     report = _point_report(cfg, scenario, params)
     report["simulation"] = _rounded({**sim, **asdict(result)})
-    _write_output(_serialize_report(report), args.out)
+    _write_output([_serialize_report(report)], args.out)
     return EXIT_OK
 
 
@@ -539,7 +558,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ]
     all_ok = all(p.passed for p in properties)
     lines.append("verify: " + ("all properties hold" if all_ok else "FAILURES present"))
-    _write_output("\n".join(lines) + "\n", args.out)
+    _write_output(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK if all_ok else 1
 
 

@@ -131,7 +131,7 @@ class Scenario:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalizedParams:
     """Dimensionless scenario: a = F0 R / c, b = W / F0, d = F0 T, rho."""
 

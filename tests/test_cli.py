@@ -18,6 +18,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -272,6 +273,49 @@ def test_sweep_error_is_independent_of_thread_count(
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert errors[0].startswith("domain error: ") and errors[0].count("\n") == 1
+
+
+def test_csv_sweep_rows_survive_block_and_chunk_boundaries(
+        tmp_path: Path, monkeypatch) -> None:
+    # 7 * 5 * 11 * 13 = 5005 points: at every thread count below, each chunk
+    # spans more than one block of rows and ends inside a block.
+    axes = {"a": [0.05 + 0.9 * i for i in range(7)],
+            "b": [0.2 * (i + 1) for i in range(5)],
+            "d": [0.5 + 1.5 * i for i in range(11)],
+            "rho": [0.3 + 7.0 * i for i in range(13)]}
+    points = [NormalizedParams(*point) for point in itertools.product(*axes.values())]
+    assert len(points) // 8 > cli._CSV_BLOCK_ROWS
+    expected = (cli._CSV_HEADER + "\n" + "".join(
+        cli._csv_row(p, *cli._normalized_point(p)) for p in points)).encode()
+    cfg = _write(tmp_path, "cfg.json", {"sweep": axes})
+    for cpus in (1, 2, 3, 8):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        out = tmp_path / f"t{cpus}.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == expected
+
+
+def test_csv_sweep_allocates_little_beyond_its_report(
+        tmp_path: Path, monkeypatch) -> None:
+    # 10,000 points on 8 threads, the most the pool takes.  The points and
+    # the report's text are all that grow with the grid: a thread holds the
+    # lines of one block at a time, and no point's result outlives its line.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    axis = [0.5 + 0.25 * i for i in range(10)]
+    cfg = _write(tmp_path, "cfg.json", {"sweep": {
+        "a": axis, "b": [0.1 * (i + 1) for i in range(10)], "d": axis,
+        "rho": axis}})
+    out = tmp_path / "sweep.csv"
+    # The first run loads what any sweep loads once.
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * out.stat().st_size
 
 
 def test_duplicate_config_keys_exit_2(tmp_path: Path, capsys) -> None:
@@ -1005,6 +1049,25 @@ def test_report_bytes_match_the_golden_hash(
         data = _without_residuals(data)
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("command, fmt, config", [
+    ("sweep", "csv", _SWEEP_DIGITS),
+    ("sweep", "json", _SWEEP_GRID),
+    ("compute", "json", _COMPUTE_POINT),
+    ("compute", "csv", _COMPUTE_POINT),
+], ids=["sweep-csv", "sweep-json", "compute-json", "compute-csv"])
+def test_stdout_report_equals_the_file_report(
+        tmp_path: Path, capsys, command, fmt, config) -> None:
+    cfg = _write(tmp_path, "cfg.json", config)
+    out = tmp_path / "report.out"
+    argv = [command, "--config", cfg, "--format", fmt, "--out"]
+    assert main(argv + [str(out)]) == EXIT_OK
+    assert capsys.readouterr() == ("", "")
+    assert main(argv + ["-"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode("utf-8") == out.read_bytes()
 
 
 # ---------------------------------------------------------------------------

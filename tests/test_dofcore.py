@@ -6,7 +6,9 @@ term-by-term mode sum; both are noted inline.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 import random
 import warnings
 
@@ -441,6 +443,23 @@ def test_normalized_validation() -> None:
         NormalizedParams(a=1.0, b=0.5, d=1.0, rho=0.0)
     with pytest.raises(DomainError):
         NormalizedParams(a=1.0, b=0.5, d=math.inf, rho=1.0)
+
+
+def test_normalized_params_is_a_slotted_frozen_value() -> None:
+    # Slots keep the points a sweep builds small; a point has no __dict__,
+    # so vars(p) raises TypeError, and is otherwise an ordinary dataclass.
+    p = NormalizedParams(a=1.0, b=0.5, d=2.0, rho=3.0)
+    with pytest.raises(TypeError):
+        vars(p)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.a = 2.0  # type: ignore[misc]
+    assert dataclasses.asdict(p) == {"a": 1.0, "b": 0.5, "d": 2.0, "rho": 3.0}
+    q = dataclasses.replace(p, a=4.0)
+    assert q == NormalizedParams(a=4.0, b=0.5, d=2.0, rho=3.0) != p
+    assert hash(p) == hash(NormalizedParams(a=1.0, b=0.5, d=2.0, rho=3.0))
+    assert pickle.loads(pickle.dumps(p)) == p
+    with pytest.raises(DomainError):
+        dataclasses.replace(p, b=1.5)
 
 
 def test_breakdown_rejects_inconsistent_totals() -> None:
