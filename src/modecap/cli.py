@@ -20,6 +20,8 @@ significant digits, and outputs are byte-stable for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import os
@@ -62,16 +64,22 @@ _POINT_KEYS = {"a", "b", "d", "rho"}
 _SIMULATION_KEYS = {"sources", "freq_points", "quad_degree", "seed", "trials"}
 _TOP_KEYS = {"scenario", "normalized", "sweep", "simulation"}
 
-# Most rows a JSON mode table may hold (n_max + 1); about 110 bytes each.
+# Most rows a JSON mode table may hold (n_max + 1); about 110 bytes and
+# 1.2 us each.  The table's blocks are formatted as they are written: a fresh
+# compute of 999,152 rows (a = 7.8e4, b = 0.5) writes 111 MB in 1.4 s at
+# 84 MiB peak RSS on a 2-core host.
 MODE_TABLE_LIMIT = 1_000_000
 
 # Most points a sweep grid may hold; each is a NormalizedParams and a report
-# line, about 150 bytes and 16 us apiece in a CSV sweep on a 2-core host.
+# line, about 150 bytes and 16 us apiece in a CSV sweep on a 2-core host.  A
+# JSON sweep writes about 240 bytes a point and holds the whole text until
+# every point is done: 1,000,000 points take 16.7 s at 340 MiB peak RSS.
 SWEEP_POINT_LIMIT = 1_000_000
 
-# Rows a CSV sweep joins into one text piece.  A pool thread holds the lines
-# of one block at a time, never those of its whole chunk.
-_CSV_BLOCK_ROWS = 256
+# Rows a report formats into one text piece, in a JSON row list or a CSV
+# sweep.  A sweep's pool thread holds the results of one block at a time,
+# never those of its whole chunk.
+_BLOCK_ROWS = 256
 
 # Most plane-wave sources and noise trials simulate runs; each source is one
 # synthesis pass over the whole field and each trial one noisy analysis.
@@ -236,8 +244,9 @@ def _write_output(pieces: Iterable[str], out_path: str) -> None:
     """Write the report's text pieces, in order, to out_path ("-" is stdout).
 
     The report is never joined into one string: each piece is encoded and
-    written on its own.  Callers finish every evaluation first, so a failing
-    point leaves no output file.
+    written on its own, and may be formatted only as it is taken.  Callers
+    finish every evaluation and check first, so a failing point or report
+    leaves no output file.
     """
     if out_path == "-":
         sys.stdout.writelines(pieces)
@@ -262,9 +271,25 @@ class _Rows:
     ints: Mapping[str, Sequence[int]]
 
 
-# What json.dumps writes for a _Rows value; _serialize_report replaces it.
+@dataclass(frozen=True)
+class _RowText:
+    """A report's list of rows whose text its owner formats.
+
+    blocks(indent) returns the text of the rows in order, in blocks as
+    _row_blocks writes them, for a list whose opening line is indented by
+    `indent`; _serialize_report calls it once and joins the blocks with ",\n".
+    """
+
+    blocks: Callable[[str], Sequence[str]]
+
+
+# What json.dumps writes for a row list; _serialize_report replaces it.
 _ROWS_MARK = "\0rows"
 _ROWS_TOKEN = json.dumps(_ROWS_MARK)
+
+# The kinds of float _row_blocks tells apart, and the format of each.
+_EXACT, _PLAIN, _OTHER = 0, 1, 2
+_KIND_FORMATS = ("%.1f", "%.12g", "%s")
 
 
 def _json_floats(values: Sequence[float]) -> list[str]:
@@ -294,33 +319,123 @@ def _json_floats(values: Sequence[float]) -> list[str]:
     return [t if "." in t or "e" in t else t + ".0" for t in texts]
 
 
-def _rows_json(rows: _Rows, indent: str) -> str:
-    """`rows` as json.dumps(indent=2, sort_keys=True) writes the row list
-    when its opening line is indented by `indent`."""
+def _float_kinds(values: Any) -> Any:
+    """_EXACT, _PLAIN or _OTHER for each float of the array `values`."""
     import numpy as np
 
-    texts = {}
+    magnitude = np.abs(values)
+    gap = np.abs(values - np.rint(values))
+    below = magnitude < 1e11
+    kinds = np.full(values.shape, _OTHER, dtype=np.int8)
+    kinds[below & (gap == 0)] = _EXACT
+    kinds[below & (magnitude >= 1e-300) & (gap > 1e-10 * magnitude)] = _PLAIN
+    return kinds
+
+
+@functools.lru_cache(maxsize=64)
+def _block_template(
+    indent: str, fields: tuple[tuple[str, str], ...], rows: int
+) -> str:
+    """The text of `rows` row objects, as json.dumps(indent=2) writes them in
+    a list whose opening line is indented by `indent`, with each row holding
+    the (key, format) `fields` in order: one format directive per value."""
+    row = (
+        indent + "  {\n"
+        + ",\n".join(f"{indent}    {json.dumps(key).replace('%', '%%')}: {fmt}"
+                     for key, fmt in fields)
+        + "\n" + indent + "  }"
+    )
+    return ",\n".join([row] * rows)
+
+
+def _row_blocks(rows: _Rows, indent: str) -> Iterator[str]:
+    """The text of `rows` as json.dumps(indent=2, sort_keys=True) writes the
+    row list's items when its opening line is indented by `indent`, in blocks
+    of _BLOCK_ROWS rows.
+
+    The columns are checked here, when the call is made: a non-finite float
+    raises DomainError before any block exists.  The blocks are formatted as
+    they are taken, each by one % over a row template repeated once per row,
+    so the whole text is never held at once.
+
+    Each float x prints as repr(_round12(x)), the text _json_floats gives.
+    Most floats are one of two kinds whose text one format directive gives:
+    - exact: x == rint(x) and |x| < 1e11.  An integer-valued float below
+      1e11 has at most 11 digits, so _round12 leaves it unchanged and repr
+      prints its digits and ".0", as "%.1f" does (-0.0 prints "-0.0");
+    - plain: 1e-300 <= |x| < 1e11 and |x - rint(x)| > 1e-10·|x|.  x is a
+      normal double, so by _json_floats' argument "%.12g" and repr print
+      the same digits, and below 1e11 both write exponent form exactly
+      below 1e-4.  "%.12g" drops the "." only when its 12-digit rounding R
+      is an integer.  That rounding moves x by at most half a unit of its
+      12th digit, at most 5e-12·|x|, so then |x - rint(x)| <= |x - R| <=
+      5e-12·|x|, which the mask excludes.  So "%.12g" % x is
+      repr(_round12(x));
+    - every other float (|x| >= 1e11, 0 < |x| < 1e-300, or a non-integer
+      within 1e-10·|x| of an integer) prints its _json_floats text by "%s".
+    In a block where every value of a column has the same kind, the
+    template holds that kind's format for the column and the values go in
+    as floats.  A column whose kind changes within the block goes in as
+    _json_floats texts, which are right for every kind.
+    """
+    import numpy as np
+
+    size = _BLOCK_ROWS
+    floats = {}
     for key, column in rows.floats.items():
         values = np.asarray(column, dtype=float)
         finite = np.isfinite(values)
         if not finite.all():
             bad = float(values[~finite][0])
             raise DomainError(f"report holds a non-finite number: {key} is {bad!r}")
-        texts[key] = _json_floats(values)
-    for key, column in rows.ints.items():
-        texts[key] = list(map(str, column))
-    keys = sorted(texts)
-    columns = [texts[k] for k in keys]
-    if not columns[0]:
-        return "[]"
-    field = indent + "    %s: %%s"
-    template = (
-        indent + "  {\n"
-        + ",\n".join(field % json.dumps(k) for k in keys)
-        + "\n" + indent + "  }"
-    )
-    body = ",\n".join(template % row for row in zip(*columns, strict=True))
-    return "[\n" + body + "\n" + indent + "]"
+        floats[key] = values
+    lengths = {len(column) for column in (*floats.values(), *rows.ints.values())}
+    if len(lengths) > 1:
+        raise ValueError(f"row table columns differ in length: {sorted(lengths)}")
+    length = max(lengths, default=0)
+    keys = sorted([*floats, *rows.ints])
+    # Each float column's kind in each block, _OTHER where the kind changes.
+    kinds = {}
+    if length:
+        starts = np.arange(0, length, size)
+        for key, values in floats.items():
+            kind = _float_kinds(values)
+            first = np.minimum.reduceat(kind, starts)
+            kinds[key] = np.where(
+                first == np.maximum.reduceat(kind, starts), first, _OTHER).tolist()
+
+    def block(index: int) -> str:
+        start = index * size
+        stop = min(start + size, length)
+        fields, columns = [], []
+        for key in keys:
+            if key in floats:
+                kind = kinds[key][index]
+                values = floats[key][start:stop]
+                columns.append(_json_floats(values) if kind == _OTHER else values.tolist())
+                fields.append((key, _KIND_FORMATS[kind]))
+            else:
+                column = rows.ints[key][start:stop]
+                columns.append(column.tolist() if hasattr(column, "tolist") else column)
+                fields.append((key, "%d"))
+        # Row by row, the values in key order.
+        flat: list[Any] = [None] * (len(keys) * (stop - start))
+        for j, column in enumerate(columns):
+            flat[j::len(keys)] = column
+        return _block_template(indent, tuple(fields), stop - start) % tuple(flat)
+
+    return map(block, range(math.ceil(length / size)))
+
+
+def _list_pieces(blocks: Iterable[str], indent: str) -> Iterator[str]:
+    """A JSON list, as json.dumps(indent=2) writes it when its opening line
+    is indented by `indent`, from the text of its items in blocks."""
+    separator = "[\n"
+    for block in blocks:
+        yield separator
+        yield block
+        separator = ",\n"
+    yield "[]" if separator == "[\n" else "\n" + indent + "]"
 
 
 def _floats_in(value: Any, path: str = "") -> Iterator[tuple[str, float]]:
@@ -336,13 +451,19 @@ def _floats_in(value: Any, path: str = "") -> Iterator[tuple[str, float]]:
             yield from _floats_in(item, f"{path}[{i}]")
 
 
-def _serialize_report(report: dict) -> str:
+def _serialize_report(report: dict) -> Iterator[str]:
     """Strict JSON text of `report`, as json.dumps(indent=2, sort_keys=True)
-    writes it; each _Rows value is written by _rows_json."""
-    tables: list[_Rows] = []
+    writes it, in pieces; each _Rows value is written by _row_blocks and
+    each _RowText value by its own blocks.
+
+    Every check runs in this call, before the first piece is taken: a
+    report that holds a non-finite number raises DomainError here, so
+    _write_output never opens its file.
+    """
+    tables: list[_Rows | _RowText] = []
 
     def mark(value: Any) -> str:
-        if not isinstance(value, _Rows):
+        if not isinstance(value, (_Rows, _RowText)):
             name = type(value).__name__
             raise TypeError(f"Object of type {name} is not JSON serializable")
         tables.append(value)
@@ -359,10 +480,15 @@ def _serialize_report(report: dict) -> str:
             raise
         raise DomainError("report holds a non-finite number: %s is %r" % found) from exc
     parts = text.split(_ROWS_TOKEN)
-    for i, table in enumerate(tables):
-        line = parts[i][parts[i].rfind("\n") + 1:]
-        parts[i] += _rows_json(table, line[: len(line) - len(line.lstrip(" "))])
-    return "".join(parts) + "\n"
+    pieces: list[Iterable[str]] = []
+    for before, table in zip(parts, tables):
+        line = before[before.rfind("\n") + 1:]
+        indent = line[: len(line) - len(line.lstrip(" "))]
+        blocks = (table.blocks(indent) if isinstance(table, _RowText)
+                  else _row_blocks(table, indent))
+        pieces += [before], _list_pieces(blocks, indent)
+    pieces.append([parts[-1] + "\n"])
+    return itertools.chain.from_iterable(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +578,38 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if args.format == "csv":
         pieces = [_CSV_HEADER + "\n", _csv_row(*_evaluate_point(scenario, params))]
     else:
-        pieces = [_serialize_report(_point_report(cfg, scenario, params))]
+        pieces = _serialize_report(_point_report(cfg, scenario, params))
     _write_output(pieces, args.out)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # sweep
+
+
+def _sweep_csv(points: Sequence[NormalizedParams]) -> str:
+    return "".join([_csv_row(p, *_normalized_point(p)) for p in points])
+
+
+def _sweep_json(points: Sequence[NormalizedParams], indent: str) -> str:
+    """The JSON row objects of at most _BLOCK_ROWS points, as one block."""
+    params, n_mins, n_maxs, bds = zip(*[(p, *_normalized_point(p)) for p in points])
+    rows = _Rows(
+        floats={
+            "a": [p.a for p in params],
+            "b": [p.b for p in params],
+            "d": [p.d for p in params],
+            "rho": [p.rho for p in params],
+            "t_eff": [bd.t_eff for bd in bds],
+            "d1": [bd.d1 for bd in bds],
+            "d2": [bd.d2 for bd in bds],
+            "d3": [bd.d3 for bd in bds],
+            "dof_total": [bd.total for bd in bds],
+        },
+        ints={"n_min": n_mins, "n_max": n_maxs},
+    )
+    (text,) = _row_blocks(rows, indent)
+    return text
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -478,51 +629,33 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for rho in grids["rho"]
     ]
 
-    def evaluate_json(
-        chunk: list[NormalizedParams],
-    ) -> list[tuple[NormalizedParams, int, int, DofBreakdown]]:
-        return [(p, *_normalized_point(p)) for p in chunk]
+    def blocks(text: Callable[[list[NormalizedParams]], str]) -> list[str]:
+        """The report text of every point, text(block) for each block of
+        _BLOCK_ROWS points, formatted on the pool threads.
 
-    def evaluate_csv(chunk: list[NormalizedParams]) -> list[str]:
-        # The chunk's report text, in pieces of _CSV_BLOCK_ROWS lines: no
-        # point's result outlives its line.
-        return [
-            "".join([_csv_row(p, *_normalized_point(p))
-                     for p in chunk[i:i + _CSV_BLOCK_ROWS]])
-            for i in range(0, len(chunk), _CSV_BLOCK_ROWS)
-        ]
+        One contiguous, in-order chunk per thread: a future per point costs
+        more in the pool's locks than the closed form itself.  The first
+        failing chunk holds the first failing point, so errors stay in grid
+        order, and no point's result outlives its block's text.
+        """
+        def evaluate(chunk: list[NormalizedParams]) -> list[str]:
+            return [text(chunk[i:i + _BLOCK_ROWS])
+                    for i in range(0, len(chunk), _BLOCK_ROWS)]
 
-    # One contiguous, in-order chunk per thread: a future per point costs
-    # more in the pool's locks than the closed form itself.  The first
-    # failing chunk holds the first failing point, so errors stay in grid
-    # order, and every chunk is done before anything is written.
-    evaluate = evaluate_json if args.format == "json" else evaluate_csv
-    threads = min(8, os.cpu_count() or 1)
-    size = math.ceil(len(points) / threads)
-    chunks = [points[i:i + size] for i in range(0, len(points), size)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = [item for items in pool.map(evaluate, chunks) for item in items]
+        threads = min(8, os.cpu_count() or 1)
+        size = math.ceil(len(points) / threads)
+        chunks = [points[i:i + size] for i in range(0, len(points), size)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return [block for chunk in pool.map(evaluate, chunks) for block in chunk]
 
+    # Every block is done, or the first error raised, before anything is
+    # written.
     if args.format == "json":
-        params, n_mins, n_maxs, bds = zip(*results)
-        rows = _Rows(
-            floats={
-                "a": [p.a for p in params],
-                "b": [p.b for p in params],
-                "d": [p.d for p in params],
-                "rho": [p.rho for p in params],
-                "t_eff": [bd.t_eff for bd in bds],
-                "d1": [bd.d1 for bd in bds],
-                "d2": [bd.d2 for bd in bds],
-                "d3": [bd.d3 for bd in bds],
-                "dof_total": [bd.total for bd in bds],
-            },
-            ints={"n_min": n_mins, "n_max": n_maxs},
-        )
-        _write_output([_serialize_report({"rows": rows})], args.out)
-        return EXIT_OK
-
-    _write_output([_CSV_HEADER + "\n", *results], args.out)
+        rows = _RowText(lambda indent: blocks(lambda part: _sweep_json(part, indent)))
+        pieces = _serialize_report({"rows": rows})
+    else:
+        pieces = [_CSV_HEADER + "\n", *blocks(_sweep_csv)]
+    _write_output(pieces, args.out)
     return EXIT_OK
 
 
@@ -539,7 +672,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     result = wavefield.simulate(scenario, **sim)
     report = _point_report(cfg, scenario, params)
     report["simulation"] = _rounded({**sim, **asdict(result)})
-    _write_output([_serialize_report(report)], args.out)
+    _write_output(_serialize_report(report), args.out)
     return EXIT_OK
 
 

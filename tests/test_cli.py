@@ -284,7 +284,7 @@ def test_csv_sweep_rows_survive_block_and_chunk_boundaries(
             "d": [0.5 + 1.5 * i for i in range(11)],
             "rho": [0.3 + 7.0 * i for i in range(13)]}
     points = [NormalizedParams(*point) for point in itertools.product(*axes.values())]
-    assert len(points) // 8 > cli._CSV_BLOCK_ROWS
+    assert len(points) // 8 > cli._BLOCK_ROWS
     expected = (cli._CSV_HEADER + "\n" + "".join(
         cli._csv_row(p, *cli._normalized_point(p)) for p in points)).encode()
     cfg = _write(tmp_path, "cfg.json", {"sweep": axes})
@@ -295,27 +295,43 @@ def test_csv_sweep_rows_survive_block_and_chunk_boundaries(
         assert out.read_bytes() == expected
 
 
-def test_csv_sweep_allocates_little_beyond_its_report(
-        tmp_path: Path, monkeypatch) -> None:
-    # 10,000 points on 8 threads, the most the pool takes.  The points and
-    # the report's text are all that grow with the grid: a thread holds the
-    # lines of one block at a time, and no point's result outlives its line.
+def _traced_sweep_peak(tmp_path: Path, monkeypatch, fmt: str) -> tuple[int, int]:
+    """(traced peak bytes, report bytes) of a 10,000-point sweep on 8
+    threads, the most the pool takes, after a first run has loaded what any
+    sweep loads once."""
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     axis = [0.5 + 0.25 * i for i in range(10)]
     cfg = _write(tmp_path, "cfg.json", {"sweep": {
         "a": axis, "b": [0.1 * (i + 1) for i in range(10)], "d": axis,
         "rho": axis}})
-    out = tmp_path / "sweep.csv"
-    # The first run loads what any sweep loads once.
-    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    out = tmp_path / f"sweep.{fmt}"
+    argv = ["sweep", "--config", cfg, "--format", fmt, "--out", str(out)]
+    assert main(argv) == EXIT_OK
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert main(argv) == EXIT_OK
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < 4 * out.stat().st_size
+    return peak, out.stat().st_size
+
+
+def test_csv_sweep_allocates_little_beyond_its_report(
+        tmp_path: Path, monkeypatch) -> None:
+    # The points and the report's text are all that grow with the grid: a
+    # thread holds the lines of one block at a time, and no point's result
+    # outlives its line.
+    peak, size = _traced_sweep_peak(tmp_path, monkeypatch, "csv")
+    assert peak < 4 * size
+
+
+def test_json_sweep_allocates_little_beyond_its_report(
+        tmp_path: Path, monkeypatch) -> None:
+    # As for CSV: no point's result, column or float text outlives its
+    # block's text, and the blocks are written without being joined.
+    peak, size = _traced_sweep_peak(tmp_path, monkeypatch, "json")
+    assert peak < 4 * size
 
 
 def test_duplicate_config_keys_exit_2(tmp_path: Path, capsys) -> None:
@@ -941,7 +957,71 @@ def test_row_writer_equals_the_generic_json_path(table, nested) -> None:
         return {"a": 0.25, "outer": inner} if nested else inner
 
     expected = json.dumps(report(rounded), indent=2, sort_keys=True) + "\n"
-    assert _serialize_report(report(columns)) == expected
+    assert "".join(_serialize_report(report(columns))) == expected
+
+
+# The values on each side of the writer's kind boundaries: integers and
+# their neighbours, the 1e11 cut-off, and the 1e-300 floor.
+_KIND_EDGES = [0.99999999999995, 99999999999.99999, 1e11,
+               math.nextafter(1e11, 0), math.nextafter(1e11, math.inf), 1e12,
+               999999999999.5, 1e-300, math.nextafter(1e-300, 0),
+               math.nextafter(1e-300, 1), 5e-324, 0.0, -0.0]
+_INTEGRAL_FLOATS = st.one_of(st.integers(-2**53, 2**53),
+                             st.integers(10**10, 10**14),
+                             st.integers(-10**14, -10**10)).map(float)
+# A column draws all its values from one of these, or from any of them, so
+# blocks of one kind and blocks that change kind both occur.
+_KIND_STYLES = [
+    st.sampled_from(_KIND_EDGES),
+    st.builds(math.nextafter, _INTEGRAL_FLOATS,
+              st.sampled_from([-math.inf, math.inf])),
+    _INTEGRAL_FLOATS,
+    st.floats(allow_nan=False, allow_infinity=False),
+]
+_KIND_STYLES.append(st.one_of(_KIND_STYLES))
+_SWEEP_FLOATS = ("a", "b", "d", "rho", "t_eff", "d1", "d2", "d3", "dof_total")
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(data=st.data(), sweep=st.booleans())
+def test_row_blocks_equal_the_generic_json_path_across_block_boundaries(
+        data, sweep) -> None:
+    # Blocks of 3 rows, so up to 40 rows span many blocks whose columns
+    # change kind inside a block, at a block edge, or not at all.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_BLOCK_ROWS", 3)
+        _check_row_blocks(data, sweep)
+
+
+def _check_row_blocks(data, sweep: bool) -> None:
+    floats = _SWEEP_FLOATS if sweep else ("critical_freq_Fn", "eff_bandwidth_Wn")
+    ints = ("n_min", "n_max") if sweep else ("n",)
+    styles = [data.draw(st.sampled_from(_KIND_STYLES)) for _ in floats]
+    rows = data.draw(st.lists(st.tuples(
+        *styles, *(st.integers(0, 2**62) for _ in ints)), max_size=40))
+    columns = list(zip(*rows)) or [()] * (len(floats) + len(ints))
+    table = _Rows(floats=dict(zip(floats, columns)),
+                  ints=dict(zip(ints, columns[len(floats):])))
+    rounded = [{**{k: _round12(v) for k, v in zip(floats, row)},
+                **dict(zip(ints, row[len(floats):]))} for row in rows]
+    if sweep:
+        # As cmd_sweep builds it: each block formatted on its own.
+        def blocks(indent):
+            return ["".join(cli._row_blocks(_Rows(
+                floats={k: c[i:i + 3] for k, c in table.floats.items()},
+                ints={k: c[i:i + 3] for k, c in table.ints.items()}), indent))
+                for i in range(0, len(rows), 3)]
+
+        for value in (table, cli._RowText(blocks)):
+            expected = json.dumps({"rows": rounded}, indent=2, sort_keys=True)
+            assert "".join(_serialize_report({"rows": value})) == expected + "\n"
+    else:
+        def report(mode_table):
+            return {"inputs": {"normalized": {"a": 3.0}}, "n_max": len(rows) - 1,
+                    "dof": {"d1": 0.5}, "mode_table": mode_table}
+
+        expected = json.dumps(report(rounded), indent=2, sort_keys=True) + "\n"
+        assert "".join(_serialize_report(report(table))) == expected
 
 
 @settings(deadline=None, max_examples=2000, derandomize=True)
@@ -956,6 +1036,47 @@ def test_row_writer_rejects_non_finite_values(bad) -> None:
     rows = _Rows(floats={"x": [1.0, bad]}, ints={"n": [0, 1]})
     with pytest.raises(DomainError, match="non-finite"):
         _serialize_report({"rows": rows})
+
+
+@pytest.mark.parametrize("command", ["compute", "sweep"])
+def test_non_finite_row_value_leaves_no_json_report(
+        tmp_path: Path, monkeypatch, capsys, command) -> None:
+    # The bad value sits in a late block of rows, so a writer that checked
+    # each block only as it wrote it would leave most of a report behind.
+    if command == "compute":
+        real_bands = cli.bandwidth_arrays
+
+        def bandwidth_arrays(s):
+            bands = real_bands(s)
+            widths = bands.eff_bandwidth_Wn.copy()
+            widths[-2] = math.inf
+            return dataclasses.replace(bands, eff_bandwidth_Wn=widths)
+
+        monkeypatch.setattr(cli, "bandwidth_arrays", bandwidth_arrays)
+        config = {"normalized": {"a": 3000.0, "b": 0.5, "d": 1.0, "rho": 100.0}}
+        named = "eff_bandwidth_Wn is inf"
+    else:
+        real_point = cli._normalized_point
+
+        def normalized_point(p):
+            n_min, n_max, bd = real_point(p)
+            if (p.a, p.d, p.rho) == (1.0, 2.0, 449.0):
+                bd = dataclasses.replace(bd, t_eff=math.nan)
+            return n_min, n_max, bd
+
+        monkeypatch.setattr(cli, "_normalized_point", normalized_point)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        config = {"sweep": {"a": [0.5, 1.0], "b": [0.5], "d": [1.0, 2.0],
+                            "rho": [float(r) for r in range(1, 501)]}}
+        named = "t_eff is nan"
+    cfg = _write(tmp_path, "cfg.json", config)
+    out = tmp_path / "report.json"
+    assert main([command, "--config", cfg, "--format", "json",
+                 "--out", str(out)]) == EXIT_DOMAIN
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ") and err.count("\n") == 1
+    assert named in err
 
 
 def _small_simulation(point: dict, seed: int) -> dict:
