@@ -76,9 +76,10 @@ MODE_TABLE_LIMIT = 1_000_000
 # every point is done: 1,000,000 points take 16.7 s at 340 MiB peak RSS.
 SWEEP_POINT_LIMIT = 1_000_000
 
-# Rows a report formats into one text piece, in a JSON row list or a CSV
-# sweep.  A sweep's pool thread holds the results of one block at a time,
-# never those of its whole chunk.
+# Rows a report formats into one text piece, in a JSON row list or a sweep.
+# Each block of a sweep's grid is one pool task, so a pool thread holds the
+# results of one block at a time, and the blocks do not depend on the thread
+# count.
 _BLOCK_ROWS = 256
 
 # Most plane-wave sources and noise trials simulate runs; each source is one
@@ -271,18 +272,6 @@ class _Rows:
     ints: Mapping[str, Sequence[int]]
 
 
-@dataclass(frozen=True)
-class _RowText:
-    """A report's list of rows whose text its owner formats.
-
-    blocks(indent) returns the text of the rows in order, in blocks as
-    _row_blocks writes them, for a list whose opening line is indented by
-    `indent`; _serialize_report calls it once and joins the blocks with ",\n".
-    """
-
-    blocks: Callable[[str], Sequence[str]]
-
-
 # What json.dumps writes for a row list; _serialize_report replaces it.
 _ROWS_MARK = "\0rows"
 _ROWS_TOKEN = json.dumps(_ROWS_MARK)
@@ -453,17 +442,16 @@ def _floats_in(value: Any, path: str = "") -> Iterator[tuple[str, float]]:
 
 def _serialize_report(report: dict) -> Iterator[str]:
     """Strict JSON text of `report`, as json.dumps(indent=2, sort_keys=True)
-    writes it, in pieces; each _Rows value is written by _row_blocks and
-    each _RowText value by its own blocks.
+    writes it, in pieces; each _Rows value is written by _row_blocks.
 
     Every check runs in this call, before the first piece is taken: a
     report that holds a non-finite number raises DomainError here, so
     _write_output never opens its file.
     """
-    tables: list[_Rows | _RowText] = []
+    tables: list[_Rows] = []
 
     def mark(value: Any) -> str:
-        if not isinstance(value, (_Rows, _RowText)):
+        if not isinstance(value, _Rows):
             name = type(value).__name__
             raise TypeError(f"Object of type {name} is not JSON serializable")
         tables.append(value)
@@ -484,9 +472,7 @@ def _serialize_report(report: dict) -> Iterator[str]:
     for before, table in zip(parts, tables):
         line = before[before.rfind("\n") + 1:]
         indent = line[: len(line) - len(line.lstrip(" "))]
-        blocks = (table.blocks(indent) if isinstance(table, _RowText)
-                  else _row_blocks(table, indent))
-        pieces += [before], _list_pieces(blocks, indent)
+        pieces += [before], _list_pieces(_row_blocks(table, indent), indent)
     pieces.append([parts[-1] + "\n"])
     return itertools.chain.from_iterable(pieces)
 
@@ -497,8 +483,11 @@ def _serialize_report(report: dict) -> Iterator[str]:
 
 def _check_finite(bd: DofBreakdown) -> DofBreakdown:
     # The components are nonnegative, so a finite total means finite parts.
+    # t_eff is not one of them: at W = 0 it can overflow under a finite total.
     if not math.isfinite(bd.total):
         raise DomainError(f"degrees of freedom overflow: total is {bd.total!r}")
+    if not math.isfinite(bd.t_eff):
+        raise DomainError(f"degrees of freedom overflow: t_eff is {bd.t_eff!r}")
     return bd
 
 
@@ -591,8 +580,9 @@ def _sweep_csv(points: Sequence[NormalizedParams]) -> str:
     return "".join([_csv_row(p, *_normalized_point(p)) for p in points])
 
 
-def _sweep_json(points: Sequence[NormalizedParams], indent: str) -> str:
-    """The JSON row objects of at most _BLOCK_ROWS points, as one block."""
+def _sweep_json(points: Sequence[NormalizedParams]) -> str:
+    """The JSON row objects of at most _BLOCK_ROWS points, as one block of
+    the report's "rows" list."""
     params, n_mins, n_maxs, bds = zip(*[(p, *_normalized_point(p)) for p in points])
     rows = _Rows(
         floats={
@@ -608,7 +598,7 @@ def _sweep_json(points: Sequence[NormalizedParams], indent: str) -> str:
         },
         ints={"n_min": n_mins, "n_max": n_maxs},
     )
-    (text,) = _row_blocks(rows, indent)
+    (text,) = _row_blocks(rows, "  ")
     return text
 
 
@@ -628,33 +618,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for d in grids["d"]
         for rho in grids["rho"]
     ]
-
-    def blocks(text: Callable[[list[NormalizedParams]], str]) -> list[str]:
-        """The report text of every point, text(block) for each block of
-        _BLOCK_ROWS points, formatted on the pool threads.
-
-        One contiguous, in-order chunk per thread: a future per point costs
-        more in the pool's locks than the closed form itself.  The first
-        failing chunk holds the first failing point, so errors stay in grid
-        order, and no point's result outlives its block's text.
-        """
-        def evaluate(chunk: list[NormalizedParams]) -> list[str]:
-            return [text(chunk[i:i + _BLOCK_ROWS])
-                    for i in range(0, len(chunk), _BLOCK_ROWS)]
-
-        threads = min(8, os.cpu_count() or 1)
-        size = math.ceil(len(points) / threads)
-        chunks = [points[i:i + size] for i in range(0, len(points), size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return [block for chunk in pool.map(evaluate, chunks) for block in chunk]
-
-    # Every block is done, or the first error raised, before anything is
+    # One pool task per block: a future per point costs more in the pool's
+    # locks than the closed form itself.  pool.map yields the blocks' text in
+    # grid order and raises the first failing block's error, so every block
+    # is done, or the first error in grid order raised, before anything is
     # written.
+    blocks = [points[i:i + _BLOCK_ROWS] for i in range(0, count, _BLOCK_ROWS)]
+    text = _sweep_json if args.format == "json" else _sweep_csv
+    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
+        texts = list(pool.map(text, blocks))
     if args.format == "json":
-        rows = _RowText(lambda indent: blocks(lambda part: _sweep_json(part, indent)))
-        pieces = _serialize_report({"rows": rows})
+        # The framing json.dumps({"rows": [...]}, indent=2) writes.
+        pieces = ['{\n  "rows": ', *_list_pieces(texts, "  "), "\n}\n"]
     else:
-        pieces = [_CSV_HEADER + "\n", *blocks(_sweep_csv)]
+        pieces = [_CSV_HEADER + "\n", *texts]
     _write_output(pieces, args.out)
     return EXIT_OK
 

@@ -201,9 +201,10 @@ def test_sweep_row_equals_the_compute_row(tmp_path: Path, point: dict) -> None:
 
 def test_sweep_thread_count_does_not_change_output(
         tmp_path: Path, monkeypatch) -> None:
-    # The pool has min(8, cpus) threads.  Seven points: no thread count from
-    # 2 to 6 divides them and 8 exceeds them, so the chunks are uneven or
-    # hold one point each.
+    # The pool has min(8, cpus) threads and takes one task per block of
+    # cli._BLOCK_ROWS points.  Seven points fill one partial block, so at
+    # every count but 1 some threads take no task; the many-block case is
+    # test_sweep_rows_survive_block_boundaries.
     cfg = _write(tmp_path, "cfg.json", {"sweep": {
         "a": [0.5, 1.0, 1.5, 4.0, 20.0, 0.05, 9.0], "b": [0.1], "d": [1.0],
         "rho": [50.0]}})
@@ -275,24 +276,32 @@ def test_sweep_error_is_independent_of_thread_count(
     assert errors[0].startswith("domain error: ") and errors[0].count("\n") == 1
 
 
-def test_csv_sweep_rows_survive_block_and_chunk_boundaries(
-        tmp_path: Path, monkeypatch) -> None:
-    # 7 * 5 * 11 * 13 = 5005 points: at every thread count below, each chunk
-    # spans more than one block of rows and ends inside a block.
+def test_sweep_rows_survive_block_boundaries(tmp_path: Path, monkeypatch) -> None:
+    # 7 * 5 * 11 * 13 = 5005 points: more blocks than the pool's most
+    # threads, and a partial last block.
     axes = {"a": [0.05 + 0.9 * i for i in range(7)],
             "b": [0.2 * (i + 1) for i in range(5)],
             "d": [0.5 + 1.5 * i for i in range(11)],
             "rho": [0.3 + 7.0 * i for i in range(13)]}
     points = [NormalizedParams(*point) for point in itertools.product(*axes.values())]
-    assert len(points) // 8 > cli._BLOCK_ROWS
-    expected = (cli._CSV_HEADER + "\n" + "".join(
-        cli._csv_row(p, *cli._normalized_point(p)) for p in points)).encode()
+    assert len(points) > 8 * cli._BLOCK_ROWS and len(points) % cli._BLOCK_ROWS
+    results = [(p, *cli._normalized_point(p)) for p in points]
+    rounded = cli._rounded([
+        {"a": p.a, "b": p.b, "d": p.d, "rho": p.rho, "n_min": n_min, "n_max": n_max,
+         "t_eff": bd.t_eff, "d1": bd.d1, "d2": bd.d2, "d3": bd.d3, "dof_total": bd.total}
+        for p, n_min, n_max, bd in results])
+    expected = {
+        "csv": cli._CSV_HEADER + "\n" + "".join(cli._csv_row(*r) for r in results),
+        "json": json.dumps({"rows": rounded}, indent=2, sort_keys=True) + "\n",
+    }
     cfg = _write(tmp_path, "cfg.json", {"sweep": axes})
-    for cpus in (1, 2, 3, 8):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        out = tmp_path / f"t{cpus}.csv"
-        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        assert out.read_bytes() == expected
+    for fmt, text in expected.items():
+        for cpus in (1, 2, 3, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            out = tmp_path / f"t{cpus}.{fmt}"
+            assert main(["sweep", "--config", cfg, "--format", fmt,
+                         "--out", str(out)]) == EXIT_OK
+            assert out.read_bytes() == text.encode()
 
 
 def _traced_sweep_peak(tmp_path: Path, monkeypatch, fmt: str) -> tuple[int, int]:
@@ -412,12 +421,24 @@ def test_negative_quad_degree_exits_2(tmp_path: Path, capsys) -> None:
     assert not out.exists()
 
 
-def test_compute_with_overflowing_dof_exits_3(tmp_path: Path) -> None:
-    cfg = _write(tmp_path, "cfg.json", {"normalized": {
-        "a": 1.0, "b": 0.5, "d": 1e308, "rho": 100.0}})
-    out = tmp_path / "report.json"
-    assert main(["compute", "--config", cfg, "--out", str(out)]) == EXIT_DOMAIN
-    assert not out.exists()  # no report holding Infinity or inf
+def test_compute_with_overflowing_dof_exits_3(tmp_path: Path, capsys) -> None:
+    overflows = {
+        "total": {"normalized": {"a": 1.0, "b": 0.5, "d": 1e308, "rho": 100.0}},
+        # t_eff = T + 2R/c overflows, while W = 0 keeps the total finite.
+        "t_eff": {"scenario": {"radius_R": 1e308, "mid_freq_F0": 1e-305,
+                               "half_bandwidth_W": 0, "obs_time_T": 1,
+                               "wave_speed_c": 1}},
+    }
+    for named, config in overflows.items():
+        cfg = _write(tmp_path, "cfg.json", config)
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"report.{fmt}"
+            assert main(["compute", "--config", cfg, "--format", fmt,
+                         "--out", str(out)]) == EXIT_DOMAIN
+            assert not out.exists()  # no report holding Infinity or inf
+            err = capsys.readouterr().err
+            assert err.startswith("domain error: ") and err.count("\n") == 1
+            assert f"{named} is inf" in err
 
 
 def test_sweep_with_overflowing_dof_exits_3(tmp_path: Path) -> None:
@@ -1005,16 +1026,16 @@ def _check_row_blocks(data, sweep: bool) -> None:
     rounded = [{**{k: _round12(v) for k, v in zip(floats, row)},
                 **dict(zip(ints, row[len(floats):]))} for row in rows]
     if sweep:
-        # As cmd_sweep builds it: each block formatted on its own.
-        def blocks(indent):
-            return ["".join(cli._row_blocks(_Rows(
-                floats={k: c[i:i + 3] for k, c in table.floats.items()},
-                ints={k: c[i:i + 3] for k, c in table.ints.items()}), indent))
-                for i in range(0, len(rows), 3)]
-
-        for value in (table, cli._RowText(blocks)):
-            expected = json.dumps({"rows": rounded}, indent=2, sort_keys=True)
-            assert "".join(_serialize_report({"rows": value})) == expected + "\n"
+        expected = json.dumps({"rows": rounded}, indent=2, sort_keys=True) + "\n"
+        assert "".join(_serialize_report({"rows": table})) == expected
+        # As cmd_sweep builds it: each block formatted on its own, in the
+        # framing json.dumps writes around the row list.
+        blocks = ["".join(cli._row_blocks(_Rows(
+            floats={k: c[i:i + 3] for k, c in table.floats.items()},
+            ints={k: c[i:i + 3] for k, c in table.ints.items()}), "  "))
+            for i in range(0, len(rows), 3)]
+        text = "".join(['{\n  "rows": ', *cli._list_pieces(blocks, "  "), "\n}\n"])
+        assert text == expected
     else:
         def report(mode_table):
             return {"inputs": {"normalized": {"a": 3.0}}, "n_max": len(rows) - 1,
