@@ -14,8 +14,10 @@ Subcommands:
 Configs are JSON files holding exactly one of a "scenario" block (SI units)
 or a "normalized" block (a, b, d, rho), plus optional "sweep" grids and a
 "simulation" block.  Exit codes: 0 success, 2 config/parse, 3 domain,
-4 input/output, 5 resolution.  All numeric report fields are printed with 12
-significant digits, and outputs are byte-stable for a fixed config and seed.
+4 input/output, 5 resolution.  Every computed number in a report is printed
+with 12 significant digits; the "inputs" block repeats the config's point
+block as parsed, unrounded, because those are the numbers computed on.
+Outputs are byte-stable for a fixed config and seed.
 """
 from __future__ import annotations
 
@@ -174,21 +176,20 @@ def _number(block: str, key: str, value: Any) -> float:
                           "literal beyond the float range") from None
 
 
-def _require_point(cfg: dict) -> tuple[Scenario, NormalizedParams | None]:
-    """The config's point as a Scenario, plus its NormalizedParams when it
-    came as a normalized block (then realized with F0 = c = 1)."""
+def _require_point(cfg: dict) -> Scenario:
+    """The config's point as a Scenario; a normalized block is realized with
+    F0 = c = 1, where from_scenario gives its a, b, d and rho back exactly."""
     block = _block(cfg, "normalized", _POINT_KEYS)
     if block is not None:
-        params = NormalizedParams(
+        return NormalizedParams(
             **{k: _number("normalized", k, v) for k, v in block.items()}
-        )
-        return params.to_scenario(), params
+        ).to_scenario()
     block = _block(cfg, "scenario", _SCENARIO_REQUIRED, _SCENARIO_OPTIONAL)
     if block is None:
         raise ConfigError(
             "config must contain exactly one of 'scenario' or 'normalized'"
         )
-    return Scenario(**{k: _number("scenario", k, v) for k, v in block.items()}), None
+    return Scenario(**{k: _number("scenario", k, v) for k, v in block.items()})
 
 
 def _build_sweep(cfg: dict) -> dict[str, list[float]]:
@@ -281,33 +282,6 @@ _EXACT, _PLAIN, _OTHER = 0, 1, 2
 _KIND_FORMATS = ("%.1f", "%.12g", "%s")
 
 
-def _json_floats(values: Sequence[float]) -> list[str]:
-    """repr(_round12(x)) for each finite x in `values`, formatting each x
-    once, with "%.12g" % x.
-
-    For a normal double, a decimal of at most 12 significant digits is the
-    only decimal that short within half an ulp of its nearest double, so
-    repr, the shortest round trip, prints the digits "%.12g" prints.  The
-    two texts differ only in layout:
-    - "%.12g" drops a trailing ".0" (3.0 prints "3", -0.0 "-0"), so a text
-      without "." or "e" gets ".0" appended;
-    - "%.12g" writes exponents 12 to 15 in exponent form, which repr writes
-      positionally, and rounds 999999999999.5 up to "1e+12": such texts,
-      every |x| >= 1e11, take repr(float(text));
-    - below about 1e-312, in the subnormal range, repr can print fewer
-      digits (5e-324 for "4.94065645841e-324"): every |x| < 1e-300 takes
-      repr(float(text)) too.
-    """
-    import numpy as np
-
-    values = np.asarray(values, dtype=float)
-    texts = ["%.12g" % x for x in values.tolist()]
-    magnitude = np.abs(values)
-    for i in np.flatnonzero((magnitude >= 1e11) | (magnitude < 1e-300)).tolist():
-        texts[i] = repr(float(texts[i]))
-    return [t if "." in t or "e" in t else t + ".0" for t in texts]
-
-
 def _float_kinds(values: Any) -> Any:
     """_EXACT, _PLAIN or _OTHER for each float of the array `values`."""
     import numpy as np
@@ -347,25 +321,29 @@ def _row_blocks(rows: _Rows, indent: str) -> Iterator[str]:
     they are taken, each by one % over a row template repeated once per row,
     so the whole text is never held at once.
 
-    Each float x prints as repr(_round12(x)), the text _json_floats gives.
-    Most floats are one of two kinds whose text one format directive gives:
+    Each float x prints as repr(_round12(x)).  Most floats are one of two
+    kinds whose text one format directive gives:
     - exact: x == rint(x) and |x| < 1e11.  An integer-valued float below
       1e11 has at most 11 digits, so _round12 leaves it unchanged and repr
       prints its digits and ".0", as "%.1f" does (-0.0 prints "-0.0");
-    - plain: 1e-300 <= |x| < 1e11 and |x - rint(x)| > 1e-10·|x|.  x is a
-      normal double, so by _json_floats' argument "%.12g" and repr print
-      the same digits, and below 1e11 both write exponent form exactly
-      below 1e-4.  "%.12g" drops the "." only when its 12-digit rounding R
-      is an integer.  That rounding moves x by at most half a unit of its
-      12th digit, at most 5e-12·|x|, so then |x - rint(x)| <= |x - R| <=
+    - plain: 1e-300 <= |x| < 1e11 and |x - rint(x)| > 1e-10·|x|.  For a
+      normal double, a decimal of at most 12 significant digits is the only
+      decimal that short within half an ulp of its nearest double, so repr,
+      the shortest round trip, prints the digits "%.12g" prints, and below
+      1e11 both write exponent form exactly below 1e-4.  (Subnormals are
+      why the floor is there: repr prints 5e-324 for "4.94065645841e-324".)
+      "%.12g" drops the "." only when its 12-digit rounding R is an
+      integer.  That rounding moves x by at most half a unit of its 12th
+      digit, at most 5e-12·|x|, so then |x - rint(x)| <= |x - R| <=
       5e-12·|x|, which the mask excludes.  So "%.12g" % x is
       repr(_round12(x));
     - every other float (|x| >= 1e11, 0 < |x| < 1e-300, or a non-integer
-      within 1e-10·|x| of an integer) prints its _json_floats text by "%s".
+      within 1e-10·|x| of an integer) goes in as its repr(_round12(x))
+      text by "%s".
     In a block where every value of a column has the same kind, the
     template holds that kind's format for the column and the values go in
     as floats.  A column whose kind changes within the block goes in as
-    _json_floats texts, which are right for every kind.
+    repr(_round12(x)) texts, which are right for every kind.
     """
     import numpy as np
 
@@ -400,8 +378,9 @@ def _row_blocks(rows: _Rows, indent: str) -> Iterator[str]:
         for key in keys:
             if key in floats:
                 kind = kinds[key][index]
-                values = floats[key][start:stop]
-                columns.append(_json_floats(values) if kind == _OTHER else values.tolist())
+                values = floats[key][start:stop].tolist()
+                columns.append([repr(_round12(x)) for x in values]
+                               if kind == _OTHER else values)
                 fields.append((key, _KIND_FORMATS[kind]))
             else:
                 column = rows.ints[key][start:stop]
@@ -481,20 +460,9 @@ def _serialize_report(report: dict) -> Iterator[str]:
 # Point evaluation shared by compute, sweep and simulate
 
 
-def _check_finite(bd: DofBreakdown) -> DofBreakdown:
-    # The components are nonnegative, so a finite total means finite parts.
-    # t_eff is not one of them: at W = 0 it can overflow under a finite total.
-    if not math.isfinite(bd.total):
-        raise DomainError(f"degrees of freedom overflow: total is {bd.total!r}")
-    if not math.isfinite(bd.t_eff):
-        raise DomainError(f"degrees of freedom overflow: t_eff is {bd.t_eff!r}")
-    return bd
-
-
 def _normalized_point(p: NormalizedParams) -> tuple[int, int, DofBreakdown]:
     """(n_min, n_max, breakdown) in dimensionless units."""
-    bd = _check_finite(dof_normalized_breakdown(p))
-    return (*truncation_indices(p), bd)
+    return (*truncation_indices(p), dof_normalized_breakdown(p))
 
 
 def _mode_table(s: Scenario, n_max: int) -> _Rows:
@@ -518,31 +486,29 @@ def _mode_table(s: Scenario, n_max: int) -> _Rows:
     )
 
 
-def _evaluate_point(
-    scenario: Scenario, params: NormalizedParams | None
-) -> tuple[NormalizedParams, int, int, DofBreakdown]:
+def _evaluate_point(s: Scenario) -> tuple[NormalizedParams, int, int, DofBreakdown]:
     """A _require_point result in dimensionless form, with its n_min, n_max
-    and breakdown in the units the config gave it."""
-    if params is not None:
-        return (params, *_normalized_point(params))
-    bd = _check_finite(dof_closed_form(scenario))
-    return (NormalizedParams.from_scenario(scenario), *truncation_indices(scenario), bd)
+    and breakdown in the scenario's units: for a normalized block, realized
+    at F0 = c = 1, those of dof_normalized_breakdown, bit for bit."""
+    return (NormalizedParams.from_scenario(s), *truncation_indices(s),
+            dof_closed_form(s))
 
 
-def _point_report(
-    cfg: dict, scenario: Scenario, params: NormalizedParams | None
-) -> dict[str, Any]:
+def _point_report(cfg: dict, s: Scenario) -> dict[str, Any]:
     """The report fields compute and simulate share: the echoed point block,
-    the truncation indices, t_eff, the DoF breakdown and the mode table."""
-    _, n_min, n_max, bd = _evaluate_point(scenario, params)
-    block = "scenario" if params is None else "normalized"
+    the truncation indices, t_eff, the DoF breakdown and the mode table.
+
+    The echo repeats the config's block as parsed, unrounded: those are the
+    numbers the point was computed from."""
+    _, n_min, n_max, bd = _evaluate_point(s)
+    block = "normalized" if "normalized" in cfg else "scenario"
     return {
         "inputs": {block: dict(cfg[block])},
         "n_min": n_min,
         "n_max": n_max,
         "t_eff": _round12(bd.t_eff),
         "dof": _rounded(asdict(bd)),
-        "mode_table": _mode_table(scenario, n_max),
+        "mode_table": _mode_table(s, n_max),
     }
 
 
@@ -563,11 +529,11 @@ def _csv_row(
 
 def cmd_compute(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    scenario, params = _require_point(cfg)
+    s = _require_point(cfg)
     if args.format == "csv":
-        pieces = [_CSV_HEADER + "\n", _csv_row(*_evaluate_point(scenario, params))]
+        pieces = [_CSV_HEADER + "\n", _csv_row(*_evaluate_point(s))]
     else:
-        pieces = _serialize_report(_point_report(cfg, scenario, params))
+        pieces = _serialize_report(_point_report(cfg, s))
     _write_output(pieces, args.out)
     return EXIT_OK
 
@@ -644,10 +610,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from . import wavefield
 
     cfg = _load_config(args.config)
-    scenario, params = _require_point(cfg)
+    s = _require_point(cfg)
     sim = _build_simulation(cfg, args.seed)
-    result = wavefield.simulate(scenario, **sim)
-    report = _point_report(cfg, scenario, params)
+    result = wavefield.simulate(s, **sim)
+    report = _point_report(cfg, s)
     report["simulation"] = _rounded({**sim, **asdict(result)})
     _write_output(_serialize_report(report), args.out)
     return EXIT_OK

@@ -16,8 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any
 
 from .errors import DomainError, require_index
+
+if TYPE_CHECKING:
+    from numpy import ndarray as _Array
+else:
+    # NumPy loads only inside the functions that use it, so at run time, where
+    # typing.get_type_hints reads them, the array annotations resolve to Any.
+    _Array = Any
 
 __all__ = [
     "EPI",
@@ -209,18 +217,22 @@ class ModeBandArrays:
 
     n_min: int
     n_max: int
-    n: np.ndarray
-    critical_freq_Fn: np.ndarray
-    band_lo: np.ndarray
-    band_hi: np.ndarray
-    eff_bandwidth_Wn: np.ndarray
-    mid_band_W0n: np.ndarray
+    n: _Array
+    critical_freq_Fn: _Array
+    band_lo: _Array
+    band_hi: _Array
+    eff_bandwidth_Wn: _Array
+    mid_band_W0n: _Array
 
 
 @dataclass(frozen=True)
 class DofBreakdown:
     """DoF total split into spatial (d1), full-band (d2) and partial-band
-    (d3) contributions, with the effective time used."""
+    (d3) contributions, with the effective time used.
+
+    Raises DomainError("degrees of freedom overflow: <field> is <value>")
+    for the first non-finite field, so an overflowed bound never exists.
+    """
 
     d1: float
     d2: float
@@ -229,6 +241,15 @@ class DofBreakdown:
     t_eff: float
 
     def __post_init__(self) -> None:
+        # A NaN or an inf in any field makes the sum non-finite; the sum
+        # alone keeps the check cheap on the sweep's per-point path.  total
+        # is named first, since an overflowing part makes it inf, and t_eff
+        # next, since it can overflow on its own at W = 0.
+        if not math.isfinite(self.total + self.t_eff + self.d1 + self.d2 + self.d3):
+            for name in ("total", "t_eff", "d1", "d2", "d3"):
+                value = getattr(self, name)
+                if not math.isfinite(value):
+                    raise DomainError(f"degrees of freedom overflow: {name} is {value!r}")
         if min(self.d1, self.d2, self.d3, self.total) < 0:
             raise DomainError("DoF components must be >= 0")
         if abs(self.total - (self.d1 + self.d2 + self.d3)) > 1e-9 * max(
@@ -432,7 +453,7 @@ def dof_closed_form(s: Scenario) -> DofBreakdown:
     the full-band modes' time-bandwidth content; d3 bounds the partial-band
     tail.  Each component is clamped at 0.  At a = F0 R / c = 0 (a
     pointlike region) the bound is exact: d1 = 1, d2 = 2WT, d3 = 0 and
-    t_eff = T.
+    t_eff = T.  Raises DomainError when a field overflows (see DofBreakdown).
     """
     p = NormalizedParams.from_scenario(s)
     if p.a == 0:

@@ -318,11 +318,25 @@ def test_normalized_indices_equal_the_scenario_route() -> None:
     rng = random.Random(1)
     a_values = [0.0, 5e-324] + sorted(
         math.exp(rng.uniform(math.log(0.05), math.log(3000.0))) for _ in range(40))
+    # The breakdowns agree too, field for field, or raise the same error:
+    # compute and simulate take a normalized point by its to_scenario().
+    def breakdown(route, point):
+        try:
+            bd = route(point)
+        except DomainError as exc:
+            return str(exc)
+        return {k: float.hex(v) for k, v in dataclasses.asdict(bd).items()}
+
     for a in a_values:
         for b in (0.0, 0.5, 1.0):
             for rho in (1e-3, 1.0, 1e4):
-                p = NormalizedParams(a=a, b=b, d=1.0, rho=rho)
-                assert truncation_indices(p) == truncation_indices(p.to_scenario())
+                for d in (0.0, 1.0, 1e308):
+                    p = NormalizedParams(a=a, b=b, d=d, rho=rho)
+                    s = p.to_scenario()
+                    assert NormalizedParams.from_scenario(s) == p
+                    assert truncation_indices(p) == truncation_indices(s)
+                    assert (breakdown(dof_normalized_breakdown, p)
+                            == breakdown(dof_closed_form, s))
     assert truncation_indices(NormalizedParams(a=0.0, b=1.0, d=1.0, rho=1e4)) == (0, 0)
     huge = NormalizedParams(a=1e300, b=0.5, d=1.0, rho=1.0)
     messages = []
@@ -467,6 +481,19 @@ def test_breakdown_rejects_inconsistent_totals() -> None:
         DofBreakdown(d1=1.0, d2=1.0, d3=1.0, total=4.0, t_eff=1.0)
     with pytest.raises(DomainError):
         DofBreakdown(d1=-1.0, d2=1.0, d3=1.0, total=1.0, t_eff=1.0)
+    for fields, named in [
+        # A NaN compares false, so the sign and sum checks alone pass these.
+        ({"d1": math.nan}, "d1 is nan"),
+        ({"total": math.nan}, "total is nan"),
+        # The total is checked first: an overflowing part overflows it too.
+        ({"d1": math.inf, "total": math.inf}, "total is inf"),
+        ({"t_eff": math.inf}, "t_eff is inf"),
+    ]:
+        values = {"d1": 0.0, "d2": 1.0, "d3": 1.0, "total": 2.0, "t_eff": 1.0, **fields}
+        with pytest.raises(DomainError, match=f"^degrees of freedom overflow: {named}$"):
+            DofBreakdown(**values)
+    # Finite fields whose sum overflows are fine.
+    DofBreakdown(d1=1e308, d2=0.0, d3=0.0, total=1e308, t_eff=1e308)
 
 
 def test_scenario_derived_properties() -> None:

@@ -15,10 +15,12 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +259,19 @@ def test_cli_reaches_the_numeric_layers_only_through_wavefield() -> None:
                      for layer in module.split(".")
                      if layer in ("sampling", "specfun", "wavefield"))
     assert found == {("cmd_simulate", "wavefield"), ("cmd_verify", "wavefield")}
+
+
+@pytest.mark.parametrize("module", [cli, dofcore, errors, sampling, specfun, wavefield])
+def test_every_annotation_resolves(module) -> None:
+    # Annotations are strings under `from __future__ import annotations`;
+    # a name they use that the module binds only inside its functions, as
+    # NumPy is in dofcore, would make get_type_hints raise NameError.
+    defined = [obj for obj in vars(module).values()
+               if (inspect.isclass(obj) or inspect.isfunction(obj))
+               and obj.__module__ == module.__name__]
+    assert defined
+    for obj in defined:
+        typing.get_type_hints(obj)
 
 
 def test_no_module_reads_the_environment() -> None:
