@@ -29,7 +29,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .dofcore import (
@@ -261,19 +261,7 @@ def _write_output(pieces: Iterable[str], out_path: str) -> None:
 # Report writing
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """A report's list of fixed-schema rows, held as equal-length columns.
-
-    _serialize_report writes it as the list of row objects it stands for,
-    with each float column rounded by _round12.
-    """
-
-    floats: Mapping[str, Sequence[float]]
-    ints: Mapping[str, Sequence[int]]
-
-
-# What json.dumps writes for a row list; _serialize_report replaces it.
+# What json.dumps writes for a row table; _serialize_report replaces it.
 _ROWS_MARK = "\0rows"
 _ROWS_TOKEN = json.dumps(_ROWS_MARK)
 
@@ -296,25 +284,26 @@ def _float_kinds(values: Any) -> Any:
 
 
 @functools.lru_cache(maxsize=64)
-def _block_template(
-    indent: str, fields: tuple[tuple[str, str], ...], rows: int
-) -> str:
+def _block_template(fields: tuple[tuple[str, str], ...], rows: int) -> str:
     """The text of `rows` row objects, as json.dumps(indent=2) writes them in
-    a list whose opening line is indented by `indent`, with each row holding
-    the (key, format) `fields` in order: one format directive per value."""
+    the list of a top-level key, with each row holding the (key, format)
+    `fields` in order: one format directive per value."""
     row = (
-        indent + "  {\n"
-        + ",\n".join(f"{indent}    {json.dumps(key).replace('%', '%%')}: {fmt}"
+        "    {\n"
+        + ",\n".join(f"      {json.dumps(key).replace('%', '%%')}: {fmt}"
                      for key, fmt in fields)
-        + "\n" + indent + "  }"
+        + "\n    }"
     )
     return ",\n".join([row] * rows)
 
 
-def _row_blocks(rows: _Rows, indent: str) -> Iterator[str]:
-    """The text of `rows` as json.dumps(indent=2, sort_keys=True) writes the
-    row list's items when its opening line is indented by `indent`, in blocks
-    of _BLOCK_ROWS rows.
+def _row_blocks(
+    floats: Mapping[str, Sequence[float]], ints: Mapping[str, Sequence[int]]
+) -> Iterator[str]:
+    """The list of row objects that the equal-length columns `floats` and
+    `ints` stand for, as json.dumps(indent=2, sort_keys=True) writes its items
+    under a top-level key, with each float rounded by _round12: an iterator
+    over the text of blocks of _BLOCK_ROWS rows.
 
     The columns are checked here, when the call is made: a non-finite float
     raises DomainError before any block exists.  The blocks are formatted as
@@ -348,24 +337,24 @@ def _row_blocks(rows: _Rows, indent: str) -> Iterator[str]:
     import numpy as np
 
     size = _BLOCK_ROWS
-    floats = {}
-    for key, column in rows.floats.items():
+    arrays = {}
+    for key, column in floats.items():
         values = np.asarray(column, dtype=float)
         finite = np.isfinite(values)
         if not finite.all():
             bad = float(values[~finite][0])
             raise DomainError(f"report holds a non-finite number: {key} is {bad!r}")
-        floats[key] = values
-    lengths = {len(column) for column in (*floats.values(), *rows.ints.values())}
+        arrays[key] = values
+    lengths = {len(column) for column in (*arrays.values(), *ints.values())}
     if len(lengths) > 1:
         raise ValueError(f"row table columns differ in length: {sorted(lengths)}")
     length = max(lengths, default=0)
-    keys = sorted([*floats, *rows.ints])
+    keys = sorted([*arrays, *ints])
     # Each float column's kind in each block, _OTHER where the kind changes.
     kinds = {}
     if length:
         starts = np.arange(0, length, size)
-        for key, values in floats.items():
+        for key, values in arrays.items():
             kind = _float_kinds(values)
             first = np.minimum.reduceat(kind, starts)
             kinds[key] = np.where(
@@ -376,34 +365,34 @@ def _row_blocks(rows: _Rows, indent: str) -> Iterator[str]:
         stop = min(start + size, length)
         fields, columns = [], []
         for key in keys:
-            if key in floats:
+            if key in arrays:
                 kind = kinds[key][index]
-                values = floats[key][start:stop].tolist()
+                values = arrays[key][start:stop].tolist()
                 columns.append([repr(_round12(x)) for x in values]
                                if kind == _OTHER else values)
                 fields.append((key, _KIND_FORMATS[kind]))
             else:
-                column = rows.ints[key][start:stop]
+                column = ints[key][start:stop]
                 columns.append(column.tolist() if hasattr(column, "tolist") else column)
                 fields.append((key, "%d"))
         # Row by row, the values in key order.
         flat: list[Any] = [None] * (len(keys) * (stop - start))
         for j, column in enumerate(columns):
             flat[j::len(keys)] = column
-        return _block_template(indent, tuple(fields), stop - start) % tuple(flat)
+        return _block_template(tuple(fields), stop - start) % tuple(flat)
 
     return map(block, range(math.ceil(length / size)))
 
 
-def _list_pieces(blocks: Iterable[str], indent: str) -> Iterator[str]:
-    """A JSON list, as json.dumps(indent=2) writes it when its opening line
-    is indented by `indent`, from the text of its items in blocks."""
+def _list_pieces(blocks: Iterable[str]) -> Iterator[str]:
+    """A JSON list, as json.dumps(indent=2) writes it under a top-level key,
+    from the text of its items in blocks."""
     separator = "[\n"
     for block in blocks:
         yield separator
         yield block
         separator = ",\n"
-    yield "[]" if separator == "[\n" else "\n" + indent + "]"
+    yield "[]" if separator == "[\n" else "\n  ]"
 
 
 def _floats_in(value: Any, path: str = "") -> Iterator[tuple[str, float]]:
@@ -421,37 +410,29 @@ def _floats_in(value: Any, path: str = "") -> Iterator[tuple[str, float]]:
 
 def _serialize_report(report: dict) -> Iterator[str]:
     """Strict JSON text of `report`, as json.dumps(indent=2, sort_keys=True)
-    writes it, in pieces; each _Rows value is written by _row_blocks.
+    writes it, in pieces.  A top-level Iterator value is a row table: the
+    text of its list items in blocks, as _row_blocks gives them, written in
+    the list's framing as they are taken.
 
-    Every check runs in this call, before the first piece is taken: a
-    report that holds a non-finite number raises DomainError here, so
-    _write_output never opens its file.
+    _row_blocks checks a row table's columns when it is called, and every
+    other value is checked in this call, before the first piece is taken: a
+    report that holds a non-finite number raises DomainError before
+    _write_output opens its file.
     """
-    tables: list[_Rows] = []
-
-    def mark(value: Any) -> str:
-        if not isinstance(value, _Rows):
-            name = type(value).__name__
-            raise TypeError(f"Object of type {name} is not JSON serializable")
-        tables.append(value)
-        return _ROWS_MARK
-
+    tables = sorted(key for key, value in report.items() if isinstance(value, Iterator))
+    plain = {**report, **dict.fromkeys(tables, _ROWS_MARK)}
     try:
-        text = json.dumps(
-            report, indent=2, sort_keys=True, allow_nan=False, default=mark
-        )
+        text = json.dumps(plain, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
-        found = next(((path, x) for path, x in _floats_in(report)
+        found = next(((path, x) for path, x in _floats_in(plain)
                       if not math.isfinite(x)), None)
         if found is None:
             raise
         raise DomainError("report holds a non-finite number: %s is %r" % found) from exc
     parts = text.split(_ROWS_TOKEN)
     pieces: list[Iterable[str]] = []
-    for before, table in zip(parts, tables):
-        line = before[before.rfind("\n") + 1:]
-        indent = line[: len(line) - len(line.lstrip(" "))]
-        pieces += [before], _list_pieces(_row_blocks(table, indent), indent)
+    for before, key in zip(parts, tables):
+        pieces += [before], _list_pieces(report[key])
     pieces.append([parts[-1] + "\n"])
     return itertools.chain.from_iterable(pieces)
 
@@ -465,8 +446,9 @@ def _normalized_point(p: NormalizedParams) -> tuple[int, int, DofBreakdown]:
     return (*truncation_indices(p), dof_normalized_breakdown(p))
 
 
-def _mode_table(s: Scenario, n_max: int) -> _Rows:
-    """Per-mode rows (n, F_n, W_n), one per mode up to n_max.
+def _mode_table(s: Scenario, n_max: int) -> Iterator[str]:
+    """Per-mode rows (n, F_n, W_n), one per mode up to n_max, as _row_blocks
+    gives them.
 
     Raises ResolutionError above MODE_TABLE_LIMIT rows, before building any.
     """
@@ -477,7 +459,7 @@ def _mode_table(s: Scenario, n_max: int) -> _Rows:
             "without it"
         )
     bands = bandwidth_arrays(s)
-    return _Rows(
+    return _row_blocks(
         floats={
             "critical_freq_Fn": bands.critical_freq_Fn,
             "eff_bandwidth_Wn": bands.eff_bandwidth_Wn,
@@ -550,7 +532,7 @@ def _sweep_json(points: Sequence[NormalizedParams]) -> str:
     """The JSON row objects of at most _BLOCK_ROWS points, as one block of
     the report's "rows" list."""
     params, n_mins, n_maxs, bds = zip(*[(p, *_normalized_point(p)) for p in points])
-    rows = _Rows(
+    (text,) = _row_blocks(
         floats={
             "a": [p.a for p in params],
             "b": [p.b for p in params],
@@ -564,7 +546,6 @@ def _sweep_json(points: Sequence[NormalizedParams]) -> str:
         },
         ints={"n_min": n_mins, "n_max": n_maxs},
     )
-    (text,) = _row_blocks(rows, "  ")
     return text
 
 
@@ -594,8 +575,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
         texts = list(pool.map(text, blocks))
     if args.format == "json":
-        # The framing json.dumps({"rows": [...]}, indent=2) writes.
-        pieces = ['{\n  "rows": ', *_list_pieces(texts, "  "), "\n}\n"]
+        pieces = _serialize_report({"rows": iter(texts)})
     else:
         pieces = [_CSV_HEADER + "\n", *texts]
     _write_output(pieces, args.out)

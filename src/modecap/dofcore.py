@@ -191,14 +191,12 @@ class NormalizedParams:
 
 @dataclass(frozen=True)
 class ModeEntry:
-    """Per-mode row of a ModeBandwidthProfile."""
+    """Per-mode row of a ModeBandwidthProfile: the mode index n, its critical
+    frequency F_n and its effective bandwidth W_n."""
 
     n: int
     critical_freq_Fn: float
-    band_lo: float
-    band_hi: float
     eff_bandwidth_Wn: float
-    mid_band_W0n: float
 
 
 @dataclass(frozen=True)
@@ -212,17 +210,15 @@ class ModeBandwidthProfile:
 
 @dataclass(frozen=True)
 class ModeBandArrays:
-    """A ModeBandwidthProfile held as NumPy columns, one element per mode:
-    each column is the ModeEntry field of the same name."""
+    """A ModeBandwidthProfile held as NumPy columns, one element per mode
+    n = 0..n_max: n, critical_freq_Fn and eff_bandwidth_Wn, each the
+    ModeEntry field of the same name."""
 
     n_min: int
     n_max: int
     n: _Array
     critical_freq_Fn: _Array
-    band_lo: _Array
-    band_hi: _Array
     eff_bandwidth_Wn: _Array
-    mid_band_W0n: _Array
 
 
 @dataclass(frozen=True)
@@ -346,14 +342,15 @@ def truncation_indices(s: Scenario | NormalizedParams) -> tuple[int, int]:
 
 
 def bandwidth_arrays(s: Scenario) -> ModeBandArrays:
-    """Per-mode effective bandwidths W_n and usable bands of the modes
+    """Critical frequencies F_n and effective bandwidths W_n of the modes
     n = 0..n_max, as NumPy columns.
 
     Branches over the mode index n:
-      * n <= n_min: full band, W_n = 2W exactly over [F0-W, F0+W] (not the
-        difference of the band edges, which cancels when W << F0);
-      * n_min < n <= n_max: W_n = max(0, F0+W-F_n) over [max(F0-W, F_n), F0+W]
-        (degenerating to the empty band at F0+W when the clamp bites).
+      * n <= n_min: full band, W_n = 2W exactly (not the difference of the
+        band edges F0+W and F0-W, which cancels when W << F0);
+      * n_min < n <= n_max: W_n = F0+W - min(max(F0-W, F_n), F0+W), the
+        width of the usable band [max(F0-W, F_n), F0+W] (0 when the clamp
+        bites).
 
     Every element equals, bit for bit, the Python scalar arithmetic of
     critical_frequency and of the per-mode max/min clamps.  At a = 0,
@@ -367,20 +364,14 @@ def bandwidth_arrays(s: Scenario) -> ModeBandArrays:
     fn = _critical_frequencies(s, n)
     fn[0] = 0.0
     # fn holds no NaN and no -0.0, so clip is Python's min(max(lo, fn), hi).
-    clamped = np.clip(fn, lo, hi)
-    band_lo = np.where(n <= n_min, lo, clamped)
-    band_hi = np.full(n.shape, hi)
-    eff = band_hi - band_lo
+    eff = hi - np.clip(fn, lo, hi)
     eff[: n_min + 1] = 2.0 * s.half_bandwidth_W
     return ModeBandArrays(
         n_min=n_min,
         n_max=n_max,
         n=n,
         critical_freq_Fn=fn,
-        band_lo=band_lo,
-        band_hi=band_hi,
         eff_bandwidth_Wn=eff,
-        mid_band_W0n=0.5 * (band_lo + band_hi),
     )
 
 
@@ -392,10 +383,7 @@ def bandwidth_profile(s: Scenario) -> ModeBandwidthProfile:
             ModeEntry,
             cols.n.tolist(),
             cols.critical_freq_Fn.tolist(),
-            cols.band_lo.tolist(),
-            cols.band_hi.tolist(),
             cols.eff_bandwidth_Wn.tolist(),
-            cols.mid_band_W0n.tolist(),
         )
     )
     return ModeBandwidthProfile(n_min=cols.n_min, n_max=cols.n_max, per_mode=per_mode)

@@ -20,7 +20,7 @@ from modecap.dofcore import (
     EPI,
     NormalizedParams,
     Scenario,
-    bandwidth_profile,
+    bandwidth_arrays,
     critical_frequency,
     dof_asymptotic,
     dof_closed_form,
@@ -343,11 +343,13 @@ def test_criterion_10_basis_orthogonality() -> None:
     t0 = time.perf_counter()
     s = NormalizedParams(a=1.0, b=0.5, d=1.0, rho=1.0).to_scenario(
         mid_freq_F0=1.0, wave_speed_c=1.0)
-    profile = bandwidth_profile(s)
+    cols = bandwidth_arrays(s)
+    lo, hi = s.band
+    fn = cols.critical_freq_Fn.tolist()
     pairs = []
     for n in (3, 10):  # one full-band mode, one cutoff-narrowed mode
-        entry = profile.per_mode[n]
-        pairs.append(ModeBand(entry.band_lo, entry.band_hi))
+        # The usable band [max(F0 - W, F_n), F0 + W]; all of it up to n_min.
+        pairs.append(ModeBand(lo if n <= cols.n_min else min(max(lo, fn[n]), hi), hi))
     assert (pairs[0].w_n, pairs[0].w_0n) != (pairs[1].w_n, pairs[1].w_0n)
     worst = 0.0
     for band in pairs:

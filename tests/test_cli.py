@@ -40,7 +40,7 @@ from modecap.cli import (
     MODE_TABLE_LIMIT,
     _build_simulation,
     _round12,
-    _Rows,
+    _row_blocks,
     _serialize_report,
     main,
 )
@@ -735,6 +735,24 @@ def test_simulate_subnormal_radius_warns_nothing(
     assert "critical frequency F_3" in err and "inf" in err
 
 
+def test_compute_with_the_band_at_the_float_maximum_warns_nothing(
+        tmp_path: Path, capsys) -> None:
+    # F0 + W sits near the float maximum and F_1 is inf: the mode table
+    # refuses the inf on one line, and the CSV route, which has no mode
+    # table, reports the bound.
+    cfg = _write(tmp_path, "cfg.json", {"scenario": {
+        "radius_R": 5e-324, "mid_freq_F0": 1e308, "half_bandwidth_W": 1e300,
+        "obs_time_T": 1e-20, "wave_speed_c": 1.0}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compute", "--config", cfg]) == EXIT_DOMAIN
+        assert capsys.readouterr() == ("", (
+            "domain error: report holds a non-finite number: "
+            "critical_freq_Fn is inf\n"))
+        assert main(["compute", "--config", cfg, "--format", "csv"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_non_finite_report_field_is_named(
         tmp_path: Path, monkeypatch, capsys) -> None:
     with pytest.raises(DomainError, match=re.escape("a.x[1].y[1] is -inf")):
@@ -977,20 +995,17 @@ def _tables(draw):
 
 
 @settings(deadline=None, max_examples=300, derandomize=True)
-@given(table=_tables(), nested=st.booleans())
-def test_row_writer_equals_the_generic_json_path(table, nested) -> None:
+@given(table=_tables())
+def test_row_writer_equals_the_generic_json_path(table) -> None:
     floats, ints, rows = table
-    columns = _Rows(floats={k: [r[k] for r in rows] for k in floats},
-                    ints={k: [r[k] for r in rows] for k in ints})
     rounded = [{k: _round12(v) if k in floats else v for k, v in r.items()}
                for r in rows]
 
-    def report(table_value):
-        inner = {"rows": table_value, "n_max": 3, "z": [1.5, {"y": 2}]}
-        return {"a": 0.25, "outer": inner} if nested else inner
-
-    expected = json.dumps(report(rounded), indent=2, sort_keys=True) + "\n"
-    assert "".join(_serialize_report(report(columns))) == expected
+    others = {"n_max": 3, "z": [1.5, {"y": 2}]}
+    expected = json.dumps({**others, "rows": rounded}, indent=2, sort_keys=True) + "\n"
+    blocks = _row_blocks(floats={k: [r[k] for r in rows] for k in floats},
+                         ints={k: [r[k] for r in rows] for k in ints})
+    assert "".join(_serialize_report({**others, "rows": blocks})) == expected
 
 
 # The values on each side of the writer's kind boundaries: integers and
@@ -1033,35 +1048,34 @@ def _check_row_blocks(data, sweep: bool) -> None:
     rows = data.draw(st.lists(st.tuples(
         *styles, *(st.integers(0, 2**62) for _ in ints)), max_size=40))
     columns = list(zip(*rows)) or [()] * (len(floats) + len(ints))
-    table = _Rows(floats=dict(zip(floats, columns)),
-                  ints=dict(zip(ints, columns[len(floats):])))
+    float_columns = dict(zip(floats, columns))
+    int_columns = dict(zip(ints, columns[len(floats):]))
     rounded = [{**{k: _round12(v) for k, v in zip(floats, row)},
                 **dict(zip(ints, row[len(floats):]))} for row in rows]
     if sweep:
         expected = json.dumps({"rows": rounded}, indent=2, sort_keys=True) + "\n"
-        assert "".join(_serialize_report({"rows": table})) == expected
-        # As cmd_sweep builds it: each block formatted on its own, in the
-        # framing json.dumps writes around the row list.
-        blocks = ["".join(cli._row_blocks(_Rows(
-            floats={k: c[i:i + 3] for k, c in table.floats.items()},
-            ints={k: c[i:i + 3] for k, c in table.ints.items()}), "  "))
+        # As cmd_sweep builds it: each block of rows formatted on its own,
+        # then framed by _serialize_report.
+        blocks = ["".join(_row_blocks(
+            floats={k: c[i:i + 3] for k, c in float_columns.items()},
+            ints={k: c[i:i + 3] for k, c in int_columns.items()}))
             for i in range(0, len(rows), 3)]
-        text = "".join(['{\n  "rows": ', *cli._list_pieces(blocks, "  "), "\n}\n"])
-        assert text == expected
+        assert "".join(_serialize_report({"rows": iter(blocks)})) == expected
     else:
         def report(mode_table):
             return {"inputs": {"normalized": {"a": 3.0}}, "n_max": len(rows) - 1,
                     "dof": {"d1": 0.5}, "mode_table": mode_table}
 
         expected = json.dumps(report(rounded), indent=2, sort_keys=True) + "\n"
-        assert "".join(_serialize_report(report(table))) == expected
+        blocks = _row_blocks(floats=float_columns, ints=int_columns)
+        assert "".join(_serialize_report(report(blocks))) == expected
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_row_writer_rejects_non_finite_values(bad) -> None:
-    rows = _Rows(floats={"x": [1.0, bad]}, ints={"n": [0, 1]})
+    # The call itself raises, before any block is taken.
     with pytest.raises(DomainError, match="non-finite"):
-        _serialize_report({"rows": rows})
+        _row_blocks(floats={"x": [1.0, bad]}, ints={"n": [0, 1]})
 
 
 @pytest.mark.parametrize("command", ["compute", "sweep"])

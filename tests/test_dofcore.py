@@ -104,8 +104,7 @@ def test_pointlike_region_reduces_to_time_bandwidth_product() -> None:
         cols = bandwidth_arrays(s)
         assert (cols.n_min, cols.n_max, cols.n.tolist()) == (0, 0, [0])
         assert cols.critical_freq_Fn.tolist() == [0.0]
-        assert (cols.band_lo.tolist(), cols.band_hi.tolist()) == ([8.0], [12.0])
-        assert cols.eff_bandwidth_Wn.tolist() == [4.0]
+        assert cols.eff_bandwidth_Wn.tolist() == [4.0]  # the band [8, 12]
         assert len(bandwidth_profile(s).per_mode) == 1
         assert critical_frequency(s, 0) == 0.0
         with pytest.raises(DomainError):
@@ -154,19 +153,20 @@ def test_bandwidth_profile_structure() -> None:
     assert profile.n_min == 5 and profile.n_max == 13
     assert len(profile.per_mode) == 14
     full_w = 2.0 * s.half_bandwidth_W
+    lo, hi = s.band
     for entry in profile.per_mode:
-        lo, hi = entry.band_lo, entry.band_hi
-        assert lo <= hi <= s.mid_freq_F0 + s.half_bandwidth_W + 1e-12
-        assert entry.eff_bandwidth_Wn == pytest.approx(hi - lo, abs=1e-12)
-        assert entry.mid_band_W0n == pytest.approx(0.5 * (lo + hi), abs=1e-12)
-        assert entry.eff_bandwidth_Wn <= full_w + 1e-12
+        assert 0.0 <= entry.eff_bandwidth_Wn <= full_w + 1e-12
         if entry.n <= profile.n_min:
             assert entry.eff_bandwidth_Wn == pytest.approx(full_w, rel=1e-12)
-            assert entry.mid_band_W0n == pytest.approx(s.mid_freq_F0, rel=1e-12)
-    # Frozen cutoff-narrowed entry.
+        else:
+            # The width of the usable band [max(F0 - W, F_n), F0 + W].
+            usable = hi - min(max(lo, entry.critical_freq_Fn), hi)
+            assert entry.eff_bandwidth_Wn == pytest.approx(usable, abs=1e-12)
+    # Frozen cutoff-narrowed entry and the midpoint hi - W_n/2 of its band.
     e10 = profile.per_mode[10]
     assert e10.eff_bandwidth_Wn == pytest.approx(0.32900336951361679, rel=1e-10)
-    assert e10.mid_band_W0n == pytest.approx(1.3354983152431916, rel=1e-12)
+    assert hi - 0.5 * e10.eff_bandwidth_Wn == pytest.approx(
+        1.3354983152431916, rel=1e-12)
     # Widths never grow with n past the full-band plateau.
     widths = [e.eff_bandwidth_Wn for e in profile.per_mode]
     for prev, cur in zip(widths[profile.n_min:], widths[profile.n_min + 1:]):
@@ -181,9 +181,9 @@ def test_zero_bandwidth_profile_is_all_point_bands() -> None:
 
 
 def _scalar_profile(s: Scenario) -> list[tuple]:
-    """The per-mode Python loop bandwidth_profile ran before its array path,
-    with critical_frequency's scalar arithmetic written out; full-band rows
-    count W_n = 2W exactly."""
+    """(n, F_n, W_n) rows from the per-mode Python loop bandwidth_profile ran
+    before its array path, with critical_frequency's scalar arithmetic
+    written out; full-band rows count W_n = 2W exactly."""
     n_min, n_max = truncation_indices(s)
     half_log = 0.5 * math.log(s.snr_ratio)
     lo, hi = s.band
@@ -193,12 +193,9 @@ def _scalar_profile(s: Scenario) -> list[tuple]:
             fn = 0.0
         else:
             fn = max(0.0, (n - half_log) * s.wave_speed_c / (EPI * s.radius_R))
-        if n <= n_min:
-            band_lo, band_hi = lo, hi
-        else:
-            band_lo, band_hi = min(max(lo, fn), hi), hi
-        w_n = 2.0 * s.half_bandwidth_W if n <= n_min else band_hi - band_lo
-        rows.append((n, fn, band_lo, band_hi, w_n, 0.5 * (band_lo + band_hi)))
+        # A partial-band mode spans [min(max(lo, F_n), hi), hi].
+        w_n = 2.0 * s.half_bandwidth_W if n <= n_min else hi - min(max(lo, fn), hi)
+        rows.append((n, fn, w_n))
     return rows
 
 
@@ -212,16 +209,15 @@ def _assert_columns_match_scalar_path(s: Scenario) -> None:
     cols = bandwidth_arrays(s)
     assert (cols.n_min, cols.n_max) == truncation_indices(s)
     columns = zip(*(getattr(cols, f).tolist() for f in (
-        "n", "critical_freq_Fn", "band_lo", "band_hi", "eff_bandwidth_Wn",
-        "mid_band_W0n")))
+        "n", "critical_freq_Fn", "eff_bandwidth_Wn")))
     expected = _bits(_scalar_profile(s))
     assert _bits(columns) == expected
     assert [critical_frequency(s, n).hex() for n in range(cols.n_max + 1)] == [
         row[1] for row in expected]
     profile = bandwidth_profile(s)
     assert _bits(
-        (e.n, e.critical_freq_Fn, e.band_lo, e.band_hi, e.eff_bandwidth_Wn,
-         e.mid_band_W0n) for e in profile.per_mode) == expected
+        (e.n, e.critical_freq_Fn, e.eff_bandwidth_Wn)
+        for e in profile.per_mode) == expected
 
 
 @settings(deadline=None, max_examples=300, derandomize=True)
@@ -267,23 +263,27 @@ def test_mode_sum_equals_the_per_mode_loop_bit_for_bit(
     assume(n_max <= 2000)
     t_eff = effective_time(s)
     # The sum bandwidth_profile's rows gave, left to right.
-    expected = float(sum((2 * row[0] + 1) * (row[4] * t_eff + 1.0)
+    expected = float(sum((2 * row[0] + 1) * (row[2] * t_eff + 1.0)
                          for row in _scalar_profile(s)))
     assert dof_mode_sum(s).hex() == expected.hex()
 
 
 def test_bandwidth_arrays_at_the_float_range_edges() -> None:
     # A subnormal radius sends F_n to inf; a huge radius and wave speed give
-    # inf / inf = NaN, which max(0.0, .) turns into 0.  Neither may warn.
+    # inf / inf = NaN, which max(0.0, .) turns into 0.  A band edge F0 + W
+    # near the float maximum must not overflow either.  None may warn.
     tiny = NormalizedParams(a=1e-320, b=0.5, d=1.0, rho=2.0).to_scenario()
     huge = Scenario(radius_R=1e308, mid_freq_F0=1.0, half_bandwidth_W=0.5,
                     obs_time_T=1.0, wave_speed_c=1e308)
+    top = Scenario(radius_R=5e-324, mid_freq_F0=1e308, half_bandwidth_W=1e300,
+                   obs_time_T=1e-20, wave_speed_c=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for s in (tiny, huge):
+        for s in (tiny, huge, top):
             _assert_columns_match_scalar_path(s)
         assert math.isinf(bandwidth_arrays(tiny).critical_freq_Fn[1])
         assert not bandwidth_arrays(huge).critical_freq_Fn.any()
+        assert math.isinf(bandwidth_arrays(top).critical_freq_Fn[-1])
 
 
 @pytest.mark.parametrize("radius", [0.0, 0.5])
