@@ -61,8 +61,9 @@ _CSV_HEADER = "a,b,d,rho,n_min,n_max,t_eff,d1,d2,d3,dof_total"
 
 _SCENARIO_REQUIRED = {"radius_R", "mid_freq_F0", "half_bandwidth_W", "obs_time_T"}
 _SCENARIO_OPTIONAL = {"wave_speed_c", "threshold_gamma", "snr_alpha_max"}
-# The keys of a normalized point and of a sweep grid.
-_POINT_KEYS = {"a", "b", "d", "rho"}
+# The keys of a normalized point and of a sweep grid, whose rows run through
+# a slowest and rho fastest.
+_POINT_KEYS = ("a", "b", "d", "rho")
 _SIMULATION_KEYS = {"sources", "freq_points", "quad_degree", "seed", "trials"}
 _TOP_KEYS = {"scenario", "normalized", "sweep", "simulation"}
 
@@ -72,10 +73,12 @@ _TOP_KEYS = {"scenario", "normalized", "sweep", "simulation"}
 # 84 MiB peak RSS on a 2-core host.
 MODE_TABLE_LIMIT = 1_000_000
 
-# Most points a sweep grid may hold; each is a NormalizedParams and a report
-# line, about 150 bytes and 16 us apiece in a CSV sweep on a 2-core host.  A
-# JSON sweep writes about 240 bytes a point and holds the whole text until
-# every point is done: 1,000,000 points take 16.7 s at 340 MiB peak RSS.
+# Most points a sweep grid may hold.  A CSV sweep holds each point's report
+# line, about 65 bytes, and nothing else of it, and spends about 9 us a
+# point: a fresh 1,000,000-point sweep takes 8.8 s at 86 MiB peak RSS on a
+# 2-core host.  A JSON sweep writes about 240 bytes a point and holds the
+# whole text until every point is done: 1,000,000 points take 16.5 s at
+# 267 MiB.
 SWEEP_POINT_LIMIT = 1_000_000
 
 # Rows a report formats into one text piece, in a JSON row list or a sweep.
@@ -442,7 +445,9 @@ def _serialize_report(report: dict) -> Iterator[str]:
 
 
 def _normalized_point(p: NormalizedParams) -> tuple[int, int, DofBreakdown]:
-    """(n_min, n_max, breakdown) in dimensionless units."""
+    """(n_min, n_max, breakdown) in dimensionless units: what a sweep
+    reports for the point p, and the reference its blocks are tested
+    against."""
     return (*truncation_indices(p), dof_normalized_breakdown(p))
 
 
@@ -494,8 +499,10 @@ def _point_report(cfg: dict, s: Scenario) -> dict[str, Any]:
     }
 
 
-# One sweep or compute CSV line, each float printed to 12 significant digits.
-_CSV_ROW = "%.12g,%.12g,%.12g,%.12g,%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g\n"
+# One sweep or compute CSV line, each float printed to 12 significant digits:
+# the point's a, b, d and rho, then _CSV_TAIL.
+_CSV_TAIL = "%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g\n"
+_CSV_ROW = "%.12g," * 4 + _CSV_TAIL
 
 
 def _csv_row(
@@ -524,20 +531,96 @@ def cmd_compute(args: argparse.Namespace) -> int:
 # sweep
 
 
-def _sweep_csv(points: Sequence[NormalizedParams]) -> str:
-    return "".join([_csv_row(p, *_normalized_point(p)) for p in points])
+def _check_grid(axes: Sequence[Sequence[float]]) -> None:
+    """Raise the error of the first invalid point of the (a, b, d, rho) grid
+    `axes`, in grid order, if it has one, by building 1 + sum(len - 1)
+    points: point 0, then each other value of rho, of d, of b and of a in
+    turn, with the other axes at index 0.
+
+    NormalizedParams checks each field on its own, so a grid point is valid
+    exactly when each of its values is.  The first invalid point in grid
+    order lies on the earliest axis line through point 0 (rho, then d, b, a)
+    that holds an invalid value, unless point 0 itself is invalid; its other
+    values are those of point 0, so it raises the message it raises here.
+    """
+    origin = [axis[0] for axis in axes]
+    NormalizedParams(*origin)
+    for i in reversed(range(len(axes))):
+        for value in axes[i][1:]:
+            NormalizedParams(*origin[:i], value, *origin[i + 1:])
 
 
-def _sweep_json(points: Sequence[NormalizedParams]) -> str:
-    """The JSON row objects of at most _BLOCK_ROWS points, as one block of
-    the report's "rows" list."""
-    params, n_mins, n_maxs, bds = zip(*[(p, *_normalized_point(p)) for p in points])
+def _block_runs(
+    axes: Sequence[Sequence[float]], start: int, stop: int
+) -> Iterator[tuple[int, int, int, int, list[tuple[tuple[int, int], DofBreakdown]]]]:
+    """The grid points start..stop-1 of the (a, b, d, rho) grid `axes`, in
+    grid order, evaluated: (i_a, i_b, i_d, first, results) for each run of
+    points that share a, b and d, where results holds the run's
+    ((n_min, n_max), breakdown) in order from the rho index `first`.
+
+    n_min and n_max depend on a, b and rho alone, so truncation_indices runs
+    once per distinct (a, b, rho) of the block, at its first point: any
+    error still comes from the first failing point.  Each point's
+    NormalizedParams is built here, on the caller's thread.
+    """
+    a, b, d, rho = axes
+    k = start
+    pair = None
+    while k < stop:
+        row, first = divmod(k, len(rho))
+        end = min(stop, k + len(rho) - first)
+        i_ab, i_d = divmod(row, len(d))
+        i_a, i_b = divmod(i_ab, len(b))
+        if (i_a, i_b) != pair:
+            pair = (i_a, i_b)
+            indices: list[tuple[int, int] | None] = [None] * len(rho)
+        a_i, b_i, d_i = a[i_a], b[i_b], d[i_d]
+        results = []
+        for i_r in range(first, first + end - k):
+            p = NormalizedParams(a_i, b_i, d_i, rho[i_r])
+            n = indices[i_r]
+            if n is None:
+                n = indices[i_r] = truncation_indices(p)
+            results.append((n, dof_normalized_breakdown(p)))
+        yield i_a, i_b, i_d, first, results
+        k = end
+
+
+def _sweep_csv(
+    axes: Sequence[Sequence[float]], axis_texts: Sequence[Sequence[str]],
+    start: int, stop: int,
+) -> str:
+    """The CSV lines of the grid points start..stop-1, with each axis value's
+    text "%.12g," from `axis_texts`."""
+    a_texts, b_texts, d_texts, rho_texts = axis_texts
+    lines = []
+    for i_a, i_b, i_d, first, results in _block_runs(axes, start, stop):
+        head = a_texts[i_a] + b_texts[i_b] + d_texts[i_d]
+        lines += [
+            head + rho_texts[i_r]
+            + _CSV_TAIL % (n_min, n_max, bd.t_eff, bd.d1, bd.d2, bd.d3, bd.total)
+            for i_r, ((n_min, n_max), bd) in enumerate(results, first)
+        ]
+    return "".join(lines)
+
+
+def _sweep_json(axes: Sequence[Sequence[float]], start: int, stop: int) -> str:
+    """The JSON row objects of the grid points start..stop-1, at most
+    _BLOCK_ROWS of them, as one block of the report's "rows" list."""
+    a, b, d, rho = axes
+    columns: tuple[list[float], ...] = ([], [], [], [])
+    results = []
+    for i_a, i_b, i_d, first, run in _block_runs(axes, start, stop):
+        columns[0].extend([a[i_a]] * len(run))
+        columns[1].extend([b[i_b]] * len(run))
+        columns[2].extend([d[i_d]] * len(run))
+        columns[3].extend(rho[first:first + len(run)])
+        results.extend(run)
+    indices, bds = zip(*results)
+    n_mins, n_maxs = zip(*indices)
     (text,) = _row_blocks(
         floats={
-            "a": [p.a for p in params],
-            "b": [p.b for p in params],
-            "d": [p.d for p in params],
-            "rho": [p.rho for p in params],
+            **dict(zip(_POINT_KEYS, columns)),
             "t_eff": [bd.t_eff for bd in bds],
             "d1": [bd.d1 for bd in bds],
             "d2": [bd.d2 for bd in bds],
@@ -552,28 +635,28 @@ def _sweep_json(points: Sequence[NormalizedParams]) -> str:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     grids = _build_sweep(cfg)
-    count = math.prod(len(axis) for axis in grids.values())
+    axes = [grids[key] for key in _POINT_KEYS]
+    count = math.prod(map(len, axes))
     if count > SWEEP_POINT_LIMIT:
         raise ResolutionError(
             f"sweep grid of {count} points exceeds the limit of "
             f"{SWEEP_POINT_LIMIT} points"
         )
-    points = [
-        NormalizedParams(a=a, b=b, d=d, rho=rho)
-        for a in grids["a"]
-        for b in grids["b"]
-        for d in grids["d"]
-        for rho in grids["rho"]
-    ]
+    _check_grid(axes)
     # One pool task per block: a future per point costs more in the pool's
-    # locks than the closed form itself.  pool.map yields the blocks' text in
-    # grid order and raises the first failing block's error, so every block
-    # is done, or the first error in grid order raised, before anything is
-    # written.
-    blocks = [points[i:i + _BLOCK_ROWS] for i in range(0, count, _BLOCK_ROWS)]
-    text = _sweep_json if args.format == "json" else _sweep_csv
+    # locks than the closed form itself.  Each task builds and evaluates its
+    # own points.  pool.map yields the blocks' text in grid order and raises
+    # the first failing block's error, so every block is done, or the first
+    # error in grid order raised, before anything is written.
+    if args.format == "json":
+        text = functools.partial(_sweep_json, axes)
+    else:
+        axis_texts = [["%.12g," % x for x in axis] for axis in axes]
+        text = functools.partial(_sweep_csv, axes, axis_texts)
+    starts = range(0, count, _BLOCK_ROWS)
+    stops = [min(start + _BLOCK_ROWS, count) for start in starts]
     with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-        texts = list(pool.map(text, blocks))
+        texts = list(pool.map(text, starts, stops))
     if args.format == "json":
         pieces = _serialize_report({"rows": iter(texts)})
     else:

@@ -149,6 +149,13 @@ class NormalizedParams:
     rho: float
 
     def __post_init__(self) -> None:
+        a, b, d, rho = self.a, self.b, self.d, self.rho
+        # Four floats already in range, a sweep's every point, need no
+        # conversion; a NaN fails every comparison and takes the checks.
+        if (type(a) is type(b) is type(d) is type(rho) is float
+                and 0.0 <= a < math.inf and 0.0 <= b <= 1.0
+                and 0.0 <= d < math.inf and 0.0 < rho < math.inf):
+            return
         for name in ("a", "b", "d", "rho"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
         if self.a < 0:
@@ -237,20 +244,19 @@ class DofBreakdown:
     t_eff: float
 
     def __post_init__(self) -> None:
+        d1, d2, d3, total, t_eff = self.d1, self.d2, self.d3, self.total, self.t_eff
         # A NaN or an inf in any field makes the sum non-finite; the sum
         # alone keeps the check cheap on the sweep's per-point path.  total
         # is named first, since an overflowing part makes it inf, and t_eff
         # next, since it can overflow on its own at W = 0.
-        if not math.isfinite(self.total + self.t_eff + self.d1 + self.d2 + self.d3):
-            for name in ("total", "t_eff", "d1", "d2", "d3"):
-                value = getattr(self, name)
+        if not math.isfinite(total + t_eff + d1 + d2 + d3):
+            for name, value in (("total", total), ("t_eff", t_eff), ("d1", d1),
+                                ("d2", d2), ("d3", d3)):
                 if not math.isfinite(value):
                     raise DomainError(f"degrees of freedom overflow: {name} is {value!r}")
-        if min(self.d1, self.d2, self.d3, self.total) < 0:
+        if min(d1, d2, d3, total) < 0:
             raise DomainError("DoF components must be >= 0")
-        if abs(self.total - (self.d1 + self.d2 + self.d3)) > 1e-9 * max(
-            1.0, abs(self.total)
-        ):
+        if abs(total - (d1 + d2 + d3)) > 1e-9 * max(1.0, abs(total)):
             raise DomainError("total must equal d1 + d2 + d3")
 
 
@@ -314,13 +320,14 @@ def _indices(a: float, b: float, rho: float) -> tuple[int, int]:
     squares it, and (e pi a)^2, as floats.
     """
     half_log = 0.5 * math.log(rho)
-    top = EPI * a * (1.0 + b) + half_log
+    epi_a = EPI * a
+    top = epi_a * (1.0 + b) + half_log
     if top >= _INDEX_LIMIT:
         raise DomainError(
             f"degrees of freedom overflow: n_max would be {top:.6g}, not below "
             f"{_INDEX_LIMIT:g} (a = {a!r})"
         )
-    n_min = max(0, math.ceil(EPI * a * (1.0 - b) + half_log))
+    n_min = max(0, math.ceil(epi_a * (1.0 - b) + half_log))
     n_max = max(n_min, math.ceil(top))
     return n_min, n_max
 
@@ -422,16 +429,16 @@ def _breakdown(
     breakdown keeps its scale; algebraically wt2 = 2 b (2 a + d).
     """
     n_min, n_max = _indices(a, b, rho)
-    log_rho = math.log(rho)
+    epi_a = EPI * a
     d1 = float((n_max + 1) ** 2)
     d2 = max(0.0, wt2 * (n_min + 1) ** 2)
     bracket = (
-        2.0 * (EPI * a) ** 2 * (b - b * b / 3.0)
-        + EPI * a * (2.0 - b)
-        + log_rho * (EPI * a * b + 1.0)
+        2.0 * epi_a ** 2 * (b - b * b / 3.0)
+        + epi_a * (2.0 - b)
+        + math.log(rho) * (epi_a * b + 1.0)
     )
     d3 = max(0.0, wt2 * bracket)
-    return DofBreakdown(d1=d1, d2=d2, d3=d3, total=d1 + d2 + d3, t_eff=t_eff)
+    return DofBreakdown(d1, d2, d3, d1 + d2 + d3, t_eff)
 
 
 def dof_closed_form(s: Scenario) -> DofBreakdown:

@@ -476,11 +476,13 @@ def analyze_modes(field: np.ndarray, rule: QuadratureRule, N: int) -> ModeSpectr
     k = np.arange(azimuths)
     roots = np.exp(-2j * np.pi * k / azimuths)
     table = roots[np.multiply.outer(np.arange(-N, N + 1), k) % azimuths]
-    bins = np.matmul(table, field.reshape(rings, azimuths, freq_count))
-    # harmonic_matrix returns a fresh array, so weight it in place.
+    # harmonic_matrix returns a fresh array, so weight it in place.  The
+    # polar table comes first, so the bins never coexist with its build's
+    # temporaries.
     polar = harmonic_matrix(N, rule.theta[::azimuths], np.zeros(rings))
     np.conjugate(polar, out=polar)
     polar *= rule.weights[::azimuths]
+    bins = np.matmul(table, field.reshape(rings, azimuths, freq_count))
     coeffs = np.empty(((N + 1) ** 2, freq_count), dtype=complex)
     degrees = np.arange(N + 1)
     for m in range(-N, N + 1):

@@ -247,9 +247,9 @@ def test_sweep_grid_above_the_point_limit_exits_5(
     def no_pool(*args, **kwargs):
         raise PoolReached
 
-    built = itertools.count()
+    built = []
     monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setattr(cli, "NormalizedParams", lambda **point: next(built))
+    monkeypatch.setattr(cli, "NormalizedParams", lambda *point: built.append(point))
 
     def sweep(*shape: int) -> str:
         axes = {key: [1.0 / (i + 1) for i in range(size)]
@@ -265,11 +265,12 @@ def test_sweep_grid_above_the_point_limit_exits_5(
         err = capsys.readouterr().err
         assert err.startswith("resolution error: ") and err.count("\n") == 1
         assert "1048576" in err and str(cli.SWEEP_POINT_LIMIT) in err
-    assert next(built) == 0
-    # A grid of exactly the limit goes on to build its points and its pool.
+    assert built == []
+    # A grid of exactly the limit goes on to its pool, having built only the
+    # points that check every axis value: the pool's tasks build the rest.
     with pytest.raises(PoolReached):
         main(["sweep", "--config", sweep(10, 10, 100, 100), "--out", str(out)])
-    assert next(built) == cli.SWEEP_POINT_LIMIT + 1
+    assert 0 < len(built) <= 1 + 9 + 9 + 99 + 99
 
 
 def test_sweep_error_is_independent_of_thread_count(
@@ -288,24 +289,25 @@ def test_sweep_error_is_independent_of_thread_count(
     assert errors[0].startswith("domain error: ") and errors[0].count("\n") == 1
 
 
-def test_sweep_rows_survive_block_boundaries(tmp_path: Path, monkeypatch) -> None:
-    # 7 * 5 * 11 * 13 = 5005 points: more blocks than the pool's most
-    # threads, and a partial last block.
-    axes = {"a": [0.05 + 0.9 * i for i in range(7)],
-            "b": [0.2 * (i + 1) for i in range(5)],
-            "d": [0.5 + 1.5 * i for i in range(11)],
-            "rho": [0.3 + 7.0 * i for i in range(13)]}
-    points = [NormalizedParams(*point) for point in itertools.product(*axes.values())]
-    assert len(points) > 8 * cli._BLOCK_ROWS and len(points) % cli._BLOCK_ROWS
+def _reference_sweep(axes: dict) -> dict[str, str]:
+    """The CSV and JSON reports of the grid `axes` by the per-point path:
+    every point built in grid order, then each evaluated in grid order by
+    cli._normalized_point.  Raises the first point's error."""
+    points = [NormalizedParams(*map(float, point))
+              for point in itertools.product(*(axes[key] for key in cli._POINT_KEYS))]
     results = [(p, *cli._normalized_point(p)) for p in points]
     rounded = cli._rounded([
         {"a": p.a, "b": p.b, "d": p.d, "rho": p.rho, "n_min": n_min, "n_max": n_max,
          "t_eff": bd.t_eff, "d1": bd.d1, "d2": bd.d2, "d3": bd.d3, "dof_total": bd.total}
         for p, n_min, n_max, bd in results])
-    expected = {
+    return {
         "csv": cli._CSV_HEADER + "\n" + "".join(cli._csv_row(*r) for r in results),
         "json": json.dumps({"rows": rounded}, indent=2, sort_keys=True) + "\n",
     }
+
+
+def _check_sweep_against_the_reference(tmp_path: Path, monkeypatch, axes: dict) -> None:
+    expected = _reference_sweep(axes)
     cfg = _write(tmp_path, "cfg.json", {"sweep": axes})
     for fmt, text in expected.items():
         for cpus in (1, 2, 3, 8):
@@ -316,15 +318,83 @@ def test_sweep_rows_survive_block_boundaries(tmp_path: Path, monkeypatch) -> Non
             assert out.read_bytes() == text.encode()
 
 
-def _traced_sweep_peak(tmp_path: Path, monkeypatch, fmt: str) -> tuple[int, int]:
-    """(traced peak bytes, report bytes) of a 10,000-point sweep on 8
-    threads, the most the pool takes, after a first run has loaded what any
-    sweep loads once."""
+def test_sweep_rows_survive_block_boundaries(tmp_path: Path, monkeypatch) -> None:
+    # 7 * 5 * 11 * 13 = 5005 points: more blocks than the pool's most
+    # threads, and a partial last block.
+    axes = {"a": [0.05 + 0.9 * i for i in range(7)],
+            "b": [0.2 * (i + 1) for i in range(5)],
+            "d": [0.5 + 1.5 * i for i in range(11)],
+            "rho": [0.3 + 7.0 * i for i in range(13)]}
+    count = math.prod(map(len, axes.values()))
+    assert count > 8 * cli._BLOCK_ROWS and count % cli._BLOCK_ROWS
+    _check_sweep_against_the_reference(tmp_path, monkeypatch, axes)
+
+
+def test_sweep_rows_on_edge_values_equal_the_per_point_reference(
+        tmp_path: Path, monkeypatch) -> None:
+    # Signed zeros, the least subnormal, values whose 12-digit text is long,
+    # short or in exponent form, integer-valued floats, and JSON integers,
+    # which the config reads as floats: 1050 points in five blocks.
+    _check_sweep_against_the_reference(tmp_path, monkeypatch, {
+        "a": [-0.0, 5e-324, 1e-5, 1 / 3, 2, 4.0, 1e11],
+        "b": [-0.0, 1e-5, 1 / 3, 1, 0.5],
+        "d": [-0.0, 5e-324, 1e11, 3, 30.0, 1 / 3],
+        "rho": [1, 1e-5, 1 / 3, 1e11, 5e-324]})
+
+
+# Valid values of each axis, values NormalizedParams refuses, and values
+# that pass it but overflow when the point is evaluated: a's n_max, and d's
+# total.
+_VALID_AXES = {"a": [0.0, 0.5, 2.0, 7.5], "b": [0.0, 0.25, 1.0],
+               "d": [0.0, 1.0, 30.0], "rho": [0.5, 1.0, 40.0]}
+_INVALID_AXES = {
+    "a": [math.nan, math.inf, -math.inf, -1.0, -5e-324],
+    "b": [math.nan, math.inf, -math.inf, -0.5, 1.5, math.nextafter(1.0, 2.0)],
+    "d": [math.nan, math.inf, -math.inf, -2.0],
+    "rho": [math.nan, math.inf, -math.inf, 0.0, -0.0, -3.0],
+}
+_OVERFLOWS = [("a", 1e160), ("d", 1e308)]
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(data=st.data())
+def test_sweep_error_precedence_matches_the_per_point_reference(
+        tmp_path_factory, data) -> None:
+    axes = {key: data.draw(st.lists(st.sampled_from(values), min_size=1, max_size=3))
+            for key, values in _VALID_AXES.items()}
+    bad_keys = data.draw(st.lists(st.sampled_from(cli._POINT_KEYS), max_size=3))
+    extra = [(key, data.draw(st.sampled_from(_INVALID_AXES[key]))) for key in bad_keys]
+    extra += data.draw(st.lists(st.sampled_from(_OVERFLOWS), max_size=3))
+    for key, value in extra:
+        axes[key].insert(data.draw(st.integers(0, len(axes[key]))), value)
+    try:
+        expected = (EXIT_OK, "", _reference_sweep(axes)["csv"])
+    except DomainError as exc:
+        expected = (EXIT_DOMAIN, f"domain error: {exc}\n", None)
+    tmp = tmp_path_factory.mktemp("precedence", numbered=True)
+    cfg = _write(tmp, "cfg.json", {"sweep": axes})
+    out = tmp / "sweep.csv"
+    for cpus in (1, 3):
+        stderr = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(stderr):
+            patch.setattr(os, "cpu_count", lambda: cpus)
+            code = main(["sweep", "--config", cfg, "--out", str(out)])
+        report = out.read_text() if out.exists() else None
+        assert (code, stderr.getvalue(), report) == expected
+        out.unlink(missing_ok=True)
+
+
+def _traced_sweep_peak(
+        tmp_path: Path, monkeypatch, fmt: str, rho_count: int = 10,
+) -> tuple[int, int]:
+    """(traced peak bytes, report bytes) of a sweep of 1,000 * rho_count
+    points on 8 threads, the most the pool takes, after a first run has
+    loaded what any sweep loads once."""
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     axis = [0.5 + 0.25 * i for i in range(10)]
     cfg = _write(tmp_path, "cfg.json", {"sweep": {
         "a": axis, "b": [0.1 * (i + 1) for i in range(10)], "d": axis,
-        "rho": axis}})
+        "rho": [0.5 + 0.25 * i for i in range(rho_count)]}})
     out = tmp_path / f"sweep.{fmt}"
     argv = ["sweep", "--config", cfg, "--format", fmt, "--out", str(out)]
     assert main(argv) == EXIT_OK
@@ -340,11 +410,21 @@ def _traced_sweep_peak(tmp_path: Path, monkeypatch, fmt: str) -> tuple[int, int]
 
 def test_csv_sweep_allocates_little_beyond_its_report(
         tmp_path: Path, monkeypatch) -> None:
-    # The points and the report's text are all that grow with the grid: a
-    # thread holds the lines of one block at a time, and no point's result
+    # The report's text is all that grows with the grid: a thread holds the
+    # points and lines of one block at a time, and no point's result
     # outlives its line.
     peak, size = _traced_sweep_peak(tmp_path, monkeypatch, "csv")
     assert peak < 4 * size
+
+
+def test_csv_sweep_overhead_does_not_grow_with_the_grid(
+        tmp_path: Path, monkeypatch) -> None:
+    # Beyond its report, a 40,000-point sweep holds what a 10,000-point one
+    # does but for its 117 more pool tasks: 41-76 kB more, measured.  A list
+    # of every point would add about 81 bytes a point, 2.4 MB.
+    small_peak, small_size = _traced_sweep_peak(tmp_path, monkeypatch, "csv", 10)
+    large_peak, large_size = _traced_sweep_peak(tmp_path, monkeypatch, "csv", 40)
+    assert (large_peak - large_size) - (small_peak - small_size) < 512 * 1024
 
 
 def test_json_sweep_allocates_little_beyond_its_report(
@@ -1096,15 +1176,15 @@ def test_non_finite_row_value_leaves_no_json_report(
         config = {"normalized": {"a": 3000.0, "b": 0.5, "d": 1.0, "rho": 100.0}}
         named = "eff_bandwidth_Wn is inf"
     else:
-        real_point = cli._normalized_point
+        real_breakdown = cli.dof_normalized_breakdown
 
-        def normalized_point(p):
-            n_min, n_max, bd = real_point(p)
+        def breakdown(p):
+            bd = real_breakdown(p)
             if (p.a, p.d, p.rho) == (1.0, 2.0, 449.0):
                 bd = dataclasses.replace(bd, t_eff=math.nan)
-            return n_min, n_max, bd
+            return bd
 
-        monkeypatch.setattr(cli, "_normalized_point", normalized_point)
+        monkeypatch.setattr(cli, "dof_normalized_breakdown", breakdown)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         config = {"sweep": {"a": [0.5, 1.0], "b": [0.5], "d": [1.0, 2.0],
                             "rho": [float(r) for r in range(1, 501)]}}

@@ -10,8 +10,10 @@ import dataclasses
 import math
 import pickle
 import random
+import re
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -449,14 +451,32 @@ def test_scenario_validation() -> None:
 
 
 def test_normalized_validation() -> None:
-    with pytest.raises(DomainError):
-        NormalizedParams(a=-0.1, b=0.5, d=1.0, rho=1.0)
-    with pytest.raises(DomainError):
-        NormalizedParams(a=1.0, b=1.2, d=1.0, rho=1.0)
-    with pytest.raises(DomainError):
-        NormalizedParams(a=1.0, b=0.5, d=1.0, rho=0.0)
-    with pytest.raises(DomainError):
-        NormalizedParams(a=1.0, b=0.5, d=math.inf, rho=1.0)
+    for fields, message in [
+        ({"a": -0.1}, "a must be >= 0, got -0.1"),
+        ({"b": 1.2}, "b must lie in [0, 1], got 1.2"),
+        ({"b": -0.0, "d": -1.0}, "d must be >= 0, got -1.0"),
+        ({"rho": 0.0}, "rho must be > 0, got 0.0"),
+        ({"rho": -0.0}, "rho must be > 0, got -0.0"),
+        ({"d": math.inf}, "d must be finite, got inf"),
+        ({"a": math.nan}, "a must be finite, got nan"),
+        ({"b": -math.inf}, "b must be finite, got -inf"),
+        # Every field is checked for finiteness before any range.
+        ({"a": -1.0, "rho": math.nan}, "rho must be finite, got nan"),
+        ({"a": -1.0, "b": 2.0}, "a must be >= 0, got -1.0"),
+        # Numbers of other types are checked as the floats they convert to.
+        ({"a": -1}, "a must be >= 0, got -1.0"),
+        ({"b": np.float64(1.5)}, "b must lie in [0, 1], got 1.5"),
+    ]:
+        values = {"a": 1.0, "b": 0.5, "d": 1.0, "rho": 1.0, **fields}
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            NormalizedParams(**values)
+    # Such numbers are stored as those floats; floats are stored as given.
+    p = NormalizedParams(a=True, b=1, d=np.float64(2.5), rho=3)
+    assert [(type(x), x) for x in dataclasses.astuple(p)] == [
+        (float, 1.0), (float, 1.0), (float, 2.5), (float, 3.0)]
+    p = NormalizedParams(a=-0.0, b=-0.0, d=5e-324, rho=5e-324)
+    assert [math.copysign(1.0, x) for x in (p.a, p.b)] == [-1.0, -1.0]
+    assert (p.d, p.rho) == (5e-324, 5e-324)
 
 
 def test_normalized_params_is_a_slotted_frozen_value() -> None:
