@@ -23,6 +23,7 @@ records.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -51,6 +52,7 @@ from .sampling import (
 )
 from .specfun import (
     _MAX_BESSEL_ORDER,
+    _degree_tables,
     _sph_bessel_table,
     QuadratureRule,
     flat_degrees,
@@ -86,8 +88,23 @@ _SPEED_OF_LIGHT = 299792458.0
 _JACOBI_GUARD = 20
 
 # Most complex entries (quadrature nodes x frequencies) a simulated field may
-# hold: 160 MB per field-sized array, and simulate keeps a few of them.
+# hold: 160 MB.  Besides the field, its spectra and one polar table,
+# simulate's temporaries are blocks of at most max(2 MiB, field bytes / 8),
+# or of _MIN_DFT_COLUMNS frequencies where that is larger (_freq_blocks).
 FIELD_ELEMENT_LIMIT = 10_000_000
+
+# Floor of the byte bound on the analysis and Parseval temporaries of each
+# frequency block; see _freq_blocks.
+_BLOCK_FLOOR = 2 << 20
+
+# Fewest frequencies per block of analyze_modes.  Each block's DFT packs the
+# (2N+1) x P root table once per ring, so narrower blocks pay that more
+# often: at N = 198, P = 730 and 16 frequencies the DFT took 0.54 s in blocks
+# of 3 and 0.17 s in blocks of 8, against 0.18 s unblocked.
+_MIN_DFT_COLUMNS = 8
+
+# DFT root tables of at most this size are cached, two at a time.
+_ROOT_TABLE_CACHE_BYTES = 1 << 20
 
 # Consecutive grid frequencies that share one anchor in synthesize_field's
 # angle addition; 16 = sqrt(256) balances anchors against offsets at
@@ -427,6 +444,54 @@ def theoretical_modes(
     return ModeSpectrum(coeffs=coeffs, alpha=alpha)
 
 
+def _freq_blocks(
+    field: np.ndarray, column_bytes: int, min_width: int = 1
+) -> tuple[int, list[slice]]:
+    """The widest block and the blocks of an even split of the frequency
+    axis of a (nodes, F) field, such that column_bytes of temporaries per
+    frequency stay within max(2 MiB, field bytes / 8) per block, or within
+    min_width columns where that is larger.
+
+    Widths differ by one at most, so no lone column trails wide blocks.
+    """
+    freq_count = field.shape[1]
+    width = max(min_width, max(_BLOCK_FLOOR, field.nbytes // 8) // column_bytes)
+    count = -(-freq_count // width)
+    edges = [i * freq_count // count for i in range(count + 1)]
+    return -(-freq_count // count), [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def _root_table(N: int, azimuths: int) -> np.ndarray:
+    """e^{-2 pi i m k / P} for k = 0..P-1, read-only, from the P roots of
+    unity indexed by m k mod P.  Row 0 holds order 0 and rows 2m-1, 2m
+    orders m and -m, the latter times (-1)^m."""
+    k = np.arange(azimuths)
+    roots = np.exp(-2j * np.pi * k / azimuths)
+    row = np.arange(2 * N + 1)
+    orders = (row + 1) // 2 * np.where(row % 2, 1, -1)
+    table = roots[np.multiply.outer(orders, k) % azimuths]
+    table[2::4] *= -1.0
+    table.setflags(write=False)
+    return table
+
+
+# Holds the last two root tables asked for, simulate's n_field and n_max
+# ones, so it retains at most 2 MiB; analyze_modes rebuilds a table above
+# _ROOT_TABLE_CACHE_BYTES on each call (16 MiB at N = 512, P = 1026).
+_cached_root_table = functools.lru_cache(maxsize=2)(_root_table)
+
+
+@_degree_tables
+def _order_rows(N: int) -> tuple[np.ndarray, ...]:
+    """Flat rows n*n + n + m and n*n + n - m, n = m..N, of each order
+    m = 0..N, as a (2, N + 1 - m) array at index m; a lower degree's rows
+    are the leading columns of each.  Held at the largest degree asked
+    for, 2.0 MiB at the quadrature cap of 512."""
+    degrees = np.arange(N + 1)
+    pronic = degrees * (degrees + 1)
+    return tuple(np.stack((pronic[m:] + m, pronic[m:] - m)) for m in range(N + 1))
+
+
 def analyze_modes(field: np.ndarray, rule: QuadratureRule, N: int) -> ModeSpectrum:
     """Project a field sampled on the rule's nodes, of shape (nodes, F) with
     F >= 1 frequencies, onto Y_nm by quadrature, up to degree N.
@@ -439,7 +504,17 @@ def analyze_modes(field: np.ndarray, rule: QuadratureRule, N: int) -> ModeSpectr
     conj(Y_nm(theta_j, 0)), n = |m|..N.  The DFT is one batched product with
     a (2N+1) x P table whose entries are the P roots of unity indexed by
     m k mod P, so no (N+1)^2 x nodes basis and no (rings, P, F) bins array
-    is formed.
+    is formed.  Y_nm(theta, 0) is real and Y_{n,-m}(theta, 0) =
+    (-1)^m Y_nm(theta, 0), so the weighted polar rows of order m >= 0 serve
+    orders m and -m in one real product.
+
+    Both steps run over blocks of frequencies (_freq_blocks): besides the
+    field, the returned spectrum and the (N+1)(N+2)/2 x rings weighted polar
+    rows, the call holds one block's bins, at most max(2 MiB, field bytes /
+    8) or the rings x (2N+1) bins of _MIN_DFT_COLUMNS = 8 frequencies where
+    that is larger.  The
+    root table, and each order's rows, are cached read-only across calls
+    (see _cached_root_table and _order_rows).
 
     The pruned DFT costs 8 (2N+1) P real flops per ring and frequency
     against an FFT's O(P log P), so it wins while N is small against P.
@@ -473,22 +548,34 @@ def analyze_modes(field: np.ndarray, rule: QuadratureRule, N: int) -> ModeSpectr
         )
     rings, azimuths = rule.ring_shape
     freq_count = field.shape[1]
-    k = np.arange(azimuths)
-    roots = np.exp(-2j * np.pi * k / azimuths)
-    table = roots[np.multiply.outer(np.arange(-N, N + 1), k) % azimuths]
-    # harmonic_matrix returns a fresh array, so weight it in place.  The
-    # polar table comes first, so the bins never coexist with its build's
-    # temporaries.
-    polar = harmonic_matrix(N, rule.theta[::azimuths], np.zeros(rings))
-    np.conjugate(polar, out=polar)
-    polar *= rule.weights[::azimuths]
-    bins = np.matmul(table, field.reshape(rings, azimuths, freq_count))
+    small = (2 * N + 1) * azimuths * 16 <= _ROOT_TABLE_CACHE_BYTES
+    table = (_cached_root_table if small else _root_table)(N, azimuths)
+    rows_of = [rows[:, : N + 1 - m] for m, rows in enumerate(_order_rows(N)[: N + 1])]
+    # Y_nm(theta, 0) is real: keep the weighted real rows of the orders
+    # m >= 0, order after order, and drop the complex table before the bins
+    # exist, so they never coexist with it or its build's temporaries.
+    polar = harmonic_matrix(N, rule.theta[::azimuths], np.zeros(rings)).real
+    weighted = polar[np.concatenate([rows[0] for rows in rows_of])]
+    del polar
+    weighted *= rule.weights[::azimuths]
+    by_order = np.split(weighted, np.cumsum([rows.shape[1] for rows in rows_of[:-1]]))
+    rings_field = field.reshape(rings, azimuths, freq_count)
+    widest, blocks = _freq_blocks(field, rings * (2 * N + 1) * 16, _MIN_DFT_COLUMNS)
+    bins = np.empty(rings * (2 * N + 1) * widest, dtype=complex)
     coeffs = np.empty(((N + 1) ** 2, freq_count), dtype=complex)
-    degrees = np.arange(N + 1)
-    for m in range(-N, N + 1):
-        n = degrees[abs(m) :]
-        rows = n * n + n + m
-        coeffs[rows] = polar[rows] @ bins[:, m + N]
+    for block in blocks:
+        width = block.stop - block.start
+        part = bins[: rings * (2 * N + 1) * width].reshape(rings, 2 * N + 1, width)
+        np.matmul(table, rings_field[:, :, block], out=part)
+        # Y_{n,-m}(theta, 0) = (-1)^m Y_nm(theta, 0) and the table carries
+        # the sign, so orders m and -m share one real product with the
+        # polar rows of m, on the bins' real and imaginary parts alike.
+        for m, ((plus, minus), polar_rows) in enumerate(zip(rows_of, by_order)):
+            pair = part[:, max(2 * m - 1, 0) : 2 * m + 1].reshape(rings, -1)
+            sums = (polar_rows @ pair.view(float)).view(complex)
+            coeffs[plus, block] = sums[:, :width]
+            if m:
+                coeffs[minus, block] = sums[:, width:]
     return ModeSpectrum(coeffs=coeffs)
 
 
@@ -508,9 +595,15 @@ def add_noise(field: np.ndarray, rule: QuadratureRule, noise: NoiseModel) -> np.
         return field.copy()
     rng = np.random.Generator(np.random.Philox(noise.seed))
     std = np.sqrt(noise.sigma0_sq / (2.0 * rule.weights))
-    shape = field.shape
-    eta = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return field + std.reshape((-1,) + (1,) * (field.ndim - 1)) * eta
+    # The draws fill the real parts, then the imaginary ones, through one
+    # float buffer: the generator writes only to contiguous arrays.
+    draw = rng.standard_normal(field.shape)
+    noisy = np.empty(field.shape, dtype=complex)
+    noisy.real = draw
+    noisy.imag = rng.standard_normal(out=draw)
+    noisy *= std.reshape((-1,) + (1,) * (field.ndim - 1))
+    noisy += field
+    return noisy
 
 
 def mode_snr(signal: ModeSpectrum, noise: NoiseModel) -> np.ndarray:
@@ -563,7 +656,10 @@ def parseval_check(
 
     Computes | integral |field|^2 dOmega - sum_nm |Psi_nm|^2 | / (node power)
     at each frequency and returns the maximum; frequencies where the field
-    is identically zero contribute zero (both powers vanish).
+    is identically zero contribute zero (both powers vanish).  Both powers
+    are summed over the frequency blocks of analyze_modes, so the squared
+    magnitudes take at most max(2 MiB, field bytes / 8), or one frequency
+    column's where that is larger.
     """
     field = np.asarray(field, dtype=complex)
     if field.shape[0] != len(rule):
@@ -572,8 +668,19 @@ def parseval_check(
         )
     if field.shape[1] != spectrum.coeffs.shape[1]:
         raise DomainError("field and spectrum frequency grids differ in length")
-    node_power = rule.weights @ (np.abs(field) ** 2)
-    mode_power = np.sum(np.abs(spectrum.coeffs) ** 2, axis=0)
+    coeffs = spectrum.coeffs
+    rows = max(field.shape[0], coeffs.shape[0])
+    widest, blocks = _freq_blocks(field, 8 * rows)
+    # |field|^2 and then |coeffs|^2 of one block at a time, in one buffer.
+    buffer = np.empty(rows * widest)
+    node_power = np.empty(field.shape[1])
+    mode_power = np.empty(field.shape[1])
+    for block in blocks:
+        width = block.stop - block.start
+        power = np.abs(field[:, block], out=buffer[: field.shape[0] * width].reshape(-1, width))
+        node_power[block] = rule.weights @ np.square(power, out=power)
+        power = np.abs(coeffs[:, block], out=buffer[: coeffs.shape[0] * width].reshape(-1, width))
+        mode_power[block] = np.sum(np.square(power, out=power), axis=0)
     gap = np.abs(node_power - mode_power)
     out = np.zeros_like(gap)
     nz = node_power > 0
@@ -615,9 +722,12 @@ def _reconstruction_error(band: ModeBand, t_eff: float, seed: int) -> float:
     coeffs = rng.standard_normal(n_kernels) + 1j * rng.standard_normal(n_kernels)
 
     def baseband(u: np.ndarray) -> np.ndarray:
+        # All kernels as one (kernels x points) matrix, summed kernel by
+        # kernel in order.
+        terms = coeffs[:, None] * _raised_cosine_kernel(u - centers[:, None])
         acc = np.zeros(u.shape, dtype=complex)
-        for c, u0 in zip(coeffs, centers):
-            acc += c * _raised_cosine_kernel(u - u0)
+        for term in terms:
+            acc += term
         return acc
 
     ells = np.arange(0, int(math.floor(wt)) + 1)
@@ -754,17 +864,17 @@ def simulate(
     waves = _random_sources(sources, freqs, seed)
 
     field = synthesize_field(waves, rule, scenario.radius_R, freqs, wave_speed_c=c)
+    # The n_field analysis goes first and its spectrum is dropped before the
+    # n_max spectra exist, so no two analyses' spectra are live at once.
+    parseval_err = parseval_check(field, rule, analyze_modes(field, rule, n_field))
     theo = theoretical_modes(waves, scenario.radius_R, freqs, n_max, wave_speed_c=c)
     analyzed = analyze_modes(field, rule, n_max)
     theo_scale = float(np.max(np.abs(theo.coeffs)))
     jacobi_err = float(np.max(np.abs(analyzed.coeffs - theo.coeffs))) / theo_scale
     noise = NoiseModel.calibrated(theo, scenario.snr_alpha_max, seed)
-    # Free the theoretical spectrum before the larger n_field analysis, which
-    # sets simulate's peak memory.
+    # Each noise trial builds an n_max polar table, so free the two
+    # theoretical spectra first.
     del theo
-
-    analyzed_full = analyze_modes(field, rule, n_field)
-    parseval_err = parseval_check(field, rule, analyzed_full)
 
     # Noise-variance property: Monte Carlo on one frequency column; per-trial
     # seeds derive from the base seed so trials decorrelate deterministically.

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
+from modecap import specfun
 from modecap.errors import DomainError, ResolutionError
 from modecap.specfun import (
     QuadratureRule,
@@ -322,6 +323,84 @@ def test_harmonic_matrix_equals_direct_evaluation_exactly(
             ref = complex(mpmath.spherharm(int(n[row]), int(m), mpmath.mpf(float(theta[col])),
                                            mpmath.mpf(float(phi[col]))))
         assert abs(matrix[row, col] - ref) <= _HARMONIC_TOL * scale, (row, col)
+
+
+def _gathered_harmonic_matrix(max_degree: int, theta, phi) -> np.ndarray:
+    """The full (N+1)^2 x points gather of the polar table, times the
+    azimuthal factor: harmonic_matrix before it went degree by degree."""
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                     np.asarray(phi, dtype=float))
+    theta_u, theta_at = np.unique(theta, return_inverse=True)
+    phi_u, phi_at = np.unique(phi, return_inverse=True)
+    n = flat_degrees(max_degree)
+    m = np.abs(np.arange(n.size) - n * (n + 1))
+    polar = specfun._polar_table(max_degree, theta_u)[(n * (n + 1) // 2 + m)[:, None],
+                                                      theta_at.ravel()]
+    orders = np.arange(-max_degree, max_degree + 1)
+    azimuth = np.exp(1j * orders[:, None] * phi_u[None, :])[:, phi_at.ravel()]
+    azimuth[(max_degree + 1) % 2 : max_degree : 2] *= -1.0
+    out = np.empty(polar.shape, dtype=complex)
+    for k in range(max_degree + 1):
+        rows = slice(k * k, (k + 1) ** 2)
+        np.multiply(polar[rows], azimuth[max_degree - k : max_degree + k + 1], out=out[rows])
+    return out
+
+
+@pytest.mark.parametrize("max_degree", [0, 1, 2, 8, 41, 100])
+def test_harmonic_matrix_equals_the_full_gather_bit_for_bit(max_degree: int) -> None:
+    rule = make_quadrature(max_degree + 2)
+    rings, azimuths = rule.ring_shape
+    theta, phi = _seeded_points(40)
+    point_sets = [
+        (rule.theta[::azimuths], np.zeros(rings)),
+        (rule.theta[::azimuths], rule.phi[:rings]),
+        (theta, phi),
+        (np.array([0.0, math.pi, -0.0, 0.0, math.pi, 1.2]),
+         np.array([0.3, -0.0, 0.0, -0.0, 2.0, -0.0])),
+    ]
+    for theta, phi in point_sets:
+        fast = harmonic_matrix(max_degree, theta, phi)
+        assert fast.tobytes() == _gathered_harmonic_matrix(max_degree, theta, phi).tobytes()
+
+
+def test_cached_degree_tables_are_read_only_and_never_change_a_result() -> None:
+    rule = make_quadrature(20)
+    theta, phi = rule.theta[::42], np.zeros(21)
+    first = harmonic_matrix(12, theta, phi)
+    expected = first.copy()
+    # A caller that conjugates and weights its table in place, as the mode
+    # analysis does, leaves later calls alone.
+    np.conjugate(first, out=first)
+    first *= 3.0
+    assert harmonic_matrix(12, theta, phi).tobytes() == expected.tobytes()
+    # A higher degree regrows the cache; the lower one is its prefix.
+    harmonic_matrix(30, theta, phi)
+    assert harmonic_matrix(12, theta, phi).tobytes() == expected.tobytes()
+    for table in specfun._recurrence(12):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+
+def test_degree_table_cache_holds_one_degree_up_to_the_quadrature_cap() -> None:
+    builds = []
+
+    @specfun._degree_tables
+    def tables(max_degree):
+        builds.append(max_degree)
+        return (np.arange(max_degree + 1.0),)
+
+    assert tables(5)[0].size == 6 and tables(3)[0].size == 6 and builds == [5]
+    assert tables(9)[0].size == 10 and builds == [5, 9]
+    # Above the cap nothing is held: every call builds, and the held
+    # degree-9 set stays.
+    cap = specfun._MAX_QUAD_DEGREE
+    tables(cap + 1)
+    tables(cap + 1)
+    assert builds == [5, 9, cap + 1, cap + 1] and tables(4)[0].size == 10
+    # The docstrings' retained size at the cap: about 2.0 MiB.
+    held = sum(table.nbytes for table in specfun._recurrence(cap))
+    assert held <= 2.01 * 2**20
 
 
 @pytest.mark.parametrize("degree", [-1, 2.5, True, "3", None])

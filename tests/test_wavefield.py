@@ -260,6 +260,107 @@ def test_analysis_allocates_no_field_sized_temporary() -> None:
     assert peak < 0.5 * field.nbytes
 
 
+def _block_bound(field: np.ndarray) -> int:
+    """The analysis and Parseval temporaries' bound: max(2 MiB, field / 8)."""
+    return max(2 << 20, field.nbytes // 8)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def _wide_field() -> tuple[QuadratureRule, np.ndarray]:
+    """A random field on simulate-wide's rule: degree 46, 257 frequencies."""
+    rng = np.random.default_rng(30)
+    rule = make_quadrature(46)
+    shape = (len(rule), 257)
+    return rule, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_analysis_temporaries_stay_within_the_block_bound() -> None:
+    # simulate-wide's n_field analysis, N = 30; unblocked, its bins alone
+    # took 11.2 MiB.
+    rule, field = _wide_field()
+    analyze_modes(field[:, :2], rule, 30)  # the degree tables, built once
+    spectrum = []
+    peak = _traced_peak(lambda: spectrum.append(analyze_modes(field, rule, 30)))
+    # Besides the returned spectrum, the weighted polar rows of the orders
+    # m >= 0 stay for the whole call.
+    polar = 31 * 32 // 2 * rule.ring_shape[0] * 8
+    assert peak <= _block_bound(field) + spectrum[0].coeffs.nbytes + polar
+
+
+def test_parseval_temporaries_stay_within_the_block_bound() -> None:
+    # Unblocked, |field|^2 alone took 8.7 MiB.
+    rule, field = _wide_field()
+    spectrum = analyze_modes(field, rule, 30)
+    assert _traced_peak(lambda: parseval_check(field, rule, spectrum)) <= _block_bound(field)
+
+
+def test_simulate_holds_little_beyond_its_field() -> None:
+    # simulate-wide's configuration: a field of 4418 nodes x 257 frequencies.
+    scenario = NormalizedParams(a=1.0, b=0.5, d=10.0, rho=100.0).to_scenario()
+
+    def run() -> None:
+        simulate(scenario, sources=3, freq_points=257, quad_degree=0, seed=1, trials=8)
+
+    run()
+    # The unblocked analysis peaked at 1.99 times the field.
+    assert _traced_peak(run) < 1.5 * 4418 * 257 * 16
+
+
+def _per_order_analysis(field, rule, N):
+    """The unblocked semi-naive transform: all bins at once, then one
+    complex product per order m = -N..N against the weighted conj(Y_nm)."""
+    rings, azimuths = rule.ring_shape
+    k = np.arange(azimuths)
+    table = np.exp(-2j * np.pi * k / azimuths)[np.multiply.outer(np.arange(-N, N + 1), k) % azimuths]
+    polar = harmonic_matrix(N, rule.theta[::azimuths], np.zeros(rings)).conj()
+    polar *= rule.weights[::azimuths]
+    bins = np.matmul(table, field.reshape(rings, azimuths, field.shape[1]))
+    coeffs = np.empty(((N + 1) ** 2, field.shape[1]), dtype=complex)
+    for m in range(-N, N + 1):
+        n = np.arange(abs(m), N + 1)
+        coeffs[n * n + n + m] = polar[n * n + n + m] @ bins[:, m + N]
+    return coeffs
+
+
+# Below 16 MiB of field the bound is 2 MiB, so at degree 46 one block
+# holds 2 MiB // (47 rings x (2N+1) x 16 bytes) frequencies: 164 at N = 8
+# and 45 at N = 30.  One more takes two blocks.  At N = 0 that would take a
+# 197 MB field.
+@pytest.mark.parametrize(
+    ("N", "freqs", "blocks"),
+    [(N, F, 1) for N in (0, 8, 30) for F in (1, 17)]
+    + [(0, 257, 1), (8, 257, 2), (30, 257, 6), (8, 165, 2), (30, 46, 2)],
+)
+def test_blocked_analysis_equals_the_per_order_reference(N: int, freqs: int, blocks: int) -> None:
+    rule = make_quadrature(46)
+    rng = np.random.default_rng(1000 * N + freqs)
+    shape = (len(rule), freqs)
+    field = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    column_bytes = 47 * (2 * N + 1) * 16
+    assert len(wavefield._freq_blocks(field, column_bytes, wavefield._MIN_DFT_COLUMNS)[1]) == blocks
+    fast = analyze_modes(field, rule, N).coeffs
+    ref = _per_order_analysis(field, rule, N)
+    assert np.max(np.abs(fast - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_analysis_tables_are_read_only() -> None:
+    rule = make_quadrature(12)
+    field = np.ones((len(rule), 3), dtype=complex)
+    first = analyze_modes(field, rule, 5).coeffs
+    for table in (wavefield._cached_root_table(5, 26), *wavefield._order_rows(5)):
+        assert not table.flags.writeable
+    assert analyze_modes(field, rule, 5).coeffs.tobytes() == first.tobytes()
+
+
 @pytest.mark.parametrize("speed", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_non_finite_or_non_positive_wave_speed_is_a_domain_error(speed) -> None:
     rule = make_quadrature(4)
