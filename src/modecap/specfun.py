@@ -20,7 +20,6 @@ construction.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -44,32 +43,6 @@ _MAX_QUAD_DEGREE = 512
 # double precision for every order n >= 1.  It also covers arguments so
 # small that (2n+1)/z, a coefficient of the downward recurrence, overflows.
 _SERIES_CUTOFF = 1e-3
-
-
-def _degree_tables(build):
-    """Cache build(max_degree), a tuple of arrays laid out degree after
-    degree, at the largest degree asked for so far.
-
-    The tables of a lower degree are then prefixes of the held ones, which
-    callers slice down to their own degree.  The cache holds one read-only
-    set, that of one degree of at most _MAX_QUAD_DEGREE; above that, build
-    runs afresh on every call.
-    """
-    held: list = [-1, ()]
-
-    @functools.wraps(build)
-    def tables(max_degree: int) -> tuple[np.ndarray, ...]:
-        if max_degree > _MAX_QUAD_DEGREE:
-            return build(max_degree)
-        degree, arrays = held
-        if degree < max_degree:
-            arrays = build(max_degree)
-            for arr in arrays:
-                arr.setflags(write=False)
-            held[:] = max_degree, arrays
-        return arrays
-
-    return tables
 
 
 def flat_degrees(max_degree: int) -> np.ndarray:
@@ -365,8 +338,7 @@ def harmonic_matrix(max_degree: int, theta: np.ndarray, phi: np.ndarray) -> np.n
     factor is taken once per distinct phi and order m = -N..N.  A product
     rule with T polar rings therefore costs O(N^2 T) instead of the
     O(N^3 T) of one recurrence per (mode, ring).  The output is filled
-    degree by degree straight from the (N+1)(N+2)/2 rows of m >= 0, and the
-    recurrence's coefficients are built once and cached (_recurrence).
+    degree by degree straight from the (N+1)(N+2)/2 rows of m >= 0.
 
     Accuracy, relative to the table's largest magnitude: within 2e-14 of
     both 60-digit mpmath and scipy.special.sph_harm_y.  Measured at degrees
@@ -405,49 +377,31 @@ def harmonic_matrix(max_degree: int, theta: np.ndarray, phi: np.ndarray) -> np.n
     return out
 
 
-@_degree_tables
-def _recurrence(max_degree: int) -> tuple[np.ndarray, ...]:
-    """Coefficients of _polar_table's recurrence up to max_degree, each laid
-    out degree after degree: the sectoral steps (1/sqrt(4 pi), then
-    -sqrt((2k+1)/(2k)) for k = 1..N), the first subdiagonal factors
-    sqrt(2k+3) for k = 0..N-1, and a_nm, b_nm for n = 2..N, m = 0..n-2 at
-    (n-1)(n-2)/2 + m.  Held at the largest degree asked for, 2.0 MiB at the
-    quadrature cap of 512."""
-    degrees = np.arange(max_degree + 1)
-    sectoral = np.empty(max_degree + 1)
-    sectoral[0] = 1.0 / math.sqrt(4.0 * math.pi)
-    sectoral[1:] = -np.sqrt((2 * degrees[1:] + 1) / (2.0 * degrees[1:]))
-    n = np.repeat(degrees[2:], degrees[2:] - 1)
-    m = np.arange(n.size) - (n - 1) * (n - 2) // 2
-    span = (n - m) * (n + m)
-    a = np.sqrt((2 * n - 1) * (2 * n + 1) / span)
-    b = np.sqrt((2 * n + 1) * (n + m - 1) * (n - m - 1) / ((2 * n - 3) * span))
-    return sectoral, np.sqrt(2 * degrees[:-1] + 3.0), a, b
-
-
 def _polar_table(max_degree: int, theta: np.ndarray) -> np.ndarray:
     """Y_nm(theta, 0) for 0 <= m <= n <= max_degree, row n(n+1)/2 + m."""
     x, u = np.cos(theta), np.sin(theta)
-    sectoral, subdiagonal, a, b = _recurrence(max_degree)
-    pairs = max_degree * (max_degree - 1) // 2
     degrees = np.arange(max_degree + 1)
     diagonal = degrees * (degrees + 3) // 2
     table = np.empty(((max_degree + 1) * (max_degree + 2) // 2, theta.size))
 
     steps = np.empty((max_degree + 1, theta.size))
-    steps[0] = sectoral[0]
-    steps[1:] = sectoral[1 : max_degree + 1, None] * u
+    steps[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    steps[1:] = -np.sqrt((2 * degrees[1:] + 1) / (2.0 * degrees[1:]))[:, None] * u
     table[diagonal] = np.cumprod(steps, axis=0)
-    table[diagonal[1:] - 1] = subdiagonal[:max_degree, None] * x * table[diagonal[:-1]]
+    table[diagonal[1:] - 1] = np.sqrt(2 * degrees[:-1] + 3.0)[:, None] * x * table[diagonal[:-1]]
 
     # a_nm cos(theta) and b_nm for n >= 2, m = 0..n-2, degree after degree.
-    a_x = a[:pairs, None] * x
+    n = np.repeat(degrees[2:], degrees[2:] - 1)
+    m = np.arange(n.size) - (n - 1) * (n - 2) // 2
+    span = (n - m) * (n + m)
+    a_x = np.sqrt((2 * n - 1) * (2 * n + 1) / span)[:, None] * x
+    b = np.sqrt((2 * n + 1) * (n + m - 1) * (n - m - 1) / ((2 * n - 3) * span))[:, None]
     for k in range(2, max_degree + 1):
         # Orders m = 0..k-2 of degrees k, k-1 and k-2, and their coefficients.
         row, coeff = k * (k + 1) // 2, slice((k - 1) * (k - 2) // 2, k * (k - 1) // 2)
         dst = table[row : row + k - 1]
         np.multiply(a_x[coeff], table[row - k : row - 1], out=dst)
-        dst -= b[coeff, None] * table[row - 2 * k + 1 : row - k]
+        dst -= b[coeff] * table[row - 2 * k + 1 : row - k]
     return table
 
 

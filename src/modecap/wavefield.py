@@ -23,7 +23,6 @@ records.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -52,7 +51,6 @@ from .sampling import (
 )
 from .specfun import (
     _MAX_BESSEL_ORDER,
-    _degree_tables,
     _sph_bessel_table,
     QuadratureRule,
     flat_degrees,
@@ -102,9 +100,6 @@ _BLOCK_FLOOR = 2 << 20
 # often: at N = 198, P = 730 and 16 frequencies the DFT took 0.54 s in blocks
 # of 3 and 0.17 s in blocks of 8, against 0.18 s unblocked.
 _MIN_DFT_COLUMNS = 8
-
-# DFT root tables of at most this size are cached, two at a time.
-_ROOT_TABLE_CACHE_BYTES = 1 << 20
 
 # Consecutive grid frequencies that share one anchor in synthesize_field's
 # angle addition; 16 = sqrt(256) balances anchors against offsets at
@@ -455,41 +450,12 @@ def _freq_blocks(
     Widths differ by one at most, so no lone column trails wide blocks.
     """
     freq_count = field.shape[1]
+    if not freq_count:
+        return 0, []
     width = max(min_width, max(_BLOCK_FLOOR, field.nbytes // 8) // column_bytes)
     count = -(-freq_count // width)
     edges = [i * freq_count // count for i in range(count + 1)]
     return -(-freq_count // count), [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-
-
-def _root_table(N: int, azimuths: int) -> np.ndarray:
-    """e^{-2 pi i m k / P} for k = 0..P-1, read-only, from the P roots of
-    unity indexed by m k mod P.  Row 0 holds order 0 and rows 2m-1, 2m
-    orders m and -m, the latter times (-1)^m."""
-    k = np.arange(azimuths)
-    roots = np.exp(-2j * np.pi * k / azimuths)
-    row = np.arange(2 * N + 1)
-    orders = (row + 1) // 2 * np.where(row % 2, 1, -1)
-    table = roots[np.multiply.outer(orders, k) % azimuths]
-    table[2::4] *= -1.0
-    table.setflags(write=False)
-    return table
-
-
-# Holds the last two root tables asked for, simulate's n_field and n_max
-# ones, so it retains at most 2 MiB; analyze_modes rebuilds a table above
-# _ROOT_TABLE_CACHE_BYTES on each call (16 MiB at N = 512, P = 1026).
-_cached_root_table = functools.lru_cache(maxsize=2)(_root_table)
-
-
-@_degree_tables
-def _order_rows(N: int) -> tuple[np.ndarray, ...]:
-    """Flat rows n*n + n + m and n*n + n - m, n = m..N, of each order
-    m = 0..N, as a (2, N + 1 - m) array at index m; a lower degree's rows
-    are the leading columns of each.  Held at the largest degree asked
-    for, 2.0 MiB at the quadrature cap of 512."""
-    degrees = np.arange(N + 1)
-    pronic = degrees * (degrees + 1)
-    return tuple(np.stack((pronic[m:] + m, pronic[m:] - m)) for m in range(N + 1))
 
 
 def analyze_modes(field: np.ndarray, rule: QuadratureRule, N: int) -> ModeSpectrum:
@@ -512,9 +478,7 @@ def analyze_modes(field: np.ndarray, rule: QuadratureRule, N: int) -> ModeSpectr
     field, the returned spectrum and the (N+1)(N+2)/2 x rings weighted polar
     rows, the call holds one block's bins, at most max(2 MiB, field bytes /
     8) or the rings x (2N+1) bins of _MIN_DFT_COLUMNS = 8 frequencies where
-    that is larger.  The
-    root table, and each order's rows, are cached read-only across calls
-    (see _cached_root_table and _order_rows).
+    that is larger.
 
     The pruned DFT costs 8 (2N+1) P real flops per ring and frequency
     against an FFT's O(P log P), so it wins while N is small against P.
@@ -548,17 +512,25 @@ def analyze_modes(field: np.ndarray, rule: QuadratureRule, N: int) -> ModeSpectr
         )
     rings, azimuths = rule.ring_shape
     freq_count = field.shape[1]
-    small = (2 * N + 1) * azimuths * 16 <= _ROOT_TABLE_CACHE_BYTES
-    table = (_cached_root_table if small else _root_table)(N, azimuths)
-    rows_of = [rows[:, : N + 1 - m] for m, rows in enumerate(_order_rows(N)[: N + 1])]
+    # Root table rows: 0 holds order 0 and 2m-1, 2m orders m and -m, the
+    # latter times (-1)^m.
+    k = np.arange(azimuths)
+    roots = np.exp(-2j * np.pi * k / azimuths)
+    row = np.arange(2 * N + 1)
+    table = roots[np.multiply.outer((row + 1) // 2 * np.where(row % 2, 1, -1), k) % azimuths]
+    table[2::4] *= -1.0
+    # Flat rows n*n + n + m and n*n + n - m, n = m..N, of each order m >= 0.
+    degrees = np.arange(N + 1)
+    pronic = degrees * (degrees + 1)
+    rows_of = [(pronic[m:] + m, pronic[m:] - m) for m in range(N + 1)]
     # Y_nm(theta, 0) is real: keep the weighted real rows of the orders
     # m >= 0, order after order, and drop the complex table before the bins
     # exist, so they never coexist with it or its build's temporaries.
     polar = harmonic_matrix(N, rule.theta[::azimuths], np.zeros(rings)).real
-    weighted = polar[np.concatenate([rows[0] for rows in rows_of])]
+    weighted = polar[np.concatenate([plus for plus, _ in rows_of])]
     del polar
     weighted *= rule.weights[::azimuths]
-    by_order = np.split(weighted, np.cumsum([rows.shape[1] for rows in rows_of[:-1]]))
+    by_order = np.split(weighted, np.cumsum([plus.size for plus, _ in rows_of[:-1]]))
     rings_field = field.reshape(rings, azimuths, freq_count)
     widest, blocks = _freq_blocks(field, rings * (2 * N + 1) * 16, _MIN_DFT_COLUMNS)
     bins = np.empty(rings * (2 * N + 1) * widest, dtype=complex)
@@ -722,12 +694,9 @@ def _reconstruction_error(band: ModeBand, t_eff: float, seed: int) -> float:
     coeffs = rng.standard_normal(n_kernels) + 1j * rng.standard_normal(n_kernels)
 
     def baseband(u: np.ndarray) -> np.ndarray:
-        # All kernels as one (kernels x points) matrix, summed kernel by
-        # kernel in order.
-        terms = coeffs[:, None] * _raised_cosine_kernel(u - centers[:, None])
         acc = np.zeros(u.shape, dtype=complex)
-        for term in terms:
-            acc += term
+        for c, u0 in zip(coeffs, centers):
+            acc += c * _raised_cosine_kernel(u - u0)
         return acc
 
     ells = np.arange(0, int(math.floor(wt)) + 1)

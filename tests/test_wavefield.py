@@ -287,7 +287,6 @@ def test_analysis_temporaries_stay_within_the_block_bound() -> None:
     # simulate-wide's n_field analysis, N = 30; unblocked, its bins alone
     # took 11.2 MiB.
     rule, field = _wide_field()
-    analyze_modes(field[:, :2], rule, 30)  # the degree tables, built once
     spectrum = []
     peak = _traced_peak(lambda: spectrum.append(analyze_modes(field, rule, 30)))
     # Besides the returned spectrum, the weighted polar rows of the orders
@@ -352,13 +351,11 @@ def test_blocked_analysis_equals_the_per_order_reference(N: int, freqs: int, blo
     assert np.max(np.abs(fast - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
-def test_analysis_tables_are_read_only() -> None:
-    rule = make_quadrature(12)
-    field = np.ones((len(rule), 3), dtype=complex)
-    first = analyze_modes(field, rule, 5).coeffs
-    for table in (wavefield._cached_root_table(5, 26), *wavefield._order_rows(5)):
-        assert not table.flags.writeable
-    assert analyze_modes(field, rule, 5).coeffs.tobytes() == first.tobytes()
+def test_parseval_of_an_empty_frequency_axis_is_zero() -> None:
+    rule = make_quadrature(4)
+    field = np.zeros((len(rule), 0), dtype=complex)
+    spectrum = ModeSpectrum(coeffs=np.zeros((1, 0), dtype=complex))
+    assert parseval_check(field, rule, spectrum) == 0.0
 
 
 @pytest.mark.parametrize("speed", [math.nan, math.inf, -math.inf, 0.0, -1.0])
