@@ -444,13 +444,6 @@ def _serialize_report(report: dict) -> Iterator[str]:
 # Point evaluation shared by compute, sweep and simulate
 
 
-def _normalized_point(p: NormalizedParams) -> tuple[int, int, DofBreakdown]:
-    """(n_min, n_max, breakdown) in dimensionless units: what a sweep
-    reports for the point p, and the reference its blocks are tested
-    against."""
-    return (*truncation_indices(p), dof_normalized_breakdown(p))
-
-
 def _mode_table(s: Scenario, n_max: int) -> Iterator[str]:
     """Per-mode rows (n, F_n, W_n), one per mode up to n_max, as _row_blocks
     gives them.
@@ -550,13 +543,13 @@ def _check_grid(axes: Sequence[Sequence[float]]) -> None:
             NormalizedParams(*origin[:i], value, *origin[i + 1:])
 
 
-def _block_runs(
-    axes: Sequence[Sequence[float]], start: int, stop: int
-) -> Iterator[tuple[int, int, int, int, list[tuple[tuple[int, int], DofBreakdown]]]]:
+def _block_rows(
+    axes: Sequence[Sequence[float]], labels: Sequence[Sequence[Any]],
+    start: int, stop: int,
+) -> list[tuple[Any, ...]]:
     """The grid points start..stop-1 of the (a, b, d, rho) grid `axes`, in
-    grid order, evaluated: (i_a, i_b, i_d, first, results) for each run of
-    points that share a, b and d, where results holds the run's
-    ((n_min, n_max), breakdown) in order from the rho index `first`.
+    grid order, evaluated: one row per point in _CSV_HEADER's order, whose
+    a, b, d and rho are the point's entries in `labels`, laid out as `axes`.
 
     n_min and n_max depend on a, b and rho alone, so truncation_indices runs
     once per distinct (a, b, rho) of the block, at its first point: any
@@ -564,6 +557,8 @@ def _block_runs(
     NormalizedParams is built here, on the caller's thread.
     """
     a, b, d, rho = axes
+    a_labels, b_labels, d_labels, rho_labels = labels
+    rows = []
     k = start
     pair = None
     while k < stop:
@@ -575,15 +570,17 @@ def _block_runs(
             pair = (i_a, i_b)
             indices: list[tuple[int, int] | None] = [None] * len(rho)
         a_i, b_i, d_i = a[i_a], b[i_b], d[i_d]
-        results = []
+        head = a_labels[i_a], b_labels[i_b], d_labels[i_d]
         for i_r in range(first, first + end - k):
             p = NormalizedParams(a_i, b_i, d_i, rho[i_r])
             n = indices[i_r]
             if n is None:
                 n = indices[i_r] = truncation_indices(p)
-            results.append((n, dof_normalized_breakdown(p)))
-        yield i_a, i_b, i_d, first, results
+            bd = dof_normalized_breakdown(p)
+            rows.append((*head, rho_labels[i_r], *n,
+                         bd.t_eff, bd.d1, bd.d2, bd.d3, bd.total))
         k = end
+    return rows
 
 
 def _sweep_csv(
@@ -592,43 +589,17 @@ def _sweep_csv(
 ) -> str:
     """The CSV lines of the grid points start..stop-1, with each axis value's
     text "%.12g," from `axis_texts`."""
-    a_texts, b_texts, d_texts, rho_texts = axis_texts
-    lines = []
-    for i_a, i_b, i_d, first, results in _block_runs(axes, start, stop):
-        head = a_texts[i_a] + b_texts[i_b] + d_texts[i_d]
-        lines += [
-            head + rho_texts[i_r]
-            + _CSV_TAIL % (n_min, n_max, bd.t_eff, bd.d1, bd.d2, bd.d3, bd.total)
-            for i_r, ((n_min, n_max), bd) in enumerate(results, first)
-        ]
-    return "".join(lines)
+    line = "%s%s%s%s" + _CSV_TAIL
+    return "".join([line % row for row in _block_rows(axes, axis_texts, start, stop)])
 
 
 def _sweep_json(axes: Sequence[Sequence[float]], start: int, stop: int) -> str:
     """The JSON row objects of the grid points start..stop-1, at most
     _BLOCK_ROWS of them, as one block of the report's "rows" list."""
-    a, b, d, rho = axes
-    columns: tuple[list[float], ...] = ([], [], [], [])
-    results = []
-    for i_a, i_b, i_d, first, run in _block_runs(axes, start, stop):
-        columns[0].extend([a[i_a]] * len(run))
-        columns[1].extend([b[i_b]] * len(run))
-        columns[2].extend([d[i_d]] * len(run))
-        columns[3].extend(rho[first:first + len(run)])
-        results.extend(run)
-    indices, bds = zip(*results)
-    n_mins, n_maxs = zip(*indices)
-    (text,) = _row_blocks(
-        floats={
-            **dict(zip(_POINT_KEYS, columns)),
-            "t_eff": [bd.t_eff for bd in bds],
-            "d1": [bd.d1 for bd in bds],
-            "d2": [bd.d2 for bd in bds],
-            "d3": [bd.d3 for bd in bds],
-            "dof_total": [bd.total for bd in bds],
-        },
-        ints={"n_min": n_mins, "n_max": n_maxs},
-    )
+    rows = _block_rows(axes, axes, start, stop)
+    columns = dict(zip(_CSV_HEADER.split(","), zip(*rows)))
+    ints = {key: columns.pop(key) for key in ("n_min", "n_max")}
+    (text,) = _row_blocks(floats=columns, ints=ints)
     return text
 
 

@@ -371,8 +371,13 @@ def bandwidth_arrays(s: Scenario) -> ModeBandArrays:
     fn = _critical_frequencies(s, n)
     fn[0] = 0.0
     # fn holds no NaN and no -0.0, so clip is Python's min(max(lo, fn), hi).
-    eff = hi - np.clip(fn, lo, hi)
-    eff[: n_min + 1] = 2.0 * s.half_bandwidth_W
+    # Only the partial-band rows are clamped.  Where F0 + W overflows to inf,
+    # a row whose F_n is inf gives inf - inf = NaN, as the scalar arithmetic
+    # does, without a warning.
+    eff = np.full(n_max + 1, 2.0 * s.half_bandwidth_W)
+    partial = eff[n_min + 1 :]
+    with np.errstate(invalid="ignore"):
+        np.subtract(hi, np.clip(fn[n_min + 1 :], lo, hi, out=partial), out=partial)
     return ModeBandArrays(
         n_min=n_min,
         n_max=n_max,

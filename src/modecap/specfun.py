@@ -382,7 +382,18 @@ def _polar_table(max_degree: int, theta: np.ndarray) -> np.ndarray:
     x, u = np.cos(theta), np.sin(theta)
     degrees = np.arange(max_degree + 1)
     diagonal = degrees * (degrees + 3) // 2
-    table = np.empty(((max_degree + 1) * (max_degree + 2) // 2, theta.size))
+
+    # a_nm, at the table row of Y_nm, and b_nm for n >= 2, m = 0..n-2.
+    n = np.repeat(degrees[2:], degrees[2:] - 1)
+    m = np.arange(n.size) - (n - 1) * (n - 2) // 2
+    span = (n - m) * (n + m)
+    a = np.zeros((max_degree + 1) * (max_degree + 2) // 2)
+    a[n * (n + 1) // 2 + m] = np.sqrt((2 * n - 1) * (2 * n + 1) / span)
+    b = np.sqrt((2 * n + 1) * (n + m - 1) * (n - m - 1) / ((2 * n - 3) * span))[:, None]
+    # Each row n, m <= n - 2 starts as its a_nm cos(theta), so no temporary
+    # as large as the table holds those products; the rows of the sectoral
+    # and m = n - 1 terms are overwritten next.
+    table = a[:, None] * x
 
     steps = np.empty((max_degree + 1, theta.size))
     steps[0] = 1.0 / math.sqrt(4.0 * math.pi)
@@ -390,17 +401,11 @@ def _polar_table(max_degree: int, theta: np.ndarray) -> np.ndarray:
     table[diagonal] = np.cumprod(steps, axis=0)
     table[diagonal[1:] - 1] = np.sqrt(2 * degrees[:-1] + 3.0)[:, None] * x * table[diagonal[:-1]]
 
-    # a_nm cos(theta) and b_nm for n >= 2, m = 0..n-2, degree after degree.
-    n = np.repeat(degrees[2:], degrees[2:] - 1)
-    m = np.arange(n.size) - (n - 1) * (n - 2) // 2
-    span = (n - m) * (n + m)
-    a_x = np.sqrt((2 * n - 1) * (2 * n + 1) / span)[:, None] * x
-    b = np.sqrt((2 * n + 1) * (n + m - 1) * (n - m - 1) / ((2 * n - 3) * span))[:, None]
     for k in range(2, max_degree + 1):
         # Orders m = 0..k-2 of degrees k, k-1 and k-2, and their coefficients.
         row, coeff = k * (k + 1) // 2, slice((k - 1) * (k - 2) // 2, k * (k - 1) // 2)
         dst = table[row : row + k - 1]
-        np.multiply(a_x[coeff], table[row - k : row - 1], out=dst)
+        dst *= table[row - k : row - 1]
         dst -= b[coeff] * table[row - 2 * k + 1 : row - k]
     return table
 

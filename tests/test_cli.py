@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import modecap
@@ -45,6 +45,7 @@ from modecap.cli import (
     main,
 )
 from modecap.dofcore import (
+    DofBreakdown,
     NormalizedParams,
     Scenario,
     bandwidth_arrays,
@@ -289,13 +290,19 @@ def test_sweep_error_is_independent_of_thread_count(
     assert errors[0].startswith("domain error: ") and errors[0].count("\n") == 1
 
 
+def _normalized_point(p: NormalizedParams) -> tuple[int, int, DofBreakdown]:
+    """(n_min, n_max, breakdown) in dimensionless units: what a sweep
+    reports for the point p."""
+    return (*truncation_indices(p), dof_normalized_breakdown(p))
+
+
 def _reference_sweep(axes: dict) -> dict[str, str]:
     """The CSV and JSON reports of the grid `axes` by the per-point path:
     every point built in grid order, then each evaluated in grid order by
-    cli._normalized_point.  Raises the first point's error."""
+    _normalized_point.  Raises the first point's error."""
     points = [NormalizedParams(*map(float, point))
               for point in itertools.product(*(axes[key] for key in cli._POINT_KEYS))]
-    results = [(p, *cli._normalized_point(p)) for p in points]
+    results = [(p, *_normalized_point(p)) for p in points]
     rounded = cli._rounded([
         {"a": p.a, "b": p.b, "d": p.d, "rho": p.rho, "n_min": n_min, "n_max": n_max,
          "t_eff": bd.t_eff, "d1": bd.d1, "d2": bd.d2, "d3": bd.d3, "dof_total": bd.total}
@@ -817,20 +824,63 @@ def test_simulate_subnormal_radius_warns_nothing(
 
 def test_compute_with_the_band_at_the_float_maximum_warns_nothing(
         tmp_path: Path, capsys) -> None:
-    # F0 + W sits near the float maximum and F_1 is inf: the mode table
-    # refuses the inf on one line, and the CSV route, which has no mode
-    # table, reports the bound.
-    cfg = _write(tmp_path, "cfg.json", {"scenario": {
-        "radius_R": 5e-324, "mid_freq_F0": 1e308, "half_bandwidth_W": 1e300,
-        "obs_time_T": 1e-20, "wave_speed_c": 1.0}})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["compute", "--config", cfg]) == EXIT_DOMAIN
-        assert capsys.readouterr() == ("", (
-            "domain error: report holds a non-finite number: "
-            "critical_freq_Fn is inf\n"))
-        assert main(["compute", "--config", cfg, "--format", "csv"]) == EXIT_OK
-    assert capsys.readouterr().err == ""
+    # F0 + W sits near the float maximum, or overflows to inf, and F_1 is
+    # inf: the mode table refuses the inf on one line, and the CSV route,
+    # which has no mode table, reports the bound.  In the second scenario
+    # every mode is full band, so no row may form inf - inf.
+    for scenario in (
+        {"radius_R": 5e-324, "mid_freq_F0": 1e308, "half_bandwidth_W": 1e300,
+         "obs_time_T": 1e-20, "wave_speed_c": 1.0},
+        {"radius_R": 1e-310, "mid_freq_F0": 1.7e308, "half_bandwidth_W": 8.5e307,
+         "obs_time_T": 0.0, "wave_speed_c": 1e20, "threshold_gamma": 1e-300,
+         "snr_alpha_max": 1e5},
+    ):
+        cfg = _write(tmp_path, "cfg.json", {"scenario": scenario})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compute", "--config", cfg]) == EXIT_DOMAIN
+            assert capsys.readouterr() == ("", (
+                "domain error: report holds a non-finite number: "
+                "critical_freq_Fn is inf\n"))
+            assert main(["compute", "--config", cfg, "--format", "csv"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+
+# Float-range edges for each scenario field: zero, subnormals, the smallest
+# normals, ordinary values, and values at the top of the float range.
+_EDGE_VALUES = [0.0, 5e-324, 1e-310, 1e-300, 1e-5, 1.0, 1e20, 1e300, 1.7e308]
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(
+    values=st.fixed_dictionaries({key: st.sampled_from(_EDGE_VALUES) for key in (
+        "radius_R", "mid_freq_F0", "obs_time_T", "wave_speed_c",
+        "threshold_gamma", "snr_alpha_max")}),
+    w_ratio=st.sampled_from([0.0, 1e-300, 0.5, 1.0]),
+)
+@example(values={"radius_R": 1e-310, "mid_freq_F0": 1.7e308, "obs_time_T": 0.0,
+                 "wave_speed_c": 1e20, "threshold_gamma": 1e-300, "snr_alpha_max": 1e5},
+         w_ratio=0.5)
+@example(values={"radius_R": 1e-310, "mid_freq_F0": 1.7e308, "obs_time_T": 0.0,
+                 "wave_speed_c": 1e300, "threshold_gamma": 1e300, "snr_alpha_max": 1e300},
+         w_ratio=1.0)
+def test_compute_at_the_float_range_edges_ends_in_a_report_or_one_line(
+        tmp_path_factory, values: dict, w_ratio: float) -> None:
+    # W = F0 * w_ratio keeps the band [F0 - W, F0 + W] nonnegative.  Every
+    # scenario gives a strict report or exits on one stderr line; a NumPy
+    # warning raises here instead of reaching stderr.
+    scenario = {**values, "half_bandwidth_W": values["mid_freq_F0"] * w_ratio}
+    cfg = _write(tmp_path_factory.mktemp("edge", numbered=True), "cfg.json",
+                 {"scenario": scenario})
+    for fmt in ("json", "csv"):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with (warnings.catch_warnings(), contextlib.redirect_stdout(stdout),
+              contextlib.redirect_stderr(stderr)):
+            warnings.simplefilter("error")
+            code = main(["compute", "--config", cfg, "--format", fmt])
+        assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_RESOLUTION)
+        assert stderr.getvalue().count("\n") == (code != EXIT_OK)
+        assert not re.search(r"NaN|Infinity|\binf\b|\bnan\b", stdout.getvalue())
 
 
 def test_non_finite_report_field_is_named(

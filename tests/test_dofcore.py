@@ -279,10 +279,21 @@ def test_bandwidth_arrays_at_the_float_range_edges() -> None:
                     obs_time_T=1.0, wave_speed_c=1e308)
     top = Scenario(radius_R=5e-324, mid_freq_F0=1e308, half_bandwidth_W=1e300,
                    obs_time_T=1e-20, wave_speed_c=1.0)
+    # F0 + W overflows to inf.  In `over` every mode is full band with F_n =
+    # inf; in `partial` mode 1 is a partial-band row whose inf - inf is NaN,
+    # as in the scalar arithmetic.
+    over = Scenario(radius_R=1e-310, mid_freq_F0=1.7e308, half_bandwidth_W=8.5e307,
+                    obs_time_T=0.0, wave_speed_c=1e20, threshold_gamma=1e-300,
+                    snr_alpha_max=1e5)
+    partial = Scenario(radius_R=1e-310, mid_freq_F0=1.7e308, half_bandwidth_W=1.7e308,
+                       obs_time_T=0.0, wave_speed_c=1e300, threshold_gamma=1e300,
+                       snr_alpha_max=1e300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for s in (tiny, huge, top):
+        for s in (tiny, huge, top, over, partial):
             _assert_columns_match_scalar_path(s)
+        assert dof_mode_sum(over) == 124609.0
+        assert math.isnan(bandwidth_arrays(partial).eff_bandwidth_Wn[1])
         assert math.isinf(bandwidth_arrays(tiny).critical_freq_Fn[1])
         assert not bandwidth_arrays(huge).critical_freq_Fn.any()
         assert math.isinf(bandwidth_arrays(top).critical_freq_Fn[-1])

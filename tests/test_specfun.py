@@ -11,6 +11,7 @@ test-only reference.
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -375,6 +376,20 @@ def test_harmonic_matrix_edited_in_place_never_changes_a_later_call() -> None:
     assert harmonic_matrix(12, theta, phi).tobytes() == expected.tobytes()
     harmonic_matrix(30, theta, phi)
     assert harmonic_matrix(12, theta, phi).tobytes() == expected.tobytes()
+
+
+def test_polar_table_peaks_near_its_own_size() -> None:
+    # The recurrence forms each a_nm cos(theta) in its own table row, so no
+    # temporary as large as the table exists beside it.
+    theta = np.linspace(0.01, 3.1, 151)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        table = specfun._polar_table(150, theta)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * table.nbytes
 
 
 @pytest.mark.parametrize("degree", [-1, 2.5, True, "3", None])
