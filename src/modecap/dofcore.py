@@ -264,7 +264,8 @@ def effective_time(s: Scenario) -> float:
     """Effective observation time T + 2R/c (seconds).
 
     Extends the raw window by the wavefront transit time across the region;
-    independent of frequency, bandwidth, and threshold.
+    independent of frequency, bandwidth, and threshold.  Returns inf where
+    the sum overflows, as at R = 1e20 with c = 1e-300.
     """
     return s.obs_time_T + 2.0 * s.radius_R / s.wave_speed_c
 
@@ -362,6 +363,9 @@ def bandwidth_arrays(s: Scenario) -> ModeBandArrays:
     Every element equals, bit for bit, the Python scalar arithmetic of
     critical_frequency and of the per-mode max/min clamps.  At a = 0,
     n_min = n_max = 0, so the table is the single full-band row of mode 0.
+    Where F0 + W overflows to inf, a partial-band row whose F_n is inf has
+    W_n = inf - inf = NaN, as in that scalar arithmetic; dof_mode_sum
+    refuses it.
     """
     import numpy as np
 
@@ -408,15 +412,22 @@ def dof_mode_sum(s: Scenario) -> float:
     snr_alpha_max/threshold_gamma is >= 1.  Each full-band mode n <= n_min
     counts W_n = 2W, the 2W of d2, so at a = 0 the sum is the one term
     2WT + 1 and equals the closed form.
+
+    Raises DomainError("degrees of freedom overflow: mode sum is <value>")
+    when the sum is not finite: where T_eff overflows to inf (a W_n of 0
+    then gives 0 * inf = NaN) or a W_n is NaN (see bandwidth_arrays).
     """
     bands = bandwidth_arrays(s)
     t_eff = effective_time(s)
-    return float(
+    total = float(
         sum(
             (2 * n + 1) * (w * t_eff + 1.0)
             for n, w in zip(bands.n.tolist(), bands.eff_bandwidth_Wn.tolist())
         )
     )
+    if not math.isfinite(total):
+        raise DomainError(f"degrees of freedom overflow: mode sum is {total!r}")
+    return total
 
 
 def _pointlike(two_wt: float, t_eff: float) -> DofBreakdown:

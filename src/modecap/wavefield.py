@@ -85,14 +85,18 @@ _SPEED_OF_LIGHT = 299792458.0
 # series; past kR, j_n(kR) falls off faster than geometrically.
 _JACOBI_GUARD = 20
 
-# Most complex entries (quadrature nodes x frequencies) a simulated field may
-# hold: 160 MB.  Besides the field, its spectra and one polar table,
-# simulate's temporaries are blocks of at most max(2 MiB, field bytes / 8),
-# or of _MIN_DFT_COLUMNS frequencies where that is larger (_freq_blocks).
+# Most node x frequency entries simulate synthesizes and checks in total:
+# the work of one run, not one array, since the field is built in blocks.
 FIELD_ELEMENT_LIMIT = 10_000_000
 
+# Most node x frequency entries of the block of the field that simulate
+# holds at a time: 16 MiB.  Blocks start on multiples of _PHASE_BLOCK, so
+# where one _PHASE_BLOCK of frequencies holds more, a block holds that many.
+_FIELD_BLOCK_ENTRIES = 1 << 20
+
 # Floor of the byte bound on the analysis and Parseval temporaries of each
-# frequency block; see _freq_blocks.
+# frequency block: max(2 MiB, field bytes / 8), or the bins of
+# _MIN_DFT_COLUMNS frequencies where that is larger.
 _BLOCK_FLOOR = 2 << 20
 
 # Fewest frequencies per block of analyze_modes.  Each block's DFT packs the
@@ -439,23 +443,20 @@ def theoretical_modes(
     return ModeSpectrum(coeffs=coeffs, alpha=alpha)
 
 
-def _freq_blocks(
-    field: np.ndarray, column_bytes: int, min_width: int = 1
-) -> tuple[int, list[slice]]:
-    """The widest block and the blocks of an even split of the frequency
-    axis of a (nodes, F) field, such that column_bytes of temporaries per
-    frequency stay within max(2 MiB, field bytes / 8) per block, or within
-    min_width columns where that is larger.
+def _freq_blocks(freq_count: int, width: int, step: int = 1) -> tuple[int, list[slice]]:
+    """The widest block and the blocks of an even split of freq_count
+    frequencies into the fewest blocks of at most `width` frequencies, or of
+    `step` where that is larger, each starting on a multiple of step.
 
-    Widths differ by one at most, so no lone column trails wide blocks.
+    Widths differ by one step at most, so no lone column trails wide blocks.
     """
-    freq_count = field.shape[1]
     if not freq_count:
         return 0, []
-    width = max(min_width, max(_BLOCK_FLOOR, field.nbytes // 8) // column_bytes)
-    count = -(-freq_count // width)
-    edges = [i * freq_count // count for i in range(count + 1)]
-    return -(-freq_count // count), [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    steps = -(-freq_count // step)
+    count = -(-steps // max(1, width // step))
+    edges = [min(i * steps // count * step, freq_count) for i in range(count + 1)]
+    blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    return max(block.stop - block.start for block in blocks), blocks
 
 
 def analyze_modes(field: np.ndarray, rule: QuadratureRule, N: int) -> ModeSpectrum:
@@ -532,7 +533,9 @@ def analyze_modes(field: np.ndarray, rule: QuadratureRule, N: int) -> ModeSpectr
     weighted *= rule.weights[::azimuths]
     by_order = np.split(weighted, np.cumsum([plus.size for plus, _ in rows_of[:-1]]))
     rings_field = field.reshape(rings, azimuths, freq_count)
-    widest, blocks = _freq_blocks(field, rings * (2 * N + 1) * 16, _MIN_DFT_COLUMNS)
+    block_bytes = max(_BLOCK_FLOOR, field.nbytes // 8)
+    widest, blocks = _freq_blocks(
+        freq_count, max(_MIN_DFT_COLUMNS, block_bytes // (rings * (2 * N + 1) * 16)))
     bins = np.empty(rings * (2 * N + 1) * widest, dtype=complex)
     coeffs = np.empty(((N + 1) ** 2, freq_count), dtype=complex)
     for block in blocks:
@@ -642,7 +645,8 @@ def parseval_check(
         raise DomainError("field and spectrum frequency grids differ in length")
     coeffs = spectrum.coeffs
     rows = max(field.shape[0], coeffs.shape[0])
-    widest, blocks = _freq_blocks(field, 8 * rows)
+    block_bytes = max(_BLOCK_FLOOR, field.nbytes // 8)
+    widest, blocks = _freq_blocks(field.shape[1], block_bytes // (8 * rows))
     # |field|^2 and then |coeffs|^2 of one block at a time, in one buffer.
     buffer = np.empty(rows * widest)
     node_power = np.empty(field.shape[1])
@@ -761,6 +765,17 @@ def simulate(
     noise variance over `trials` noisy analyses (5/sqrt(trials)), one-sided
     detection cutoffs (one grid step) and sampling reconstruction (1e-2).
 
+    The field is built and checked in blocks of frequencies, each of at most
+    2^20 node x frequency entries (16 MiB), or of one _PHASE_BLOCK of 16
+    frequencies where that holds more, so the whole (nodes x freq_points)
+    field never exists.  Each block is synthesized, its n_field analysis is
+    Parseval-checked and dropped, and its n_max analysis is kept; the
+    Jacobi-Anger comparison, the noise trials on the middle frequency
+    column and the cutoffs then read the whole n_max spectrum.  Besides one
+    block, its spectra and one polar table, the run holds the n_max
+    spectrum and its theoretical counterpart.  So FIELD_ELEMENT_LIMIT
+    bounds the total work of synthesis and analysis, not one array.
+
     Raises DomainError for a = F0 R / c = 0 (R = 0 included), a band F0 +- W
     of zero width in floating point (W = 0 included), sources < 1,
     freq_points < 2, trials < 1, a seed outside [0, 2**64 - 1 - trials] (the
@@ -832,23 +847,32 @@ def simulate(
     freq_step = float(freqs[1] - freqs[0])
     waves = _random_sources(sources, freqs, seed)
 
-    field = synthesize_field(waves, rule, scenario.radius_R, freqs, wave_speed_c=c)
-    # The n_field analysis goes first and its spectrum is dropped before the
-    # n_max spectra exist, so no two analyses' spectra are live at once.
-    parseval_err = parseval_check(field, rule, analyze_modes(field, rule, n_field))
+    # The blocks start on multiples of _PHASE_BLOCK, where synthesize_field's
+    # angle addition anchors, so every column equals the unblocked synthesis
+    # bit for bit.  A block is dropped before the next one is built.
+    mid = freqs.size // 2
+    coeffs = np.empty(((n_max + 1) ** 2, freqs.size), dtype=complex)
+    parseval_err = 0.0
+    for block in _freq_blocks(freqs.size, _FIELD_BLOCK_ENTRIES // len(rule), _PHASE_BLOCK)[1]:
+        part = synthesize_field(
+            [replace(src, amplitude=src.amplitude[block]) for src in waves],
+            rule, scenario.radius_R, freqs[block], wave_speed_c=c,
+        )
+        parseval_err = max(
+            parseval_err, parseval_check(part, rule, analyze_modes(part, rule, n_field)))
+        coeffs[:, block] = analyze_modes(part, rule, n_max).coeffs
+        if block.start <= mid < block.stop:
+            column = part[:, [mid - block.start]]
+        del part
+    analyzed = ModeSpectrum(coeffs=coeffs)
     theo = theoretical_modes(waves, scenario.radius_R, freqs, n_max, wave_speed_c=c)
-    analyzed = analyze_modes(field, rule, n_max)
+    noise = NoiseModel.calibrated(theo, scenario.snr_alpha_max, seed)
     theo_scale = float(np.max(np.abs(theo.coeffs)))
     jacobi_err = float(np.max(np.abs(analyzed.coeffs - theo.coeffs))) / theo_scale
-    noise = NoiseModel.calibrated(theo, scenario.snr_alpha_max, seed)
-    # Each noise trial builds an n_max polar table, so free the two
-    # theoretical spectra first.
     del theo
 
     # Noise-variance property: Monte Carlo on one frequency column; per-trial
     # seeds derive from the base seed so trials decorrelate deterministically.
-    mid = freqs.size // 2
-    column = field[:, [mid]]
     base = analyzed.coeffs[:, [mid]]
     acc = np.zeros(base.shape[0], dtype=float)
     for trial in range(trials):

@@ -663,6 +663,40 @@ def test_simulate_report_matches_the_dense_projection(
     assert fast == ref
 
 
+def test_simulate_report_does_not_show_its_frequency_blocks(
+        tmp_path: Path, monkeypatch) -> None:
+    # 257 frequencies on the degree-32 rule's 33 x 66 nodes: one block by
+    # default, and four when a block may hold 80 frequencies, the third of
+    # which starts at the middle column 128 that the noise trials read.
+    cfg = _write(tmp_path, "cfg.json", dict(
+        _SIM_CONFIG, simulation=dict(_SIM_CONFIG["simulation"], freq_points=257)))
+    one_out, split_out = tmp_path / "one.json", tmp_path / "split.json"
+    widths = []
+    synthesize = wavefield.synthesize_field
+
+    def counted(sources, rule, radius, freqs, *, wave_speed_c):
+        widths.append(freqs.size)
+        return synthesize(sources, rule, radius, freqs, wave_speed_c=wave_speed_c)
+
+    monkeypatch.setattr(wavefield, "synthesize_field", counted)
+    assert main(["simulate", "--config", cfg, "--out", str(one_out)]) == EXIT_OK
+    assert widths == [257]
+    widths.clear()
+    monkeypatch.setattr(wavefield, "_FIELD_BLOCK_ENTRIES", 80 * 33 * 66)
+    assert main(["simulate", "--config", cfg, "--out", str(split_out)]) == EXIT_OK
+    assert widths == [64, 64, 64, 65]
+    one, split = (json.loads(p.read_text()) for p in (one_out, split_out))
+    assert one["simulation"]["quad_degree"] == 32
+    # Only the round-off residuals may move, and only by round-off.
+    for report in (one, split):
+        props = {p["name"]: p for p in report["simulation"]["properties"]}
+        report["residuals"] = [props[name].pop("value") for name in
+                               ("jacobi_anger_consistency", "parseval")]
+    for got, want in zip(split.pop("residuals"), one.pop("residuals")):
+        assert abs(got - want) <= 1e-13
+    assert split == one
+
+
 def test_simulate_report_matches_the_direct_synthesis(
         tmp_path: Path, monkeypatch) -> None:
     cfg = _write(tmp_path, "cfg.json", _SIM_CONFIG)

@@ -299,6 +299,24 @@ def test_bandwidth_arrays_at_the_float_range_edges() -> None:
         assert math.isinf(bandwidth_arrays(top).critical_freq_Fn[-1])
 
 
+# (R, F0, W, T, c, gamma, snr_alpha_max) and the sum's non-finite value.  In
+# the first two T_eff = 2R/c overflows to inf, so a W_n of 0 gives 0 * inf =
+# NaN and a W_n of 1e-323 gives inf; in the third F0 + W overflows and
+# mode 1's partial-band W_n is inf - inf = NaN.
+@pytest.mark.parametrize(("args", "value"), [
+    ((1e20, 5e-324, 0.0, 0.0, 1e-300, 1e-300, 1.0), "nan"),
+    ((1e20, 5e-324, 5e-324, 0.0, 1e-300, 1e-300, 1.0), "inf"),
+    ((1e-310, 1.7e308, 1.7e308, 0.0, 1e300, 1e300, 1e300), "nan"),
+])
+def test_mode_sum_refuses_a_non_finite_sum(args, value: str) -> None:
+    s = Scenario(*args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as info:
+            dof_mode_sum(s)
+    assert str(info.value) == f"degrees of freedom overflow: mode sum is {value}"
+
+
 @pytest.mark.parametrize("radius", [0.0, 0.5])
 def test_full_band_rows_count_exactly_two_w(radius: float) -> None:
     # W << F0: (F0 + W) - (F0 - W) would give 0.00246906280518, not 2W.

@@ -6,6 +6,7 @@ closed form for the monopole row, and seeded Monte Carlo statistics.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -303,15 +304,20 @@ def test_parseval_temporaries_stay_within_the_block_bound() -> None:
 
 
 def test_simulate_holds_little_beyond_its_field() -> None:
-    # simulate-wide's configuration: a field of 4418 nodes x 257 frequencies.
+    # simulate-wide's configuration, degree 46 with 4418 nodes, on its own
+    # 257 frequencies and on 1025.  The field is built and checked in blocks
+    # of at most 2^20 entries, so the whole field never exists: the peak
+    # read 0.81 and 0.35 times the field's bytes.  While the whole field
+    # existed it read 1.35 and 1.34, and 1.99 before the analysis was
+    # blocked.
     scenario = NormalizedParams(a=1.0, b=0.5, d=10.0, rho=100.0).to_scenario()
+    for freqs, bound in ((257, 1.0), (1025, 0.4)):
 
-    def run() -> None:
-        simulate(scenario, sources=3, freq_points=257, quad_degree=0, seed=1, trials=8)
+        def run() -> None:
+            simulate(scenario, sources=3, freq_points=freqs, quad_degree=0, seed=1, trials=8)
 
-    run()
-    # The unblocked analysis peaked at 1.99 times the field.
-    assert _traced_peak(run) < 1.5 * 4418 * 257 * 16
+        run()
+        assert _traced_peak(run) < bound * 4418 * freqs * 16
 
 
 def _per_order_analysis(field, rule, N):
@@ -345,10 +351,31 @@ def test_blocked_analysis_equals_the_per_order_reference(N: int, freqs: int, blo
     shape = (len(rule), freqs)
     field = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     column_bytes = 47 * (2 * N + 1) * 16
-    assert len(wavefield._freq_blocks(field, column_bytes, wavefield._MIN_DFT_COLUMNS)[1]) == blocks
+    width = max(wavefield._MIN_DFT_COLUMNS, _block_bound(field) // column_bytes)
+    assert len(wavefield._freq_blocks(freqs, width)[1]) == blocks
     fast = analyze_modes(field, rule, N).coeffs
     ref = _per_order_analysis(field, rule, N)
     assert np.max(np.abs(fast - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("width", [16, 100, 257])
+def test_field_blocks_start_where_the_synthesis_anchors(width: int) -> None:
+    # simulate's blocks start on multiples of _PHASE_BLOCK, where the angle
+    # addition takes its exact anchors, so each block's synthesis equals the
+    # whole field's columns bit for bit.
+    rule = make_quadrature(32)
+    freqs = np.linspace(0.75, 1.25, 257)
+    rng = np.random.default_rng(width)
+    sources = [PlaneWaveSource(theta=t, phi=p, amplitude=np.exp(2j * np.pi * rng.random(257)))
+               for t, p in ((0.3, 1.0), (2.0, 4.0), (1.1, 0.2))]
+    whole = synthesize_field(sources, rule, 4.0, freqs, wave_speed_c=1.0)
+    blocks = wavefield._freq_blocks(freqs.size, width, wavefield._PHASE_BLOCK)[1]
+    assert [b.start % wavefield._PHASE_BLOCK for b in blocks] == [0] * len(blocks)
+    assert blocks[-1].stop == freqs.size and len(blocks) == -(-257 // (width // 16 * 16))
+    for block in blocks:
+        part = synthesize_field([dataclasses.replace(src, amplitude=src.amplitude[block])
+                                 for src in sources], rule, 4.0, freqs[block], wave_speed_c=1.0)
+        assert np.array_equal(part, whole[:, block])
 
 
 def test_parseval_of_an_empty_frequency_axis_is_zero() -> None:
