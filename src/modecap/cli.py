@@ -67,12 +67,6 @@ _POINT_KEYS = ("a", "b", "d", "rho")
 _SIMULATION_KEYS = {"sources", "freq_points", "quad_degree", "seed", "trials"}
 _TOP_KEYS = {"scenario", "normalized", "sweep", "simulation"}
 
-# Most rows a JSON mode table may hold (n_max + 1); about 110 bytes and
-# 1.2 us each.  The table's blocks are formatted as they are written: a fresh
-# compute of 999,152 rows (a = 7.8e4, b = 0.5) writes 111 MB in 1.4 s at
-# 84 MiB peak RSS on a 2-core host.
-MODE_TABLE_LIMIT = 1_000_000
-
 # Most points a sweep grid may hold.  A CSV sweep holds each point's report
 # line, about 65 bytes, and nothing else of it, and spends about 9 us a
 # point: a fresh 1,000,000-point sweep takes 8.8 s at 86 MiB peak RSS on a
@@ -444,18 +438,13 @@ def _serialize_report(report: dict) -> Iterator[str]:
 # Point evaluation shared by compute, sweep and simulate
 
 
-def _mode_table(s: Scenario, n_max: int) -> Iterator[str]:
+def _mode_table(s: Scenario) -> Iterator[str]:
     """Per-mode rows (n, F_n, W_n), one per mode up to n_max, as _row_blocks
     gives them.
 
-    Raises ResolutionError above MODE_TABLE_LIMIT rows, before building any.
+    Raises ResolutionError above dofcore.MODE_TABLE_LIMIT rows, before
+    building any.
     """
-    if n_max + 1 > MODE_TABLE_LIMIT:
-        raise ResolutionError(
-            f"mode table at n_max = {n_max} would have {n_max + 1} rows, above the "
-            f"limit of {MODE_TABLE_LIMIT}; compute --format csv reports the bound "
-            "without it"
-        )
     bands = bandwidth_arrays(s)
     return _row_blocks(
         floats={
@@ -488,7 +477,7 @@ def _point_report(cfg: dict, s: Scenario) -> dict[str, Any]:
         "n_max": n_max,
         "t_eff": _round12(bd.t_eff),
         "dof": _rounded(asdict(bd)),
-        "mode_table": _mode_table(s, n_max),
+        "mode_table": _mode_table(s),
     }
 
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
-from .errors import DomainError, require_index
+from .errors import DomainError, ResolutionError, require_index
 
 if TYPE_CHECKING:
     from numpy import ndarray as _Array
@@ -48,6 +48,12 @@ __all__ = [
 
 # e * pi, the constant relating mode index to critical frequency.
 EPI = math.e * math.pi
+
+# Most modes (n_max + 1) a per-mode table may hold.  As JSON rows of a
+# compute report they are about 110 bytes and 1.2 us each: a fresh compute of
+# 999,152 rows (a = 7.8e4, b = 0.5) writes 111 MB in 1.4 s at 84 MiB peak RSS
+# on a 2-core host.
+MODE_TABLE_LIMIT = 1_000_000
 
 # Mode indices stay below this, so their squares stay below the float
 # maximum, 1.8e308.
@@ -278,8 +284,8 @@ def _is_pointlike(s: Scenario) -> bool:
 
 
 def _critical_frequencies(s: Scenario, n):
-    """max(0, (n - ln(rho)/2) c / (e pi R)) for an integer or an integer array
-    n, without the n = 0 case.
+    """max(0, (n - ln(rho)/2) c / (e pi R)) for a mode index n, as a float, or
+    an integer array of them, without the n = 0 case.
 
     np.where(x > 0, x, 0) is Python's max(0.0, x), so a NaN (inf / inf at a
     huge R, 0 / 0 at R = 0) gives 0 either way; overflow to inf at a tiny R
@@ -300,8 +306,12 @@ def critical_frequency(s: Scenario, n: int) -> float:
     natural log, except F_0 = 0 unconditionally (mode 0 is always full-band),
     a = 0 included.
 
-    Raises DomainError for n >= 1 at a = F0 R / c = 0: a pointlike region
-    has mode 0 only.
+    Returns inf where F_n overflows the float range, as at R = 5e-324 with
+    F0 = c = 1: mode n then turns on at no finite frequency.
+
+    Raises DomainError for n >= 1 at a = F0 R / c = 0 (a pointlike region
+    has mode 0 only), where rho = snr_alpha_max / threshold_gamma underflows
+    to 0, and for an n too large to convert to a float.
     """
     n = require_index("mode index", n)
     if n == 0:
@@ -311,7 +321,13 @@ def critical_frequency(s: Scenario, n: int) -> float:
             f"critical frequency of mode {n} is undefined at a = F0 R / c = 0: a "
             "pointlike region has mode 0 only"
         )
-    return float(_critical_frequencies(s, n))
+    if s.snr_ratio == 0:
+        raise DomainError("rho = snr_alpha_max / threshold_gamma must be > 0, got 0.0")
+    try:
+        index = float(n)
+    except OverflowError:
+        raise DomainError("mode index is too large to convert to a float") from None
+    return float(_critical_frequencies(s, index))
 
 
 def _indices(a: float, b: float, rho: float) -> tuple[int, int]:
@@ -366,10 +382,18 @@ def bandwidth_arrays(s: Scenario) -> ModeBandArrays:
     Where F0 + W overflows to inf, a partial-band row whose F_n is inf has
     W_n = inf - inf = NaN, as in that scalar arithmetic; dof_mode_sum
     refuses it.
+
+    Raises ResolutionError above MODE_TABLE_LIMIT modes, before building
+    any column.
     """
     import numpy as np
 
     n_min, n_max = truncation_indices(s)
+    if n_max + 1 > MODE_TABLE_LIMIT:
+        raise ResolutionError(
+            f"mode table at n_max = {n_max} would have {n_max + 1} rows, above the "
+            f"limit of {MODE_TABLE_LIMIT}; the closed-form bound needs no table"
+        )
     lo, hi = s.band
     n = np.arange(n_max + 1)
     fn = _critical_frequencies(s, n)
@@ -416,6 +440,8 @@ def dof_mode_sum(s: Scenario) -> float:
     Raises DomainError("degrees of freedom overflow: mode sum is <value>")
     when the sum is not finite: where T_eff overflows to inf (a W_n of 0
     then gives 0 * inf = NaN) or a W_n is NaN (see bandwidth_arrays).
+    Raises ResolutionError above MODE_TABLE_LIMIT modes, as bandwidth_arrays
+    does, before summing any.
     """
     bands = bandwidth_arrays(s)
     t_eff = effective_time(s)

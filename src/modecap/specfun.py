@@ -9,7 +9,8 @@ normalized associated-Legendre recurrence of Holmes & Featherstone 2002
 over the distinct polar angles, O(N^2) per angle, times a table of
 e^{i m phi} over the distinct azimuths), plus Legendre polynomials by
 recurrence and Gauss-Legendre x uniform-azimuth product quadrature on the
-unit sphere.
+unit sphere, held as its rings: the per-node arrays are derived from the
+ring angles and weights, so the product layout needs no check.
 
 Modes (n, m) have one representation: row n*n + n + m of a mode-domain
 array, with flat_degrees giving each row's n.  A quadrature integral is the
@@ -53,72 +54,93 @@ def flat_degrees(max_degree: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and steradian weights of a product rule on the unit sphere.
+    """Steradian weights on a product of rings and uniform azimuths on the
+    unit sphere.
 
-    Gauss-Legendre in cos(theta) with max_degree+1 polar nodes times
-    2*max_degree+2 uniform azimuths; integrates every spherical-harmonic
-    product Y_nm * conj(Y_n'm') exactly for n, n' <= max_degree.
+    The rule is held as its T rings: ring j lies at polar angle
+    ring_theta[j] and carries P = 2T uniform azimuths 2*pi*k/P, k = 0..P-1,
+    each node of it with steradian weight ring_weights[j].  The per-node
+    arrays theta, phi and weights follow in ring-major order (node j*P + k
+    lies on ring j at azimuth k), so the product layout holds by
+    construction.  With max_degree = T-1 and the Gauss-Legendre rings of
+    make_quadrature, the rule integrates every spherical-harmonic product
+    Y_nm * conj(Y_n'm') exactly for n, n' <= max_degree.
 
-    The layout is ring-major and checked on construction: node j*P + k
-    (P = 2*max_degree+2) lies on ring j at azimuth 2*pi*k/P (to 1e-12 rad),
-    theta and the weights are constant along each ring, and the T =
-    max_degree+1 rings come in mirror pairs: ring T-1-j lies at
-    pi - theta_j (to 1e-12 rad), so the middle ring of an odd T is the
-    equator.  The fast analysis and the synthesis in wavefield rely on this
-    layout.
+    Checked on construction: both ring arrays are nonempty, 1-D, finite and
+    of equal length, the rings come in mirror pairs (ring T-1-j lies at
+    pi - theta_j to 1e-12 rad, so the middle ring of an odd T is the
+    equator), and the node weights sum to 4*pi.  The fast analysis and the
+    synthesis in wavefield rely on this layout.
     """
 
-    theta: np.ndarray
-    phi: np.ndarray
-    weights: np.ndarray
-    max_degree: int
+    ring_theta: np.ndarray
+    ring_weights: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "max_degree", require_index("max_degree", self.max_degree)
-        )
-        rings, azimuths = self.ring_shape
-        for name in ("theta", "phi", "weights"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (rings * azimuths,):
+        for name in ("ring_theta", "ring_weights"):
+            arr = np.array(getattr(self, name), dtype=float)
+            # ring_theta, converted first, sets the ring count.
+            if (arr.ndim != 1 or arr.size == 0 or arr.shape != np.shape(self.ring_theta)
+                    or not np.all(np.isfinite(arr))):
                 raise DomainError(
-                    f"quadrature {name} must hold (max_degree+1)(2*max_degree+2) = "
-                    f"{rings * azimuths} nodes, got shape {arr.shape}"
+                    f"quadrature {name} must be a nonempty finite 1-D array with one "
+                    f"entry per ring, got shape {arr.shape}"
                 )
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        theta = self.theta.reshape(rings, azimuths)
-        weights = self.weights.reshape(rings, azimuths)
-        if np.any(theta != theta[:, :1]) or np.any(weights != weights[:, :1]):
-            raise DomainError(
-                f"quadrature theta and weights must be constant along each ring "
-                f"of {azimuths} consecutive nodes"
-            )
-        ring_theta = theta[:, 0]
-        if not np.all(np.abs(ring_theta[::-1] - (np.pi - ring_theta)) <= 1e-12):
+        rings, azimuths = self.ring_shape
+        theta = self.ring_theta
+        if not np.all(np.abs(theta[::-1] - (np.pi - theta)) <= 1e-12):
             raise DomainError(
                 f"quadrature rings must come in mirror pairs: ring {rings - 1}-j "
                 f"at pi - theta_j (to 1e-12 rad)"
             )
-        uniform = 2.0 * np.pi * np.arange(azimuths) / azimuths
-        if not np.all(np.abs(self.phi.reshape(rings, azimuths) - uniform) <= 1e-12):
-            raise DomainError(
-                f"quadrature phi must repeat the uniform azimuths 2*pi*k/{azimuths} "
-                f"on every ring"
-            )
-        total = float(np.sum(self.weights))
+        total = float(np.sum(self.ring_weights)) * azimuths
         if abs(total - 4.0 * math.pi) > 1e-12 * 4.0 * math.pi:
             raise DomainError(
                 f"quadrature weights sum to {total!r}, expected 4*pi"
             )
 
     @property
+    def max_degree(self) -> int:
+        """T-1: the degree up to which Gauss-Legendre rings integrate every
+        harmonic product exactly."""
+        return self.ring_theta.size - 1
+
+    @property
     def ring_shape(self) -> tuple[int, int]:
         """(rings, azimuths per ring) = (max_degree+1, 2*max_degree+2)."""
-        return self.max_degree + 1, 2 * self.max_degree + 2
+        return self.ring_theta.size, 2 * self.ring_theta.size
+
+    @property
+    def ring_phi(self) -> np.ndarray:
+        """The P uniform azimuths 2*pi*k/P of every ring."""
+        azimuths = self.ring_shape[1]
+        return 2.0 * np.pi * np.arange(azimuths) / azimuths
+
+    @property
+    def theta(self) -> np.ndarray:
+        """Polar angle of each node, ring-major; read-only."""
+        return _read_only(np.repeat(self.ring_theta, self.ring_shape[1]))
+
+    @property
+    def phi(self) -> np.ndarray:
+        """Azimuth of each node, ring-major; read-only."""
+        return _read_only(np.tile(self.ring_phi, self.ring_shape[0]))
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Steradian weight of each node, ring-major; read-only."""
+        return _read_only(np.repeat(self.ring_weights, self.ring_shape[1]))
 
     def __len__(self) -> int:
-        return self.weights.size
+        rings, azimuths = self.ring_shape
+        return rings * azimuths
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _bessel_series_small(n: int, z: np.ndarray) -> np.ndarray:
@@ -424,11 +446,5 @@ def make_quadrature(max_degree: int) -> QuadratureRule:
             f"{_MAX_QUAD_DEGREE}"
         )
     x, w_polar = np.polynomial.legendre.leggauss(max_degree + 1)
-    n_az = 2 * max_degree + 2
-    phi_az = 2.0 * np.pi * np.arange(n_az) / n_az
-    w_az = 2.0 * np.pi / n_az
-
-    theta = np.repeat(np.arccos(x), n_az)
-    phi = np.tile(phi_az, max_degree + 1)
-    weights = np.repeat(w_polar * w_az, n_az)
-    return QuadratureRule(theta=theta, phi=phi, weights=weights, max_degree=max_degree)
+    return QuadratureRule(ring_theta=np.arccos(x),
+                          ring_weights=w_polar * (2.0 * np.pi / (2 * max_degree + 2)))

@@ -330,9 +330,9 @@ def synthesize_field(
     the second factor are the same, so the table of ring j <= (T-1)/2
     serves its mirror too; only the polar factor differs.  The equator ring
     of an odd ring count T is its own mirror.  The ring angles and the first
-    P/2 azimuths come from the rule; both pairings hold to the 1e-12 rad to
-    which QuadratureRule checks its layout (the uniform azimuths are what
-    the azimuthal DFT of analyze_modes relies on as well).
+    P/2 azimuths come from the rule.  The azimuths are 2 pi k/P by the
+    rule's construction, as the azimuthal DFT of analyze_modes relies on as
+    well, and QuadratureRule checks the mirror rings to 1e-12 rad.
 
     Each table e^{i x kR_f} is formed by angle addition (Press et al.,
     Numerical Recipes, 5.4): the grid kR_f = 2 pi R f / c is cut into
@@ -367,8 +367,7 @@ def synthesize_field(
     offsets, offset_of = np.unique(kr - anchors[block_of], return_inverse=True)
     rings, azimuths = rule.ring_shape
     half = azimuths // 2
-    theta = rule.theta[::azimuths]
-    phi = rule.phi[:half]
+    theta, phi = rule.ring_theta, rule.ring_phi[:half]
     sin_theta, cos_theta = np.sin(theta), np.cos(theta)
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     waves = []
@@ -527,10 +526,10 @@ def analyze_modes(field: np.ndarray, rule: QuadratureRule, N: int) -> ModeSpectr
     # Y_nm(theta, 0) is real: keep the weighted real rows of the orders
     # m >= 0, order after order, and drop the complex table before the bins
     # exist, so they never coexist with it or its build's temporaries.
-    polar = harmonic_matrix(N, rule.theta[::azimuths], np.zeros(rings)).real
+    polar = harmonic_matrix(N, rule.ring_theta, np.zeros(rings)).real
     weighted = polar[np.concatenate([plus for plus, _ in rows_of])]
     del polar
-    weighted *= rule.weights[::azimuths]
+    weighted *= rule.ring_weights
     by_order = np.split(weighted, np.cumsum([plus.size for plus, _ in rows_of[:-1]]))
     rings_field = field.reshape(rings, azimuths, freq_count)
     block_bytes = max(_BLOCK_FLOOR, field.nbytes // 8)
@@ -569,14 +568,16 @@ def add_noise(field: np.ndarray, rule: QuadratureRule, noise: NoiseModel) -> np.
     if noise.sigma0_sq == 0:
         return field.copy()
     rng = np.random.Generator(np.random.Philox(noise.seed))
-    std = np.sqrt(noise.sigma0_sq / (2.0 * rule.weights))
+    std = np.sqrt(noise.sigma0_sq / (2.0 * rule.ring_weights))
     # The draws fill the real parts, then the imaginary ones, through one
     # float buffer: the generator writes only to contiguous arrays.
     draw = rng.standard_normal(field.shape)
     noisy = np.empty(field.shape, dtype=complex)
     noisy.real = draw
     noisy.imag = rng.standard_normal(out=draw)
-    noisy *= std.reshape((-1,) + (1,) * (field.ndim - 1))
+    # The nodes of a ring share its weight: one std per ring of the view.
+    rings = noisy.reshape(rule.ring_shape + field.shape[1:])
+    rings *= std.reshape((-1,) + (1,) * field.ndim)
     noisy += field
     return noisy
 
@@ -715,18 +716,16 @@ def _reconstruction_error(band: ModeBand, t_eff: float, seed: int) -> float:
     )
 
 
-def _random_sources(count: int, freqs: np.ndarray, seed: int) -> list[PlaneWaveSource]:
+def _random_sources(count: int, seed: int) -> list[PlaneWaveSource]:
     """count seeded plane waves, isotropic in direction, each with a flat
-    spectrum of random phase."""
+    spectrum of random phase: a scalar amplitude."""
     rng = np.random.Generator(np.random.Philox(seed))
     sources = []
     for _ in range(count):
         theta = math.acos(rng.uniform(-1.0, 1.0))
         phi = rng.uniform(0.0, 2.0 * math.pi)
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        sources.append(
-            PlaneWaveSource(theta=theta, phi=phi, amplitude=np.full(freqs.size, phase))
-        )
+        sources.append(PlaneWaveSource(theta=theta, phi=phi, amplitude=phase))
     return sources
 
 
@@ -845,7 +844,7 @@ def simulate(
     rule = make_quadrature(quad_degree)
     freqs = np.linspace(band_lo, band_hi, freq_points)
     freq_step = float(freqs[1] - freqs[0])
-    waves = _random_sources(sources, freqs, seed)
+    waves = _random_sources(sources, seed)
 
     # The blocks start on multiples of _PHASE_BLOCK, where synthesize_field's
     # angle addition anchors, so every column equals the unblocked synthesis
@@ -854,10 +853,7 @@ def simulate(
     coeffs = np.empty(((n_max + 1) ** 2, freqs.size), dtype=complex)
     parseval_err = 0.0
     for block in _freq_blocks(freqs.size, _FIELD_BLOCK_ENTRIES // len(rule), _PHASE_BLOCK)[1]:
-        part = synthesize_field(
-            [replace(src, amplitude=src.amplitude[block]) for src in waves],
-            rule, scenario.radius_R, freqs[block], wave_speed_c=c,
-        )
+        part = synthesize_field(waves, rule, scenario.radius_R, freqs[block], wave_speed_c=c)
         parseval_err = max(
             parseval_err, parseval_check(part, rule, analyze_modes(part, rule, n_field)))
         coeffs[:, block] = analyze_modes(part, rule, n_max).coeffs

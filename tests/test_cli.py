@@ -27,6 +27,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import EDGE_VALUES
+
 import modecap
 from modecap import cli, specfun, wavefield
 from modecap.cli import (
@@ -37,7 +39,6 @@ from modecap.cli import (
     EXIT_RESOLUTION,
     MAX_SOURCES,
     MAX_TRIALS,
-    MODE_TABLE_LIMIT,
     _build_simulation,
     _round12,
     _row_blocks,
@@ -45,6 +46,7 @@ from modecap.cli import (
     main,
 )
 from modecap.dofcore import (
+    MODE_TABLE_LIMIT,
     DofBreakdown,
     NormalizedParams,
     Scenario,
@@ -880,14 +882,9 @@ def test_compute_with_the_band_at_the_float_maximum_warns_nothing(
         assert capsys.readouterr().err == ""
 
 
-# Float-range edges for each scenario field: zero, subnormals, the smallest
-# normals, ordinary values, and values at the top of the float range.
-_EDGE_VALUES = [0.0, 5e-324, 1e-310, 1e-300, 1e-5, 1.0, 1e20, 1e300, 1.7e308]
-
-
 @settings(deadline=None, max_examples=200, derandomize=True)
 @given(
-    values=st.fixed_dictionaries({key: st.sampled_from(_EDGE_VALUES) for key in (
+    values=st.fixed_dictionaries({key: st.sampled_from(EDGE_VALUES) for key in (
         "radius_R", "mid_freq_F0", "obs_time_T", "wave_speed_c",
         "threshold_gamma", "snr_alpha_max")}),
     w_ratio=st.sampled_from([0.0, 1e-300, 0.5, 1.0]),

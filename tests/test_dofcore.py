@@ -11,15 +11,19 @@ import math
 import pickle
 import random
 import re
+import time
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+
+from conftest import EDGE_VALUES
 
 from modecap.dofcore import (
     EPI,
+    MODE_TABLE_LIMIT,
     DofBreakdown,
     NormalizedParams,
     Scenario,
@@ -33,7 +37,7 @@ from modecap.dofcore import (
     effective_time,
     truncation_indices,
 )
-from modecap.errors import DomainError
+from modecap.errors import DomainError, ModecapError, ResolutionError
 
 _PINNED = NormalizedParams(a=1.0, b=0.5, d=1.0, rho=1.0)
 # 60-digit references for the pinned point.
@@ -315,6 +319,77 @@ def test_mode_sum_refuses_a_non_finite_sum(args, value: str) -> None:
         with pytest.raises(DomainError) as info:
             dof_mode_sum(s)
     assert str(info.value) == f"degrees of freedom overflow: mode sum is {value}"
+
+
+def test_mode_count_above_the_table_limit_raises_before_allocating() -> None:
+    # a = F0 R / c = 1e8 gives n_max = 1,280,960,134: 9.5 GiB per column.
+    s = Scenario(radius_R=1e-5, mid_freq_F0=1.0, half_bandwidth_W=0.5,
+                 obs_time_T=1.0, wave_speed_c=1e-13)
+    for call in (bandwidth_arrays, bandwidth_profile, dof_mode_sum):
+        start = time.perf_counter()
+        with pytest.raises(ResolutionError, match=f"1280960134.*{MODE_TABLE_LIMIT}"):
+            call(s)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_critical_frequency_of_a_mode_that_never_turns_on_is_inf() -> None:
+    # c / (e pi R) overflows at a subnormal R: mode 3 needs an infinite
+    # frequency.  The inf comes without a warning.
+    s = Scenario(radius_R=5e-324, mid_freq_F0=1.0, half_bandwidth_W=0.5,
+                 obs_time_T=1.0, wave_speed_c=1.0, snr_alpha_max=100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert critical_frequency(s, 3) == math.inf
+
+
+# Each scalar call of the public API on a scenario and a mode index, and
+# whether it may return inf: the functions whose docstrings say what an inf
+# means.
+_SCALAR_CALLS = [
+    (lambda s, n: effective_time(s), True),
+    (critical_frequency, True),
+    (lambda s, n: truncation_indices(s), False),
+    (lambda s, n: dof_mode_sum(s), False),
+    (lambda s, n: dof_closed_form(s), False),
+    (lambda s, n: dof_normalized_breakdown(NormalizedParams.from_scenario(s)), False),
+    (lambda s, n: dof_asymptotic(s), False),
+]
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(
+    values=st.fixed_dictionaries({key: st.sampled_from(EDGE_VALUES) for key in (
+        "radius_R", "mid_freq_F0", "obs_time_T", "wave_speed_c",
+        "threshold_gamma", "snr_alpha_max")}),
+    w_ratio=st.sampled_from([0.0, 1e-300, 0.5, 1.0]),
+    n=st.sampled_from([1, 3, 10**300, 2**1024]),
+)
+@example(values={"radius_R": 1e-5, "mid_freq_F0": 1.0, "obs_time_T": 1.0,
+                 "wave_speed_c": 1e-13, "threshold_gamma": 1.0, "snr_alpha_max": 1.0},
+         w_ratio=0.5, n=3)
+@example(values={"radius_R": 5e-324, "mid_freq_F0": 1.0, "obs_time_T": 1.0,
+                 "wave_speed_c": 1.0, "threshold_gamma": 1.0, "snr_alpha_max": 100.0},
+         w_ratio=0.5, n=3)
+def test_scalar_calls_at_the_float_range_edges_end_finite_or_raise(
+        values: dict, w_ratio: float, n: int) -> None:
+    # W = F0 * w_ratio keeps the band nonnegative.  Each call returns a
+    # finite value, or an inf where its docstring gives it a meaning, or
+    # raises a ModecapError; never a NaN, another exception or a warning.
+    try:
+        s = Scenario(**values, half_bandwidth_W=values["mid_freq_F0"] * w_ratio)
+    except DomainError:
+        return
+    for call, may_be_inf in _SCALAR_CALLS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = call(s, n)
+            except ModecapError:
+                continue
+        if isinstance(result, DofBreakdown):
+            result = dataclasses.astuple(result)
+        for value in np.atleast_1d(result).tolist():
+            assert math.isfinite(value) or (may_be_inf and value == math.inf)
 
 
 @pytest.mark.parametrize("radius", [0.0, 0.5])

@@ -445,73 +445,58 @@ def test_quadrature_rejects_bad_degrees() -> None:
         make_quadrature(513)
 
 
-def _rule_arrays(degree: int) -> dict:
+def _ring_arrays(degree: int) -> dict:
     rule = make_quadrature(degree)
-    return {"theta": rule.theta.copy(), "phi": rule.phi.copy(),
-            "weights": rule.weights.copy(), "max_degree": degree}
+    return {"ring_theta": rule.ring_theta.copy(), "ring_weights": rule.ring_weights.copy()}
 
 
 # One ring, an even and an odd ring count, and the largest supported degree.
 @pytest.mark.parametrize("degree", [0, 1, 2, 7, 46, 90, 512])
 def test_quadrature_rule_accepts_the_product_layout(degree: int) -> None:
-    rule = QuadratureRule(**_rule_arrays(degree))
+    rule = QuadratureRule(**_ring_arrays(degree))
+    assert rule.max_degree == degree
     assert rule.ring_shape == (degree + 1, 2 * degree + 2)
-    assert len(rule) == (degree + 1) * (2 * degree + 2)
+    assert len(rule) == rule.theta.size == rule.phi.size == rule.weights.size \
+        == (degree + 1) * (2 * degree + 2)
     # Ring T-1-j mirrors ring j far inside the 1e-12 rad the rule checks
     # (4.4e-16 at worst over degrees 0..512); an odd T's middle ring is the
     # equator.
-    rings = rule.theta[:: 2 * degree + 2]
+    rings = rule.ring_theta
     assert np.max(np.abs(rings[::-1] - (math.pi - rings))) <= 1e-15
-    # Azimuths built another way agree to rounding and are accepted.
-    arrays = _rule_arrays(degree)
-    arrays["phi"] = np.tile(np.linspace(0.0, 2 * math.pi, 2 * degree + 2,
-                                        endpoint=False), degree + 1)
-    assert QuadratureRule(**arrays).max_degree == degree
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 7, 46, 90, 512])
+def test_quadrature_node_arrays_equal_the_per_node_construction(degree: int) -> None:
+    # The node arrays as the rule once stored them, built node by node.
+    x, w_polar = np.polynomial.legendre.leggauss(degree + 1)
+    n_az = 2 * degree + 2
+    rule = make_quadrature(degree)
+    assert rule.theta.tobytes() == np.repeat(np.arccos(x), n_az).tobytes()
+    assert rule.phi.tobytes() == np.tile(
+        2.0 * np.pi * np.arange(n_az) / n_az, degree + 1).tobytes()
+    assert rule.weights.tobytes() == np.repeat(w_polar * (2.0 * np.pi / n_az), n_az).tobytes()
 
 
 def test_quadrature_rule_rejects_nodes_off_the_product_layout() -> None:
-    rng = np.random.default_rng(5)
-    base = _rule_arrays(4)
-    size = len(base["theta"])
-    order = rng.permutation(size)
-    shuffled = dict(base, theta=base["theta"][order], phi=base["phi"][order],
-                    weights=base["weights"][order])
+    base = _ring_arrays(4)
+    theta, weights = base["ring_theta"], base["ring_weights"]
     # Swapping a ring with its mirror keeps every mirror pair, so that is
     # allowed; swapping two rings that are not mirrors is not.
-    rings = np.arange(size).reshape(5, 10)
-    mirrored = rings[[4, 1, 2, 3, 0]].ravel()
-    QuadratureRule(**dict(base, theta=base["theta"][mirrored],
-                          weights=base["weights"][mirrored]))
-    rings = rings[[1, 0, 2, 3, 4]].ravel()
-    swapped = dict(base, theta=base["theta"][rings], weights=base["weights"][rings])
-    # Ring 1 moved as a whole: theta stays constant along it, but ring 3 no
-    # longer mirrors it.
-    moved_ring = base["theta"].copy()
-    moved_ring[10:20] += 1e-9
-    # Move one ring's nodes by a quarter step in azimuth, keeping the weights.
-    skewed_phi = base["phi"].copy()
-    skewed_phi[10:20] += 0.25 * (2 * math.pi / 10)
-    # Same total weight, but not constant along ring 0.
-    ragged_w = base["weights"].copy()
-    ragged_w[0] *= 1.5
-    ragged_w[1] -= 0.5 * base["weights"][0]
-    ragged_theta = base["theta"].copy()
-    ragged_theta[3] += 1e-9
+    QuadratureRule(ring_theta=theta[[4, 1, 2, 3, 0]], ring_weights=weights)
+    moved = theta.copy()
+    moved[1] += 1e-9
     bad = [
-        shuffled,
-        swapped,
-        dict(base, theta=moved_ring),
-        dict(base, theta=base["theta"][:-1], phi=base["phi"][:-1],
-             weights=base["weights"][:-1]),
-        dict(base, max_degree=3),
-        dict(base, phi=skewed_phi),
-        dict(base, phi=base["phi"] + 1e-9),
-        dict(base, weights=ragged_w),
-        dict(base, theta=ragged_theta),
-        dict(base, theta=base["theta"].reshape(5, 10)),
-        dict(base, max_degree=-1),
-        dict(base, max_degree=4.0),
+        (dict(base, ring_theta=theta[[1, 0, 2, 3, 4]]), "mirror pairs"),
+        (dict(base, ring_theta=moved), "mirror pairs"),
+        (dict(base, ring_weights=weights * (1 + 1e-9)), "expected 4\\*pi"),
+        (dict(base, ring_weights=weights[:-1]), "one entry per ring"),
+        (dict(base, ring_theta=theta[:-1]), "one entry per ring"),
+        (dict(base, ring_theta=theta.reshape(5, 1)), "1-D"),
+        (dict(base, ring_weights=np.tile(weights, (2, 1)) / 2), "1-D"),
+        (dict(ring_theta=np.array([]), ring_weights=np.array([])), "nonempty"),
+        (dict(base, ring_theta=np.where(np.arange(5) == 2, math.nan, theta)), "finite"),
+        (dict(base, ring_weights=np.where(np.arange(5) == 0, math.inf, weights)), "finite"),
     ]
-    for arrays in bad:
-        with pytest.raises(DomainError):
+    for arrays, reason in bad:
+        with pytest.raises(DomainError, match=reason):
             QuadratureRule(**arrays)
